@@ -128,12 +128,13 @@ def _bench_work_in_scan_after():
 
 
 def _bench_replay(unit_holder):
+    from repro.engine import ExecutionSession
     from repro.traces.replay import replay_jobs
 
     def run():
         report, metrics = replay_jobs(
             qjob_stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
-            shard_window=600.0, cache=False,
+            shard_window=600.0, session=ExecutionSession(cache=False),
         )
         unit_holder["shards"] = metrics.shards
         return report

@@ -14,6 +14,7 @@ import json
 
 import pytest
 
+from repro.engine import ExecutionSession
 from repro.traces import replay_trace
 from repro.workloads import write_synthetic_swf
 
@@ -32,8 +33,7 @@ def _replay(trace_path, cache_dir):
     return replay_trace(
         trace_path,
         shard_window=SHARD_WINDOW,
-        jobs=1,
-        cache_dir=cache_dir,
+        session=ExecutionSession(jobs=1, cache_dir=cache_dir),
     )
 
 

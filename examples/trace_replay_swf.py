@@ -21,6 +21,7 @@ import json
 import tempfile
 from pathlib import Path
 
+from repro.engine import ExecutionSession
 from repro.traces import replay_trace
 from repro.workloads import write_synthetic_swf
 
@@ -34,42 +35,42 @@ def main() -> None:
         trace = write_synthetic_swf(
             Path(tmp) / "synthetic.swf", N_JOBS, seed=7, arrival_rate=0.02
         )
-        cache_dir = Path(tmp) / "cache"
         print(
             f"synthetic SWF log: {N_JOBS} jobs, Poisson arrivals, "
             f"lognormal runtimes -> {trace.name}\n"
         )
+        # one session serves every replay below: one shared cache handle
+        with ExecutionSession(cache_dir=Path(tmp) / "cache") as session:
+            for noise in ("multiplicative", "adversarial"):
+                report, metrics = replay_trace(
+                    trace,
+                    noise_model=noise,
+                    seed=0,
+                    shard_window=SHARD_WINDOW,
+                    alpha=ALPHA,
+                    session=session,
+                )
+                print(report.render(max_shard_rows=5))
+                print(metrics.footer())
+                print()
 
-        for noise in ("multiplicative", "adversarial"):
-            report, metrics = replay_trace(
+            # warm pass: same parameters, every shard served from the cache
+            report_cold, _ = replay_trace(
                 trace,
-                noise_model=noise,
+                noise_model="multiplicative",
                 seed=0,
                 shard_window=SHARD_WINDOW,
                 alpha=ALPHA,
-                cache_dir=cache_dir,
+                session=session,
             )
-            print(report.render(max_shard_rows=5))
-            print(metrics.footer())
-            print()
-
-        # warm pass: same parameters, every shard served from the cache
-        report_cold, _ = replay_trace(
-            trace,
-            noise_model="multiplicative",
-            seed=0,
-            shard_window=SHARD_WINDOW,
-            alpha=ALPHA,
-            cache_dir=cache_dir,
-        )
-        report_warm, metrics_warm = replay_trace(
-            trace,
-            noise_model="multiplicative",
-            seed=0,
-            shard_window=SHARD_WINDOW,
-            alpha=ALPHA,
-            cache_dir=cache_dir,
-        )
+            report_warm, metrics_warm = replay_trace(
+                trace,
+                noise_model="multiplicative",
+                seed=0,
+                shard_window=SHARD_WINDOW,
+                alpha=ALPHA,
+                session=session,
+            )
         identical = json.dumps(report_cold.to_dict(), sort_keys=True) == (
             json.dumps(report_warm.to_dict(), sort_keys=True)
         )

@@ -30,7 +30,6 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import profile_kernel as _pk
-from .compat import absorb_positional
 from .constants import EPS
 from .power import PowerFunction
 
@@ -142,24 +141,14 @@ class SpeedProfile:
     @classmethod
     def from_breakpoints(
         cls,
-        *args: Sequence[float],
-        times: Sequence[float] | None = None,
-        speeds: Sequence[float] | None = None,
+        *,
+        times: Sequence[float],
+        speeds: Sequence[float],
     ) -> SpeedProfile:
         """Profile with ``speeds[i]`` on ``[times[i], times[i+1])``.
 
-        Keyword-only since 1.2: ``SpeedProfile.from_breakpoints(times=...,
-        speeds=...)``.  The legacy positional spelling
-        ``from_breakpoints(breakpoints, speeds)`` still works behind a
-        :class:`DeprecationWarning`.
+        Keyword-only: ``SpeedProfile.from_breakpoints(times=..., speeds=...)``.
         """
-        times, speeds = absorb_positional(
-            "SpeedProfile.from_breakpoints", args, ("times", "speeds"), (times, speeds)
-        )
-        if times is None or speeds is None:
-            raise TypeError(
-                "SpeedProfile.from_breakpoints() requires times=... and speeds=..."
-            )
         if len(speeds) != len(times) - 1:
             raise ValueError("need exactly one speed per consecutive breakpoint pair")
         if _pk.kernel_enabled():

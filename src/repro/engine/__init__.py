@@ -12,14 +12,15 @@ pool-crash recovery with graceful degradation to serial, quarantine of
 corrupt cache entries, and a deterministic fault-injection harness
 (:class:`FaultPlan`) for proving every recovery path.
 
-Quick start::
+Execution context — pool size, cache, hardening, observability and
+backend — travels as one :class:`ExecutionSession`.  Quick start::
 
-    from repro.engine import RetryPolicy, run_experiments
+    from repro.engine import ExecutionSession, RetryPolicy, run_experiments
 
-    result = run_experiments(
-        ["rho", "lemma42"], jobs=2, task_timeout=300.0,
-        retry=RetryPolicy(max_attempts=3),
-    )
+    with ExecutionSession(
+        jobs=2, task_timeout=300.0, retry=RetryPolicy(max_attempts=3)
+    ) as session:
+        result = run_experiments(["rho", "lemma42"], session=session)
     for run in result.runs:
         print(run.name, run.metrics.wall_time, run.metrics.cache_hit)
     print(result.footer())
@@ -64,11 +65,10 @@ from .runner import (
     HardenedTask,
     RunMetrics,
     execute_hardened,
-    map_measure,
     resolve_jobs,
     run_experiments,
 )
-from .session import UNSET, ExecutionSession, session_from_kwargs
+from .session import ExecutionSession
 
 __all__ = [
     "Backend",
@@ -102,10 +102,7 @@ __all__ = [
     "HardenedTask",
     "RunMetrics",
     "execute_hardened",
-    "map_measure",
     "resolve_jobs",
     "run_experiments",
-    "UNSET",
     "ExecutionSession",
-    "session_from_kwargs",
 ]

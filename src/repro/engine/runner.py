@@ -20,10 +20,6 @@ is recorded as a structured :class:`~repro.engine.faults.FailureInfo`.
 Reports are *always* normalised through their JSON payload
 (``to_dict``/``from_dict``), so a cold run, a warm cache hit and a
 ``jobs=4`` run all render byte-identically.
-
-:func:`map_measure` is the inner-loop counterpart: it fans per-instance
-ratio measurements of a *named* algorithm (dispatched through
-:data:`repro.qbss.registry.ALGORITHMS`) over the same kind of pool.
 """
 
 from __future__ import annotations
@@ -37,33 +33,22 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..analysis.experiments import REGISTRY, ExperimentReport, resolve_kwargs
-
-if TYPE_CHECKING:
-    from ..analysis.ratios import RatioMeasurement
-    from .session import ExecutionSession
-
-#: Sentinel for legacy kwargs: distinguishes "not passed" from an explicit
-#: ``None`` so :func:`repro.engine.session.session_from_kwargs` can tell
-#: which values should override an explicit session.
-_UNSET: Any = object()
-from ..core.constants import DEFAULT_ALPHA
 from .backends.base import Backend, BackendBroken
-from .cache import ResultCache, cache_key
+from .cache import cache_key
 from .faults import (
     FailureInfo,
-    FaultPlan,
     RetryPolicy,
     TransientError,
     WorkerCrashError,
     active_fault_plan,
-    corrupt_cache_entry,
     installed_fault_plan,
-    torn_write_entry,
 )
+
+if TYPE_CHECKING:
+    from .session import ExecutionSession
 
 
 def resolve_jobs(jobs: int | str | None) -> int:
@@ -693,62 +678,24 @@ class _ExperimentTask(HardenedTask):
         self.quarantined = 0
 
 
-def _put_with_retry(
-    store: ResultCache,
-    retry: RetryPolicy,
-    task_key: str,
-    args: tuple,
-) -> Path | None:
-    """Cache writes never fail a run: transient I/O errors are retried under
-    the policy, then the write is skipped with a warning."""
-    attempt = 1
-    while True:
-        try:
-            return store.put(*args)
-        except OSError as exc:
-            if attempt >= retry.max_attempts:
-                warnings.warn(
-                    f"cache write for {task_key!r} failed after {attempt} "
-                    f"attempt(s) ({exc}); continuing uncached",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return None
-            delay = retry.delay(f"{task_key}:cache-put", attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1
-
-
 def run_experiments(
     names: Sequence[str],
     overrides: dict[str, dict] | None = None,
     *,
     session: "ExecutionSession | None" = None,
-    jobs: int | str = _UNSET,
-    cache: bool = _UNSET,
-    cache_dir: str | Path | None = _UNSET,
-    package_version: str | None = _UNSET,
-    task_timeout: float | None = _UNSET,
-    retry: RetryPolicy | None = _UNSET,
-    fault_plan: FaultPlan | None = _UNSET,
-    tracer: Any | None = _UNSET,
-    metrics: Any | None = _UNSET,
-    backend: "str | Backend | None" = _UNSET,
 ) -> EngineResult:
     """Evaluate ``names`` (registry keys), parallel, cached and fault tolerant.
 
     ``overrides`` maps an experiment name to keyword-argument overrides
     (already validated — see :func:`repro.analysis.experiments.resolve_kwargs`).
     ``session`` (an :class:`~repro.engine.session.ExecutionSession`)
-    carries the execution context — pool size, cache, hardening and
-    observability — and can be shared across calls (one cache handle, one
-    tracer).  The individual kwargs below remain as the legacy spelling:
-    without a session they construct one ad hoc (pre-1.2 behaviour);
-    combined with an explicit session they are deprecated pass-throughs
-    that override its fields for this call.
+    carries the whole execution context and can be shared across calls
+    (one cache handle, one tracer, warm backend links).  ``None`` runs
+    under a default ``ExecutionSession()`` built and closed inside the
+    call.
 
-    ``jobs > 1`` dispatches cache misses to a process pool; hits are served
+    The session's fields decide how the run executes.  ``jobs > 1``
+    dispatches cache misses to a process pool; hits are served
     in-process; ``jobs=0`` or ``"auto"`` means one worker per CPU (see
     :func:`resolve_jobs`).  ``cache=False`` bypasses the cache entirely (no
     reads, no writes).  ``package_version`` overrides the version component
@@ -756,15 +703,12 @@ def run_experiments(
 
     Robustness (see ``docs/robustness.md``): ``task_timeout`` puts a
     deadline on each task (pool mode only); ``retry`` is the
-    :class:`RetryPolicy` for transient failures (default: 3 attempts);
-    ``fault_plan`` installs a deterministic
+    :class:`RetryPolicy` for transient failures (default: 3 attempts) and
+    for cache writes, which are skipped with a :class:`RuntimeWarning`
+    rather than failing the run; ``fault_plan`` installs a deterministic
     :class:`~repro.engine.faults.FaultPlan` for the duration of the run
-    (tests; equivalently export ``QBSS_FAULT_PLAN``).
-
-    ``backend`` selects where tasks execute: a spec string (``"serial"``,
-    ``"pool"``, ``"remote:HOST:PORT[,HOST:PORT...]"``), a
-    :class:`~repro.engine.backends.Backend` instance, or ``None`` for the
-    default local pool (see ``docs/backends.md``).
+    (tests; equivalently export ``QBSS_FAULT_PLAN``).  ``backend`` selects
+    where tasks execute (see ``docs/backends.md``).
 
     Observability (``docs/observability.md``): ``tracer`` (a
     :class:`repro.obs.Tracer`) records a ``batch`` span containing
@@ -774,31 +718,14 @@ def run_experiments(
     optional, cost nothing when omitted, and never touch report payloads —
     outputs are byte-identical with observability on or off.
     """
-    from .session import session_from_kwargs
+    if session is None:
+        from .session import ExecutionSession
 
-    # Sessions built here (no caller session) are closed before returning:
-    # backend capacity — pool workers, warm remote links — must not outlive
-    # the call unless the caller owns the session.
-    owns_session = session is None
-    session = session_from_kwargs(
-        session,
-        warn_name="run_experiments",
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        package_version=package_version,
-        task_timeout=task_timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        tracer=tracer,
-        metrics=metrics,
-        backend=backend,
-    )
+        with ExecutionSession() as owned:
+            return run_experiments(names, overrides, session=owned)
     jobs = session.pool_jobs
     package_version = session.package_version
     task_timeout = session.task_timeout
-    retry = session.retry_policy
-    fault_plan = session.fault_plan
     tracer = session.tracer
     metrics = session.metrics
     unknown = [n for n in names if n not in REGISTRY]
@@ -815,9 +742,7 @@ def run_experiments(
         else None
     )
 
-    with installed_fault_plan(fault_plan):
-        plan = fault_plan if fault_plan is not None else active_fault_plan()
-
+    with installed_fault_plan(session.fault_plan):
         for i, name in enumerate(names):
             call_kwargs, resolved, _unused = resolve_kwargs(
                 name, (overrides or {}).get(name)
@@ -825,21 +750,9 @@ def run_experiments(
             key = cache_key(name, resolved, package_version)
             if store is not None:
                 start = time.perf_counter()
-                before_q = store.quarantined
-                lookup_span = (
-                    tracer.begin("cache-lookup", batch_span, task=name)
-                    if tracer is not None
-                    else None
+                entry, quarantined = session.cache_lookup(
+                    key, task=name, parent=batch_span
                 )
-                entry = store.get(key)
-                quarantined = store.quarantined - before_q
-                if tracer is not None:
-                    for _ in range(quarantined):
-                        tracer.event("cache_quarantine", lookup_span, task=name)
-                    tracer.end(
-                        lookup_span,
-                        result="hit" if entry is not None else "miss",
-                    )
                 if entry is not None:
                     report = ExperimentReport.from_dict(entry["report"])
                     runs[i] = ExperimentRun(
@@ -877,31 +790,10 @@ def run_experiments(
             payload = outcome["payload"]
             report = ExperimentReport.from_dict(payload)
             if store is not None:
-                path = _put_with_retry(
-                    store,
-                    retry,
-                    task.task_key,
-                    (
-                        task.key,
-                        task.name,
-                        task.resolved,
-                        payload,
-                        outcome["wall"],
-                        package_version,
-                    ),
+                session.cache_put(
+                    task, task.key, task.name, task.resolved, payload,
+                    outcome["wall"],
                 )
-                if (
-                    path is not None
-                    and plan is not None
-                    and plan.wants_corrupt_cache(task.task_key, task.attempt)
-                ):
-                    corrupt_cache_entry(path)
-                if (
-                    path is not None
-                    and plan is not None
-                    and plan.wants_torn_write(task.task_key, task.attempt)
-                ):
-                    torn_write_entry(path)
             metrics = RunMetrics(
                 experiment=task.name,
                 wall_time=sum(task.walls),
@@ -973,53 +865,5 @@ def run_experiments(
         from ..obs.publish import publish_engine_result
 
         publish_engine_result(metrics, result)
-    if owns_session:
-        session.close()
     return result
 
-
-# -- per-seed inner loops -------------------------------------------------------------
-
-
-def _measure_worker(
-    algorithm: str, instance_doc: dict, alpha: float, exact_multi: bool
-) -> RatioMeasurement:
-    from ..analysis.ratios import measure
-    from ..io import qbss_instance_from_dict
-
-    return measure(
-        algorithm,
-        qbss_instance_from_dict(instance_doc),
-        alpha=alpha,
-        exact_multi=exact_multi,
-    )
-
-
-def map_measure(
-    algorithm: str,
-    instances: Iterable,
-    *,
-    alpha: float = DEFAULT_ALPHA,
-    jobs: int = 1,
-    exact_multi: bool = False,
-) -> list:
-    """Fan per-instance ratio measurements of a *named* algorithm over a pool.
-
-    The algorithm is dispatched through
-    :data:`repro.qbss.registry.ALGORITHMS` inside each worker (names are
-    picklable, closures are not); instances travel as their
-    :mod:`repro.io` JSON documents.  Results keep the input order.
-    """
-    from ..io import qbss_instance_to_dict
-    from ..qbss.registry import get_algorithm
-
-    get_algorithm(algorithm)  # fail fast on unknown names, in the parent
-    docs = [qbss_instance_to_dict(qi) for qi in instances]
-    if jobs <= 1 or len(docs) <= 1:
-        return [_measure_worker(algorithm, d, alpha, exact_multi) for d in docs]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(docs))) as pool:
-        futures = [
-            pool.submit(_measure_worker, algorithm, d, alpha, exact_multi)
-            for d in docs
-        ]
-        return [f.result() for f in futures]

@@ -1,52 +1,53 @@
 """Execution sessions: one object owning the engine's execution context.
 
-Before 1.2, every entry point that wanted hardened execution —
+Every entry point that runs hardened work —
 :func:`repro.engine.runner.run_experiments`,
-:func:`repro.traces.replay.replay_jobs` — threaded the same nine knobs by
-hand (pool size, cache toggle and directory, package version, deadline,
-retry policy, fault plan, tracer, metrics) into
-:func:`~repro.engine.runner.execute_hardened` and
-:class:`~repro.engine.cache.ResultCache`.  :class:`ExecutionSession`
-bundles them: construct one, hand it to any number of runs, and the pool
-configuration, cache handle and observability sinks are shared — the
-prerequisite shape for a long-lived ``qbss-serve`` process, where a single
-session must outlive many requests.
+:func:`repro.traces.replay.replay_jobs` and
+:func:`~repro.traces.replay.replay_trace` — takes its execution context
+through one ``session=`` argument: pool size, cache toggle and directory,
+package version, deadline, retry policy, fault plan, tracer, metrics and
+backend.  Construct one :class:`ExecutionSession`, hand it to any number of
+runs, and the pool configuration, cache handle and observability sinks are
+shared — the shape a long-lived ``qbss-serve`` process needs, where a
+single session must outlive many requests.
 
-The legacy keyword arguments on the entry points still work; passing them
-*alongside* an explicit ``session=`` is deprecated (the values override
-the session's fields for that call, with a :class:`DeprecationWarning`).
+The session is also the one place cache decisions are made: the traced
+lookup (:meth:`ExecutionSession.cache_lookup`) and the retry-then-warn
+write with the fault plan's corrupt/torn hooks
+(:meth:`ExecutionSession.cache_put`) serve both entry points.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from collections.abc import Callable, Iterable
 
 from .backends.base import Backend, create_backend, parse_backend_spec
 from .cache import ResultCache
-from .faults import FaultPlan, RetryPolicy
+from .faults import (
+    FaultPlan,
+    RetryPolicy,
+    active_fault_plan,
+    corrupt_cache_entry,
+    torn_write_entry,
+)
 from .runner import (
-    _UNSET,
     ExecutionStats,
     HardenedTask,
     execute_hardened,
     resolve_jobs,
 )
 
-#: Sentinel distinguishing "caller did not pass this legacy kwarg" from an
-#: explicit ``None`` (several knobs have ``None`` as a meaningful value).
-#: Shared with the entry points' keyword defaults in ``runner.py``.
-UNSET: Any = _UNSET
-
 
 @dataclass
 class ExecutionSession:
     """The execution context shared by engine and replay runs.
 
-    Fields mirror the legacy per-call kwargs one for one:
+    Fields:
 
     * ``jobs`` — pool size request (``int``, ``0``/``"auto"`` = per-CPU);
     * ``cache``/``cache_dir``/``package_version`` — the content-addressed
@@ -147,6 +148,80 @@ class ExecutionSession:
             self._store = ResultCache(self.cache_dir, metrics=self.metrics)
         return self._store
 
+    def cache_lookup(
+        self, key: str, *, task: str, parent: Any | None = None
+    ) -> tuple[dict[str, Any] | None, int]:
+        """Read ``key`` from :attr:`store` inside a ``cache-lookup`` span.
+
+        Returns ``(entry, quarantined)``: the cached envelope (``None`` on a
+        miss) and how many corrupt entries this lookup moved aside, each
+        also traced as a ``cache_quarantine`` event under the lookup span.
+        Only valid while caching is on.
+        """
+        store = self.store
+        tracer = self.tracer
+        before = store.quarantined
+        span = (
+            tracer.begin("cache-lookup", parent, task=task)
+            if tracer is not None
+            else None
+        )
+        entry = store.get(key)
+        quarantined = store.quarantined - before
+        if tracer is not None:
+            for _ in range(quarantined):
+                tracer.event("cache_quarantine", span, task=task)
+            tracer.end(span, result="hit" if entry is not None else "miss")
+        return entry, quarantined
+
+    def cache_put(
+        self,
+        task: HardenedTask,
+        key: str,
+        experiment: str,
+        params: dict[str, Any],
+        payload: dict[str, Any],
+        wall: float,
+    ) -> None:
+        """Write one result into :attr:`store`; a failed write never fails
+        the run.
+
+        An :class:`OSError` is retried under :attr:`retry_policy`; once the
+        attempts are spent the write is skipped with a
+        :class:`RuntimeWarning` and the run continues uncached.  A written
+        entry then gets the active fault plan's ``corrupt-cache`` /
+        ``torn-write`` hooks at ``task``'s coordinates.  Only valid while
+        caching is on.
+        """
+        store = self.store
+        retry = self.retry_policy
+        attempt = 1
+        while True:
+            try:
+                path = store.put(
+                    key, experiment, params, payload, wall, self.package_version
+                )
+                break
+            except OSError as exc:
+                if attempt >= retry.max_attempts:
+                    warnings.warn(
+                        f"cache write for {task.task_key!r} failed after "
+                        f"{attempt} attempt(s) ({exc}); continuing uncached",
+                        RuntimeWarning,
+                        stacklevel=2,
+                    )
+                    return
+                delay = retry.delay(f"{task.task_key}:cache-put", attempt)
+                if delay > 0:
+                    time.sleep(delay)
+                attempt += 1
+        plan = self.fault_plan if self.fault_plan is not None else active_fault_plan()
+        if plan is not None:
+            if plan.wants_corrupt_cache(task.task_key, task.attempt):
+                corrupt_cache_entry(path)
+            if plan.wants_torn_write(task.task_key, task.attempt):
+                torn_write_entry(path)
+
     @property
     def execution_backend(self) -> Backend | None:
         """The resolved :class:`Backend` (lazy; ``None`` = built-in pool).
@@ -197,31 +272,3 @@ class ExecutionSession:
             backend=self.execution_backend,
         )
 
-
-def session_from_kwargs(
-    session: ExecutionSession | None,
-    *,
-    warn_name: str,
-    **legacy: Any,
-) -> ExecutionSession:
-    """Merge an optional explicit session with legacy per-call kwargs.
-
-    ``legacy`` values equal to :data:`UNSET` were not passed by the
-    caller.  Without a session, the explicit kwargs simply construct one
-    (the pre-1.2 behaviour, no warning).  With a session, explicit kwargs
-    are deprecated pass-throughs: they override the session's fields for
-    this call behind a :class:`DeprecationWarning` naming the new form.
-    """
-    explicit = {k: v for k, v in legacy.items() if v is not UNSET}
-    if session is None:
-        return ExecutionSession(**explicit)
-    if explicit:
-        names = ", ".join(sorted(explicit))
-        warnings.warn(
-            f"passing {names} to {warn_name}() alongside session= is "
-            f"deprecated; set them on the ExecutionSession instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return replace(session, **explicit)
-    return session

@@ -13,12 +13,14 @@
 
 Quick start::
 
-    from repro.engine import run_experiments
+    from repro.engine import ExecutionSession, run_experiments
     from repro.obs import MetricsRegistry, Tracer
 
     registry = MetricsRegistry()
     with Tracer.to_path("run.trace.jsonl") as tracer:
-        result = run_experiments(["rho"], tracer=tracer, metrics=registry)
+        session = ExecutionSession(tracer=tracer, metrics=registry)
+        with session:
+            result = run_experiments(["rho"], session=session)
     print(registry.to_prometheus())
 """
 

@@ -14,7 +14,6 @@ adversarial family of Lemma 5.1.
 
 from __future__ import annotations
 
-from ..core.compat import absorb_positional
 from ..core.edf import run_edf
 from ..core.instance import QBSSInstance
 from ..core.qjob import QueryNotCompleted
@@ -24,7 +23,7 @@ from .result import QBSSResult
 from .transform import derive_online
 
 
-def avrq(qinstance: QBSSInstance, *args, split_policy=None) -> QBSSResult:
+def avrq(qinstance: QBSSInstance, *, split_policy=None) -> QBSSResult:
     """Run AVRQ on a single machine.
 
     The derived profile is realised with EDF; before revealing a job's exact
@@ -35,9 +34,6 @@ def avrq(qinstance: QBSSInstance, *args, split_policy=None) -> QBSSResult:
     ``split_policy`` defaults to the paper's equal window; the split-point
     ablation bench injects :class:`~repro.qbss.policies.FixedSplit` values.
     """
-    (split_policy,) = absorb_positional(
-        "avrq", args, ("split_policy",), (split_policy,)
-    )
     if qinstance.machines != 1:
         raise ValueError("avrq is single-machine; use avrq_m for m machines")
     derived = derive_online(

@@ -9,7 +9,6 @@ Lemma 4.14 bounds the optimal-energy inflation of the rounding by
 
 from __future__ import annotations
 
-from ..core.compat import absorb_positional
 from ..core.constants import EPS
 from ..core.instance import QBSSInstance
 from ..core.profile import SpeedProfile
@@ -22,7 +21,7 @@ from .result import QBSSResult
 
 def crad(
     qinstance: QBSSInstance,
-    *args,
+    *,
     query_policy: QueryPolicy | None = None,
 ) -> QBSSResult:
     """Run CRAD: deadline rounding + CRP2D.
@@ -31,9 +30,6 @@ def crad(
     ratios are measured against the original clairvoyant optimum), while its
     derived instance and schedule come from the rounded run.
     """
-    (query_policy,) = absorb_positional(
-        "crad", args, ("query_policy",), (query_policy,)
-    )
     if len(qinstance) == 0:
         return QBSSResult(
             Schedule(1), [SpeedProfile()],

@@ -19,7 +19,6 @@ refined ``rho_3`` ratio of Theorem 4.8 for ``alpha >= 2``.
 from __future__ import annotations
 
 
-from ..core.compat import absorb_positional
 from ..core.constants import EPS
 from ..core.instance import Instance, QBSSInstance
 from ..core.job import Job
@@ -33,7 +32,7 @@ from .result import QBSSResult
 
 def crcd(
     qinstance: QBSSInstance,
-    *args,
+    *,
     query_policy: QueryPolicy | None = None,
 ) -> QBSSResult:
     """Run CRCD on a common-release common-deadline instance.
@@ -41,9 +40,6 @@ def crcd(
     ``query_policy`` defaults to the golden-ratio rule; the ablation benches
     inject other policies to quantify how much the rule matters.
     """
-    (query_policy,) = absorb_positional(
-        "crcd", args, ("query_policy",), (query_policy,)
-    )
     return crcd_tuned(qinstance, query_policy=query_policy)
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 
-from ..core.compat import absorb_positional
 from ..core.constants import EPS
 from ..core.edf import run_edf
 from ..core.instance import Instance, QBSSInstance
@@ -51,15 +50,11 @@ def _require_shape(qinstance: QBSSInstance) -> None:
 
 def crp2d(
     qinstance: QBSSInstance,
-    *args,
+    *,
     query_policy: QueryPolicy | None = None,
 ) -> QBSSResult:
     """Run CRP2D (see module docstring)."""
     from ..speed_scaling.yds import yds
-
-    (query_policy,) = absorb_positional(
-        "crp2d", args, ("query_policy",), (query_policy,)
-    )
 
     if len(qinstance) == 0:
         return QBSSResult(

@@ -41,16 +41,12 @@ from ..core.instance import QBSSInstance
 from ..core.qjob import QJob
 from ..engine.faults import (
     FailureInfo,
-    FaultPlan,
-    RetryPolicy,
     TransientError,
     WorkerCrashError,
     active_fault_plan,
-    corrupt_cache_entry,
     installed_fault_plan,
-    torn_write_entry,
 )
-from ..engine.runner import _UNSET, HardenedTask
+from ..engine.runner import HardenedTask
 from ..engine.session import ExecutionSession
 from .checkpoint import ReplayCheckpoint
 from ..qbss.registry import get_algorithm
@@ -598,28 +594,16 @@ def replay_jobs(
     alpha: float = 3.0,
     shard_window: float = 3600.0,
     session: "ExecutionSession | None" = None,
-    jobs: int | str = _UNSET,
-    cache: bool = _UNSET,
-    cache_dir=_UNSET,
-    package_version: str | None = _UNSET,
     meta: dict | None = None,
-    task_timeout: float | None = _UNSET,
-    retry: RetryPolicy | None = _UNSET,
-    fault_plan: FaultPlan | None = _UNSET,
-    tracer=_UNSET,
-    metrics=_UNSET,
-    backend=_UNSET,
     checkpoint: ReplayCheckpoint | None = None,
 ) -> tuple[ReplayReport, ReplayMetrics]:
     """Stream a release-sorted QJob iterable through sharded evaluation.
 
     ``session`` (an :class:`~repro.engine.session.ExecutionSession`)
-    carries the execution context — pool, cache, hardening,
-    observability — and can be shared across replays (one cache handle).
-    The individual execution kwargs remain as the legacy spelling:
-    without a session they construct one ad hoc; alongside an explicit
-    session they are deprecated pass-throughs overriding its fields for
-    this call.
+    carries the whole execution context — pool, cache, hardening,
+    observability, backend — and can be shared across replays (one cache
+    handle).  ``None`` runs under a default ``ExecutionSession()`` built
+    and closed inside the call.
 
     ``meta`` carries the provenance fields of the report (source, format,
     noise model, seed, deadline_slack, skipped) — :func:`replay_trace`
@@ -630,18 +614,19 @@ def replay_jobs(
     workers so queue wait never counts against a shard's deadline).
 
     Execution is hardened (``docs/robustness.md``): shards running past
-    ``task_timeout`` (pool mode) are cancelled and reported with verdict
-    ``timeout``; transient failures retry under ``retry`` (injection
-    coordinates are ``shard:<index>``); a broken pool is rebuilt once and
-    then degraded to in-process evaluation; corrupt cache entries are
-    quarantined and recomputed.  The replay always finishes — shards that
-    could not be evaluated carry a ``status``/``failure`` record instead
-    of rows.
+    the session's ``task_timeout`` (pool mode) are cancelled and reported
+    with verdict ``timeout``; transient failures retry under its ``retry``
+    policy (injection coordinates are ``shard:<index>``); a broken pool is
+    rebuilt once and then degraded to in-process evaluation; corrupt cache
+    entries are quarantined and recomputed; a cache write that keeps
+    failing is skipped with a :class:`RuntimeWarning`.  The replay always
+    finishes — shards that could not be evaluated carry a
+    ``status``/``failure`` record instead of rows.
 
-    Observability (``docs/observability.md``): ``tracer`` (a
-    :class:`repro.obs.Tracer`) records a ``batch`` span over the replay
+    Observability (``docs/observability.md``): the session's ``tracer``
+    (a :class:`repro.obs.Tracer`) records a ``batch`` span over the replay
     with ``cache-lookup`` / ``task`` / ``attempt`` child spans per shard;
-    ``metrics`` (a :class:`repro.obs.MetricsRegistry`) receives the
+    its ``metrics`` (a :class:`repro.obs.MetricsRegistry`) receives the
     ``qbss_cache_*`` and ``qbss_replay_*`` series.  Both are optional and
     never change report payloads.
 
@@ -652,29 +637,19 @@ def replay_jobs(
     without touching cache or pool.  Failed shards are never
     checkpointed — they re-run on resume.
     """
-    from ..engine.session import session_from_kwargs
-
-    # Sessions built here (no caller session) are closed before returning:
-    # backend capacity — pool workers, warm remote links — must not outlive
-    # the call unless the caller owns the session.
-    owns_session = session is None
-    session = session_from_kwargs(
-        session,
-        warn_name="replay_jobs",
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        package_version=package_version,
-        task_timeout=task_timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        tracer=tracer,
-        metrics=metrics,
-        backend=backend,
-    )
+    if session is None:
+        with ExecutionSession() as owned:
+            return replay_jobs(
+                jobs_stream,
+                algorithms=algorithms,
+                alpha=alpha,
+                shard_window=shard_window,
+                session=owned,
+                meta=meta,
+                checkpoint=checkpoint,
+            )
     jobs = session.pool_jobs
     package_version = session.package_version
-    task_timeout = session.task_timeout
     fault_plan = session.fault_plan
     tracer = session.tracer
     algorithms = validate_replay_algorithms(algorithms)
@@ -717,23 +692,9 @@ def replay_jobs(
                         metrics.resumed += 1
                         continue
                 if store is not None and key is not None:
-                    shard_name = f"shard:{shard.index}"
-                    before_q = store.quarantined
-                    lookup_span = (
-                        tracer.begin("cache-lookup", batch_span, task=shard_name)
-                        if tracer is not None
-                        else None
+                    entry, _quarantined = session.cache_lookup(
+                        key, task=f"shard:{shard.index}", parent=batch_span
                     )
-                    entry = store.get(key)
-                    if tracer is not None:
-                        for _ in range(store.quarantined - before_q):
-                            tracer.event(
-                                "cache_quarantine", lookup_span, task=shard_name
-                            )
-                        tracer.end(
-                            lookup_span,
-                            result="hit" if entry is not None else "miss",
-                        )
                     if entry is not None:
                         payload = _normalise(entry["report"])
                         payload.setdefault("status", "ok")
@@ -771,22 +732,14 @@ def replay_jobs(
             if store is not None and task.key is not None:
                 # Cache the mode-independent verdict: a degraded result is
                 # still the correct result, so warm replays serve it as ok.
-                path = store.put(
+                session.cache_put(
+                    task,
                     task.key,
                     "trace-shard",
                     {"algorithms": list(algorithms), "alpha": alpha},
                     dict(payload, status="ok"),
                     outcome["wall"],
-                    package_version,
                 )
-                if plan is not None and plan.wants_corrupt_cache(
-                    task.task_key, task.attempt
-                ):
-                    corrupt_cache_entry(path)
-                if plan is not None and plan.wants_torn_write(
-                    task.task_key, task.attempt
-                ):
-                    torn_write_entry(path)
             if checkpoint is not None and task.key is not None:
                 checkpoint.record(
                     task.key,
@@ -862,8 +815,6 @@ def replay_jobs(
         from ..obs.publish import publish_replay
 
         publish_replay(registry, report, metrics)
-    if owns_session:
-        session.close()
     return report, metrics
 
 
@@ -893,24 +844,13 @@ def replay_trace(
     alpha: float = 3.0,
     shard_window: float = 3600.0,
     session: ExecutionSession | None = None,
-    jobs: int = _UNSET,
-    cache: bool = _UNSET,
-    cache_dir=_UNSET,
-    package_version: str | None = _UNSET,
-    task_timeout: float | None = _UNSET,
-    retry: RetryPolicy | None = _UNSET,
-    fault_plan: FaultPlan | None = _UNSET,
-    tracer=_UNSET,
-    metrics=_UNSET,
-    backend=_UNSET,
     checkpoint: ReplayCheckpoint | None = None,
 ) -> tuple[ReplayReport, ReplayMetrics]:
     """End-to-end replay: parse ``path``, synthesize uncertainty, shard,
     evaluate, aggregate.  The trace is streamed — bounded memory holds for
-    arbitrarily large files.  ``session`` bundles the execution context
-    (see :func:`replay_jobs`); ``task_timeout``/``retry``/``fault_plan``
-    configure the hardened execution layer and ``tracer``/``metrics`` the
-    observability layer, as legacy per-call spellings."""
+    arbitrarily large files.  ``session`` carries the execution context
+    and ``checkpoint`` makes the replay restartable, exactly as for
+    :func:`replay_jobs`."""
     import itertools
 
     from .records import ParseStats
@@ -931,28 +871,13 @@ def replay_trace(
     stream = synthesize_jobs(
         records, model=noise_model, seed=seed, deadline_slack=deadline_slack
     )
-    if metrics is not _UNSET:
-        registry = metrics
-    elif session is not None:
-        registry = session.metrics
-    else:
-        registry = None
+    registry = session.metrics if session is not None else None
     report, metrics = replay_jobs(
         stream,
         algorithms=algorithms,
         alpha=alpha,
         shard_window=shard_window,
         session=session,
-        jobs=jobs,
-        cache=cache,
-        cache_dir=cache_dir,
-        package_version=package_version,
-        task_timeout=task_timeout,
-        retry=retry,
-        fault_plan=fault_plan,
-        tracer=tracer,
-        metrics=metrics,
-        backend=backend,
         checkpoint=checkpoint,
         meta={
             "source": str(path),

@@ -1,8 +1,13 @@
-"""QL002 bad fixture: registered runner with positional extras/defaults."""
+"""QL002 bad fixture: registered runners with positional extras/defaults
+and a ``*args`` catch-all."""
 
 
 def crummy(qi, extra, alpha=2.0):
     return (qi, extra, alpha)
 
 
-ALGORITHMS = {"crummy": crummy}
+def sloppy(qi, *args, alpha=2.0):
+    return (qi, args, alpha)
+
+
+ALGORITHMS = {"crummy": crummy, "sloppy": sloppy}

@@ -5,9 +5,9 @@ import inspect
 import pytest
 
 from repro.analysis.ratios import measure
+from repro.core.profile import SpeedProfile
 from repro.qbss import (
     ALGORITHMS,
-    avrq,
     bkpq,
     clairvoyant,
     get_algorithm,
@@ -49,8 +49,8 @@ class TestRegistry:
         assert result.validate().ok
 
     def test_uniform_signatures_keyword_only(self):
-        # Past the instance (and the legacy *args shim slot), every
-        # parameter of every registered runner is keyword-only.
+        # Past the instance, every parameter of every registered runner is
+        # keyword-only.
         for spec in ALGORITHMS.values():
             params = list(inspect.signature(spec.fn).parameters.values())
             assert params[0].kind in (
@@ -58,10 +58,9 @@ class TestRegistry:
                 inspect.Parameter.POSITIONAL_OR_KEYWORD,
             )
             for p in params[1:]:
-                assert p.kind in (
-                    inspect.Parameter.VAR_POSITIONAL,
-                    inspect.Parameter.KEYWORD_ONLY,
-                ), f"{spec.name}.{p.name} is not keyword-only"
+                assert p.kind is inspect.Parameter.KEYWORD_ONLY, (
+                    f"{spec.name}.{p.name} is not keyword-only"
+                )
 
     def test_unknown_name_lists_registry(self):
         with pytest.raises(KeyError, match="bkpq"):
@@ -100,38 +99,7 @@ class TestRegistry:
 
 
 class TestDeprecationShims:
-    def test_avrq_positional_split_policy(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="split_policy"):
-            old = avrq(qi, FixedSplit(0.3))
-        new = avrq(qi, split_policy=FixedSplit(0.3))
-        assert old.profile == new.profile
-
-    def test_bkpq_positional_query_policy(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="query_policy"):
-            old = bkpq(qi, ThresholdQuery(2.0))
-        new = bkpq(qi, query_policy=ThresholdQuery(2.0))
-        assert old.profile == new.profile
-
-    def test_oaq_m_positional_alpha(self):
-        qi = generators.multi_machine_instance(5, 2, seed=1)
-        with pytest.warns(DeprecationWarning, match="alpha"):
-            old = oaq_m(qi, 2.0)
-        new = oaq_m(qi, alpha=2.0)
-        assert old.profiles == new.profiles
-
-    def test_clairvoyant_positional_alpha(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="alpha"):
-            old = clairvoyant(qi, 2.0)
-        assert old.energy_value == clairvoyant(qi, alpha=2.0).energy_value
-
-    def test_measure_positional_alpha(self):
-        qi = generators.online_instance(5, seed=1)
-        with pytest.warns(DeprecationWarning, match="alpha"):
-            old = measure(avrq, qi, 3.0)
-        assert old.energy_ratio == measure(avrq, qi, alpha=3.0).energy_ratio
+    """The pre-1.1 positional spellings are gone, not deprecated."""
 
     def test_shared_default_alpha_is_consistent(self):
         from repro.core.constants import DEFAULT_ALPHA
@@ -144,7 +112,14 @@ class TestDeprecationShims:
             == DEFAULT_ALPHA
         )
 
-    def test_too_many_positionals_is_a_type_error(self):
-        qi = generators.online_instance(4, seed=0)
-        with pytest.raises(TypeError):
-            avrq(qi, FixedSplit(0.5), "extra")
+    @pytest.mark.parametrize(
+        "name", sorted(INSTANCE_FOR) + ["measure", "from_breakpoints"]
+    )
+    def test_too_many_positionals_is_a_type_error(self, name):
+        with pytest.raises(TypeError, match="positional"):
+            if name == "measure":
+                measure("avrq", INSTANCE_FOR["avrq"](), 3.0)
+            elif name == "from_breakpoints":
+                SpeedProfile.from_breakpoints([0.0, 1.0])
+            else:
+                ALGORITHMS[name].fn(INSTANCE_FOR[name](), None)

@@ -189,12 +189,18 @@ class TestBackendSpec:
 class TestConformance:
     @pytest.fixture
     def serial_report(self, no_env_plan):
-        report, _ = replay_jobs(jobs_stream(), shard_window=2.0, jobs=1, cache=False)
+        report, _ = replay_jobs(
+            jobs_stream(),
+            shard_window=2.0,
+            session=ExecutionSession(jobs=1, cache=False),
+        )
         return canon(report)
 
     def test_pool_replay_is_byte_identical(self, no_env_plan, serial_report):
         report, _ = replay_jobs(
-            jobs_stream(), shard_window=2.0, jobs=2, cache=False, backend="pool"
+            jobs_stream(),
+            shard_window=2.0,
+            session=ExecutionSession(jobs=2, cache=False, backend="pool"),
         )
         assert canon(report) == serial_report
 
@@ -202,13 +208,12 @@ class TestConformance:
         self, no_env_plan, serial_report, spawn_workers
     ):
         addresses = spawn_workers(2)
-        report, metrics = replay_jobs(
-            jobs_stream(),
-            shard_window=2.0,
-            jobs=2,
-            cache=False,
-            backend=remote_backend(addresses),
-        )
+        with ExecutionSession(
+            jobs=2, cache=False, backend=remote_backend(addresses)
+        ) as session:
+            report, metrics = replay_jobs(
+                jobs_stream(), shard_window=2.0, session=session
+            )
         assert canon(report) == serial_report
         assert metrics.misses == len(report.shards)
 
@@ -216,9 +221,8 @@ class TestConformance:
         self, no_env_plan, tmp_path, spawn_workers
     ):
         def run(backend, jobs):
-            result = run_experiments(
-                ["lemma42"], jobs=jobs, cache=False, backend=backend
-            )
+            with ExecutionSession(jobs=jobs, cache=False, backend=backend) as s:
+                result = run_experiments(["lemma42"], session=s)
             (report,) = result.reports
             return json.dumps(report.to_dict(), sort_keys=True)
 
@@ -235,15 +239,16 @@ class TestConformance:
         # lands on the surviving worker.  The CI kill-mid-shard scenario.
         addresses = spawn_workers(2)
         plan = FaultPlan((FaultSpec(task="shard:1", kind="kill", attempt=1),))
-        report, metrics = replay_jobs(
-            jobs_stream(),
-            shard_window=2.0,
+        with ExecutionSession(
             jobs=2,
             cache=False,
             retry=QUICK,
             fault_plan=plan,
             backend=remote_backend(addresses),
-        )
+        ) as session:
+            report, metrics = replay_jobs(
+                jobs_stream(), shard_window=2.0, session=session
+            )
         assert canon(report) == serial_report
         assert metrics.retries >= 1
 
@@ -258,21 +263,21 @@ class TestConformance:
             pooled, pm = replay_jobs(
                 jobs_stream(),
                 shard_window=2.0,
-                jobs=2,
-                cache=False,
-                retry=QUICK,
-                fault_plan=plan,
+                session=ExecutionSession(
+                    jobs=2, cache=False, retry=QUICK, fault_plan=plan
+                ),
             )
         addresses = spawn_workers(2)
-        remoted, rm = replay_jobs(
-            jobs_stream(),
-            shard_window=2.0,
+        with ExecutionSession(
             jobs=2,
             cache=False,
             retry=QUICK,
             fault_plan=plan,
             backend=remote_backend(addresses),
-        )
+        ) as session:
+            remoted, rm = replay_jobs(
+                jobs_stream(), shard_window=2.0, session=session
+            )
         statuses = {s["index"]: s.get("status", "ok") for s in remoted.shards}
         assert statuses[1] == "error"
         assert [f.kind for f in rm.failures] == [f.kind for f in pm.failures] == [
@@ -300,16 +305,17 @@ class TestConformance:
         plan = FaultPlan(
             (FaultSpec(task="shard:1", kind="hang", attempt=0, seconds=30.0),)
         )
-        report, metrics = replay_jobs(
-            jobs_stream(),
-            shard_window=2.0,
+        with ExecutionSession(
             jobs=2,
             cache=False,
             task_timeout=0.5,
             retry=QUICK,
             fault_plan=plan,
             backend=remote_backend(addresses),
-        )
+        ) as session:
+            report, metrics = replay_jobs(
+                jobs_stream(), shard_window=2.0, session=session
+            )
         assert metrics.timeouts == 1
         statuses = {s["index"]: s.get("status", "ok") for s in report.shards}
         assert statuses[1] == "timeout"
@@ -332,23 +338,22 @@ class TestCacheCoordination:
         worker_cache = tmp_path / "worker-cache"
         driver_cache = tmp_path / "driver-cache"
         addresses = spawn_workers(2, cache_dir=worker_cache)
-        remote, rm = replay_jobs(
-            jobs_stream(),
-            shard_window=2.0,
+        with ExecutionSession(
             jobs=2,
             cache=True,
             cache_dir=driver_cache,
             backend=remote_backend(addresses),
-        )
+        ) as session:
+            remote, rm = replay_jobs(
+                jobs_stream(), shard_window=2.0, session=session
+            )
         assert rm.misses == len(remote.shards)
         # The workers published every shard into their shared cache by
         # digest; a plain serial run over that cache recomputes nothing.
         warm, wm = replay_jobs(
             jobs_stream(),
             shard_window=2.0,
-            jobs=1,
-            cache=True,
-            cache_dir=worker_cache,
+            session=ExecutionSession(jobs=1, cache=True, cache_dir=worker_cache),
         )
         assert wm.hits == len(warm.shards)
         assert wm.misses == 0
@@ -369,16 +374,20 @@ class TestRemoteLifecycle:
         with socket.socket() as sock:
             sock.bind(("127.0.0.1", 0))
             dead = f"127.0.0.1:{sock.getsockname()[1]}"
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning), ExecutionSession(
+            jobs=2,
+            cache=False,
+            backend=remote_backend([dead], connect_timeout=0.5),
+        ) as session:
             report, metrics = replay_jobs(
-                jobs_stream(),
-                shard_window=2.0,
-                jobs=2,
-                cache=False,
-                backend=remote_backend([dead], connect_timeout=0.5),
+                jobs_stream(), shard_window=2.0, session=session
             )
         assert metrics.degraded
-        base, _ = replay_jobs(jobs_stream(), shard_window=2.0, jobs=1, cache=False)
+        base, _ = replay_jobs(
+            jobs_stream(),
+            shard_window=2.0,
+            session=ExecutionSession(jobs=1, cache=False),
+        )
         clean = {s["index"]: s for s in base.shards}
         for shard in report.shards:
             assert shard["status"] == "degraded"  # complete, but flagged

@@ -18,6 +18,7 @@ import pytest
 from repro.cli import main, replay_main
 from repro.engine import (
     QUARANTINE_DIRNAME,
+    ExecutionSession,
     FailureInfo,
     FaultPlan,
     FaultSpec,
@@ -52,11 +53,13 @@ def matrix_jobs(default):
     return int(raw)
 
 
-def run_quiet(names, **kwargs):
-    """run_experiments with degradation warnings silenced."""
+def run_quiet(names, **session_fields):
+    """run_experiments under QUICK retries, degradation warnings silenced."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_experiments(names, retry=QUICK, **kwargs)
+        return run_experiments(
+            names, session=ExecutionSession(retry=QUICK, **session_fields)
+        )
 
 
 @pytest.fixture
@@ -216,7 +219,9 @@ class TestExecuteBaseException:
 
 class TestQuarantine:
     def _seed_entry(self, tmp_path):
-        result = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        result = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         store = ResultCache(tmp_path)
         (path,) = [p for p, _, _ in store.entries()]
         return result, store, path
@@ -225,7 +230,9 @@ class TestQuarantine:
         cold, store, path = self._seed_entry(tmp_path)
         raw = path.read_text()
         path.write_text(raw[: len(raw) // 3])  # truncated mid-write
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
         assert again.runs[0].metrics.quarantined == 1
         assert again.quarantined == 1
@@ -233,7 +240,9 @@ class TestQuarantine:
         assert len(moved) == 1  # preserved for post-mortem, not deleted
         assert moved[0].read_text() == raw[: len(raw) // 3]
         # the recomputed entry is identical and hits next time
-        warm = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        warm = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert warm.runs[0].metrics.cache_hit
         assert warm.reports[0].render() == cold.reports[0].render()
 
@@ -275,7 +284,9 @@ class TestQuarantine:
         )
         assert first.runs[0].metrics.status == "ok"
         # the write was corrupted after the fact -> next run quarantines it
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
         assert again.quarantined == 1
         assert first.reports[0].render() == again.reports[0].render()
@@ -288,12 +299,16 @@ class TestQuarantine:
             ["lemma42"], jobs=1, cache_dir=tmp_path, fault_plan=plan
         )
         assert first.runs[0].metrics.status == "ok"
-        again = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        again = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert not again.runs[0].metrics.cache_hit
         assert again.quarantined == 1
         assert first.reports[0].render() == again.reports[0].render()
         # the recomputed (intact) entry hits next time
-        warm = run_experiments(["lemma42"], jobs=1, cache_dir=tmp_path)
+        warm = run_experiments(
+            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+        )
         assert warm.runs[0].metrics.cache_hit
 
     def test_put_fsyncs_before_atomic_replace(self, tmp_path, monkeypatch):
@@ -311,6 +326,73 @@ class TestQuarantine:
         assert path.exists()
         assert not list(tmp_path.glob("**/*.tmp*")), "temp file left behind"
         assert store.get("deadbeef" * 8) is not None
+
+
+class TestCacheWriteFailure:
+    """A cache write that fails degrades to an uncached run, on both entry
+    points: retried under the session's policy, then skipped with one
+    ``RuntimeWarning`` per task."""
+
+    @staticmethod
+    def _run(entry, session):
+        """(canonical output, task count) of one engine or replay run."""
+        if entry == "engine":
+            result = run_experiments(FAST, session=session)
+            assert [r.metrics.status for r in result.runs] == ["ok", "ok"]
+            return [r.render() for r in result.reports], len(result.runs)
+
+        def stream():
+            for i in range(6):
+                yield QJob(i * 1.0, i * 1.0 + 3.0, 0.5, 2.0, 1.0, f"j{i}")
+
+        report, _ = replay_jobs(stream(), shard_window=2.0, session=session)
+        assert not report.failed_shards
+        return json.dumps(report.to_dict(), sort_keys=True), len(report.shards)
+
+    @pytest.mark.parametrize("entry", ["engine", "replay"])
+    def test_failed_write_runs_uncached_and_retry_recovers(
+        self, entry, tmp_path, monkeypatch, no_env_plan
+    ):
+        uncached, tasks = self._run(entry, ExecutionSession(cache=False))
+        real_put = ResultCache.put
+
+        def full_disk(store, *args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(ResultCache, "put", full_disk)
+        full = tmp_path / "full"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out, _ = self._run(
+                entry, ExecutionSession(cache_dir=full, retry=QUICK)
+            )
+        assert out == uncached
+        failed_writes = [
+            w for w in caught
+            if issubclass(w.category, RuntimeWarning)
+            and "continuing uncached" in str(w.message)
+        ]
+        assert len(failed_writes) == tasks
+        assert len(ResultCache(full)) == 0
+
+        seen = set()
+
+        def fails_once(store, key, *args):
+            if key not in seen:
+                seen.add(key)
+                raise OSError(28, "No space left on device")
+            return real_put(store, key, *args)
+
+        monkeypatch.setattr(ResultCache, "put", fails_once)
+        flaky = tmp_path / "flaky"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out, _ = self._run(
+                entry, ExecutionSession(cache_dir=flaky, retry=QUICK)
+            )
+        assert out == uncached
+        assert len(seen) == tasks
+        assert len(ResultCache(flaky)) == tasks
 
 
 # -- engine: retries, crashes, timeouts ---------------------------------------------
@@ -381,7 +463,8 @@ class TestEngineFaults:
             assert len(info.wall_times) == info.attempts
         assert sorted(r.id for r in res.reports) == ["L41", "L43", "L45"]
         baseline = run_experiments(
-            ["lemma41", "lemma43", "lemma45"], jobs=1, cache=False
+            ["lemma41", "lemma43", "lemma45"],
+            session=ExecutionSession(jobs=1, cache=False),
         )
         by_id = {r.id: r for r in baseline.reports}
         for rep in res.reports:
@@ -392,7 +475,8 @@ class TestEngineFaults:
         # the three survivors were cached; the crashed two were not
         assert len(ResultCache(tmp_path)) == 3
         rerun = run_experiments(
-            ["lemma41", "lemma43", "lemma45"], jobs=1, cache_dir=tmp_path
+            ["lemma41", "lemma43", "lemma45"],
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path),
         )
         assert all(r.metrics.cache_hit for r in rerun.runs)
 
@@ -517,11 +601,9 @@ class TestHardenedDriver:
             warnings.simplefilter("ignore", RuntimeWarning)
             res = run_experiments(
                 ["rho", "lemma42"],
-                jobs=2,
-                cache=False,
-                task_timeout=0.5,
-                retry=policy,
-                fault_plan=plan,
+                session=ExecutionSession(
+                    jobs=2, cache=False, task_timeout=0.5, retry=policy, fault_plan=plan
+                ),
             )
         assert res.retries == 1
         assert res.timeouts == 1
@@ -674,7 +756,9 @@ class TestReplayFaults:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             base, _ = replay_jobs(
-                jobs_stream(), shard_window=2.0, jobs=1, cache=False
+                jobs_stream(),
+                shard_window=2.0,
+                session=ExecutionSession(jobs=1, cache=False),
             )
             plan = FaultPlan(
                 (FaultSpec(task="shard:1", kind="hang", attempt=0, seconds=30.0),)
@@ -682,11 +766,13 @@ class TestReplayFaults:
             rep, metrics = replay_jobs(
                 jobs_stream(),
                 shard_window=2.0,
-                jobs=max(2, matrix_jobs(2)),
-                cache=False,
-                task_timeout=0.5,
-                retry=QUICK,
-                fault_plan=plan,
+                session=ExecutionSession(
+                    jobs=max(2, matrix_jobs(2)),
+                    cache=False,
+                    task_timeout=0.5,
+                    retry=QUICK,
+                    fault_plan=plan,
+                ),
             )
         assert metrics.timeouts == 1
         statuses = {s["index"]: s.get("status", "ok") for s in rep.shards}

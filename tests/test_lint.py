@@ -93,6 +93,7 @@ def test_ql002_reports_both_violations():
     messages = [f.message for f in run.findings if f.rule == "QL002"]
     assert any("keyword-only" in m for m in messages)
     assert any("positional defaults" in m for m in messages)
+    assert any("accepts `*args`" in m for m in messages)
 
 
 def test_ql004_distinguishes_bare_and_swallowed():

@@ -11,6 +11,7 @@ import pytest
 from repro import io as rio
 from repro.cli import main, replay_main
 from repro.engine import (
+    ExecutionSession,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -39,10 +40,12 @@ SAMPLE_CSV = str(DATA / "sample_trace.csv")
 QUICK = RetryPolicy(max_attempts=3, backoff_base=0.001, backoff_cap=0.01)
 
 
-def run_quiet(names, **kwargs):
+def run_quiet(names, **session_fields):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        return run_experiments(names, retry=QUICK, **kwargs)
+        return run_experiments(
+            names, session=ExecutionSession(retry=QUICK, **session_fields)
+        )
 
 
 def _stream(n=8):
@@ -126,9 +129,9 @@ class TestTracer:
             tracer = Tracer(buf, clock=lambda: 0.0)
             run_experiments(
                 ["rho", "lemma42"],
-                jobs=1,
-                cache_dir=tmp_path / f"cache{run}",
-                tracer=tracer,
+                session=ExecutionSession(
+                    jobs=1, cache_dir=tmp_path / f"cache{run}", tracer=tracer
+                ),
             )
             texts.append(buf.getvalue())
         assert texts[0] == texts[1]
@@ -247,7 +250,10 @@ class TestEngineObservability:
         reg = MetricsRegistry()
         buf = io.StringIO()
         run_experiments(
-            ["rho"], jobs=1, cache_dir=tmp_path, tracer=Tracer(buf), metrics=reg
+            ["rho"],
+            session=ExecutionSession(
+                jobs=1, cache_dir=tmp_path, tracer=Tracer(buf), metrics=reg
+            ),
         )
         assert reg.value("qbss_cache_lookups_total", result="miss") == 1.0
         assert reg.value("qbss_cache_writes_total") == 1.0
@@ -262,7 +268,10 @@ class TestEngineObservability:
         reg2 = MetricsRegistry()
         buf2 = io.StringIO()
         run_experiments(
-            ["rho"], jobs=1, cache_dir=tmp_path, tracer=Tracer(buf2), metrics=reg2
+            ["rho"],
+            session=ExecutionSession(
+                jobs=1, cache_dir=tmp_path, tracer=Tracer(buf2), metrics=reg2
+            ),
         )
         assert reg2.value("qbss_cache_lookups_total", result="hit") == 1.0
         lookups = [
@@ -339,10 +348,9 @@ class TestReplayObservability:
             _stream(),
             algorithms=("avrq",),
             shard_window=100.0,
-            jobs=1,
-            cache_dir=tmp_path,
-            tracer=Tracer(buf),
-            metrics=reg,
+            session=ExecutionSession(
+                jobs=1, cache_dir=tmp_path, tracer=Tracer(buf), metrics=reg
+            ),
         )
         events = read_trace(buf.getvalue())
         roots = span_tree(events)[None]
@@ -361,9 +369,7 @@ class TestReplayObservability:
             _stream(),
             algorithms=("avrq",),
             shard_window=100.0,
-            jobs=1,
-            cache_dir=tmp_path,
-            metrics=reg2,
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path, metrics=reg2),
         )
         assert reg2.value("qbss_cache_lookups_total", result="hit") == len(
             report.shards

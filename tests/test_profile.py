@@ -56,11 +56,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SpeedProfile.from_breakpoints(times=[0, 1], speeds=[1.0, 2.0])
 
-    def test_from_breakpoints_positional_deprecated(self):
-        with pytest.warns(DeprecationWarning, match="from_breakpoints"):
-            p = SpeedProfile.from_breakpoints([0, 1, 3], [2.0, 1.0])
-        assert p == SpeedProfile.from_breakpoints(times=[0, 1, 3], speeds=[2.0, 1.0])
-
     def test_from_segments(self):
         p = SpeedProfile.from_segments(
             starts=[0.0, 2.0], ends=[1.0, 3.0], speeds=[2.0, 4.0]

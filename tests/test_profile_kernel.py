@@ -336,16 +336,17 @@ class TestReplayByteIdentity:
     def test_kernel_report_identical_to_pure_python(self):
         """The acceptance test: kernel-backed qbss-replay output is
         byte-identical to the pre-kernel pure-Python path."""
+        from repro.engine import ExecutionSession
         from repro.traces.replay import replay_jobs
 
         with pk.pure_python():
             golden, _ = replay_jobs(
                 _stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
-                shard_window=600.0, cache=False,
+                shard_window=600.0, session=ExecutionSession(cache=False),
             )
         fresh, _ = replay_jobs(
             _stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
-            shard_window=600.0, cache=False,
+            shard_window=600.0, session=ExecutionSession(cache=False),
         )
         golden_bytes = json.dumps(golden.to_dict(), sort_keys=True)
         fresh_bytes = json.dumps(fresh.to_dict(), sort_keys=True)

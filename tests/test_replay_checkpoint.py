@@ -17,6 +17,7 @@ import pytest
 
 from repro import io as rio
 from repro.cli import replay_main
+from repro.engine import ExecutionSession
 from repro.engine.faults import FAULT_PLAN_ENV, FaultPlan, FaultSpec
 from repro.traces.checkpoint import CHECKPOINT_KIND, ReplayCheckpoint
 from repro.traces.records import TraceRecord
@@ -42,13 +43,15 @@ def job_stream(n=12):
     return synthesize_jobs(records, seed=0)
 
 
-def run_replay(checkpoint=None, **kw):
+def run_replay(checkpoint=None, *, cache=False, cache_dir=None):
     # releases 0..22, window 8 -> shards 0..2
-    kw.setdefault("algorithms", ("avrq",))
-    kw.setdefault("shard_window", 8.0)
-    kw.setdefault("jobs", 1)
-    kw.setdefault("cache", False)
-    return replay_jobs(job_stream(), checkpoint=checkpoint, **kw)
+    return replay_jobs(
+        job_stream(),
+        algorithms=("avrq",),
+        shard_window=8.0,
+        session=ExecutionSession(jobs=1, cache=cache, cache_dir=cache_dir),
+        checkpoint=checkpoint,
+    )
 
 
 class TestReplayCheckpoint:

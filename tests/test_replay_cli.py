@@ -94,7 +94,7 @@ def test_failed_shard_report_renders_everywhere(tmp_path, capsys):
     unconditionally and crashed on any report whose failed shard (or
     externally produced JSON) lacks the key."""
     from repro.analysis.report import replay_report_to_markdown
-    from repro.engine import FaultPlan, FaultSpec, RetryPolicy
+    from repro.engine import ExecutionSession, FaultPlan, FaultSpec, RetryPolicy
     from repro.traces.replay import replay_jobs
     from repro.traces.records import TraceRecord
     from repro.traces.synthesize import synthesize_jobs
@@ -114,10 +114,9 @@ def test_failed_shard_report_renders_everywhere(tmp_path, capsys):
         synthesize_jobs(records, seed=0),
         algorithms=("avrq",),
         shard_window=4.0,
-        jobs=1,
-        cache=False,
-        retry=RetryPolicy(max_attempts=1),
-        fault_plan=plan,
+        session=ExecutionSession(
+            jobs=1, cache=False, retry=RetryPolicy(max_attempts=1), fault_plan=plan
+        ),
     )
     assert [s["index"] for s in report.failed_shards] == [1]
     # a report loaded from foreign JSON may omit the keys entirely

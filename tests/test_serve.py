@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.engine import FaultPlan, FaultSpec, RetryPolicy
+from repro.engine import ExecutionSession, FaultPlan, FaultSpec, RetryPolicy
 from repro.obs.metrics import parse_prometheus_text
 from repro.serve import (
     AdmissionQueue,
@@ -642,8 +642,7 @@ class TestReplayIdentity:
             str(trace),
             shard_window=250.0,
             seed=3,
-            jobs=1,
-            cache=False,
+            session=ExecutionSession(jobs=1, cache=False),
         )
         cold = encode_jsonl(report.shards)
 

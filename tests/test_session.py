@@ -1,15 +1,14 @@
-"""ExecutionSession: the shared execution-context object and its migration shims."""
-
-import warnings
+"""ExecutionSession: the one execution-context object of every entry point."""
 
 import pytest
 
+from repro.core.qjob import QJob
 from repro.engine import (
     ExecutionSession,
     RetryPolicy,
     run_experiments,
-    session_from_kwargs,
 )
+from repro.traces.replay import replay_jobs, replay_trace
 
 FAST = ["lemma42", "rho"]
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.0, backoff_cap=0.0)
@@ -97,9 +96,6 @@ class TestLifecycle:
             s.__enter__()
 
     def test_replay_via_closed_session_raises(self, tmp_path):
-        from repro.core.qjob import QJob
-        from repro.traces.replay import replay_jobs
-
         s = ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK)
         s.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -115,48 +111,43 @@ class TestLifecycle:
         assert s._store is None
 
 
-class TestSessionFromKwargs:
-    def test_no_session_builds_one_without_warning(self, tmp_path):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s = session_from_kwargs(
-                None, warn_name="f", jobs=2, cache_dir=tmp_path
-            )
-        assert s.pool_jobs == 2
-        assert s.cache_dir == tmp_path
-
-    def test_session_passthrough_untouched(self):
-        base = ExecutionSession(jobs=2)
-        assert session_from_kwargs(base, warn_name="f") is base
-
-    def test_legacy_kwargs_alongside_session_warn_and_override(self):
-        base = ExecutionSession(jobs=2, task_timeout=30.0)
-        with pytest.warns(DeprecationWarning, match="jobs.*replay_jobs"):
-            merged = session_from_kwargs(base, warn_name="replay_jobs", jobs=4)
-        assert merged.pool_jobs == 4
-        assert merged.task_timeout == 30.0  # untouched fields carried over
-        assert base.pool_jobs == 2  # original session unchanged
-
-    def test_unset_kwargs_do_not_warn(self):
-        from repro.engine import UNSET
-
-        base = ExecutionSession()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert session_from_kwargs(base, warn_name="f", jobs=UNSET) is base
-
-
 class TestEntryPoints:
     def test_run_experiments_accepts_session(self, tmp_path):
-        session = ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK)
-        via_session = run_experiments(FAST, session=session)
-        via_kwargs = run_experiments(
-            FAST, jobs=1, cache_dir=tmp_path, retry=QUICK
+        shared = ExecutionSession(jobs=1, cache_dir=tmp_path / "a", retry=QUICK)
+        run_experiments(["lemma43"], session=shared)  # already served a run
+        via_shared = run_experiments(FAST, session=shared)
+        via_fresh = run_experiments(
+            FAST,
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path / "b", retry=QUICK),
         )
-        assert [r.name for r in via_session.runs] == [r.name for r in via_kwargs.runs]
-        assert [r.metrics.status for r in via_session.runs] == ["ok", "ok"]
-        for a, b in zip(via_session.reports, via_kwargs.reports):
+        assert [r.name for r in via_shared.runs] == [r.name for r in via_fresh.runs]
+        assert [r.metrics.status for r in via_shared.runs] == ["ok", "ok"]
+        for a, b in zip(via_shared.reports, via_fresh.reports):
             assert a.render() == b.render()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda **kw: run_experiments(FAST, **kw),
+            lambda **kw: replay_jobs(iter(()), **kw),
+            lambda **kw: replay_trace("trace.swf", **kw),
+        ],
+        ids=["run_experiments", "replay_jobs", "replay_trace"],
+    )
+    def test_execution_context_only_through_session(self, call):
+        with pytest.raises(TypeError, match="jobs"):
+            call(jobs=2)
+
+    def test_no_session_runs_under_a_default_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QBSS_CACHE_DIR", str(tmp_path))
+        result = run_experiments(["lemma42"])
+        assert result.cache_dir == str(tmp_path)
+        assert [r.metrics.status for r in result.runs] == ["ok"]
+        report, metrics = replay_jobs(
+            iter([QJob(0.0, 3600.0, 1.0, 30.0, 12.0, "a")])
+        )
+        assert metrics.cache_dir == str(tmp_path)
+        assert len(report.shards) == 1
 
     def test_session_reuse_shares_cache(self, tmp_path):
         session = ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK)
@@ -165,18 +156,7 @@ class TestEntryPoints:
         assert [r.metrics.cache_hit for r in cold.runs] == [False, False]
         assert [r.metrics.cache_hit for r in warm.runs] == [True, True]
 
-    def test_legacy_kwarg_with_session_warns(self, tmp_path):
-        session = ExecutionSession(jobs=1, cache_dir=tmp_path, retry=QUICK)
-        with pytest.warns(DeprecationWarning, match="run_experiments"):
-            result = run_experiments(
-                ["lemma42"], session=session, package_version="x.y.z"
-            )
-        assert result.runs[0].metrics.status == "ok"
-
     def test_replay_jobs_accepts_session(self, tmp_path):
-        from repro.core.qjob import QJob
-        from repro.traces.replay import replay_jobs
-
         def stream():
             yield QJob(0.0, 3600.0, 1.0, 30.0, 12.0, "a")
             yield QJob(100.0, 4000.0, 1.0, 25.0, 5.0, "b")
@@ -188,9 +168,6 @@ class TestEntryPoints:
 
     def test_replay_quarantine_reported_as_delta(self, tmp_path):
         """A reused session's store accumulates; per-run metrics must not."""
-        from repro.core.qjob import QJob
-        from repro.traces.replay import replay_jobs
-
         def stream():
             yield QJob(0.0, 3600.0, 1.0, 30.0, 12.0, "a")
 

@@ -16,6 +16,7 @@ import pytest
 from repro import io as rio
 from repro.core.constants import PHI
 from repro.core.qjob import QJob
+from repro.engine import ExecutionSession
 from repro.traces import (
     NOISE_MODELS,
     ParseStats,
@@ -326,10 +327,10 @@ def test_detect_format():
 # -- streaming replay ---------------------------------------------------------------
 
 
-def _replay_sample(path, tmp_path, **kw):
+def _replay_sample(path, tmp_path, *, jobs=1, cache=True, **kw):
     kw.setdefault("shard_window", 100.0)
-    kw.setdefault("cache_dir", tmp_path / "cache")
-    return replay_trace(path, **kw)
+    session = ExecutionSession(jobs=jobs, cache=cache, cache_dir=tmp_path / "cache")
+    return replay_trace(path, session=session, **kw)
 
 
 def _canon(report):
@@ -392,7 +393,10 @@ def test_replay_consumes_stream_lazily():
             yield _qjob(float(i), i=i)
 
     report, metrics = replay_jobs(
-        stream(), shard_window=10.0, cache=False, algorithms=["avrq"]
+        stream(),
+        shard_window=10.0,
+        session=ExecutionSession(cache=False),
+        algorithms=["avrq"],
     )
     assert len(pulled) == 100  # fully consumed by the end...
     assert metrics.peak_resident_jobs <= 11  # ...but never all at once
@@ -495,7 +499,7 @@ def test_replay_unsorted_tabular_trace_raises(tmp_path):
         "release,deadline,runtime\n100,200,5\n0,50,5\n"
     )
     with pytest.raises(TraceOrderError, match="sort the trace"):
-        replay_trace(bad, cache=False)
+        replay_trace(bad, session=ExecutionSession(cache=False))
 
 
 def test_percentile_math():
