@@ -71,7 +71,7 @@ def _hardened_batch(tracer=None):
         on_success=lambda task, outcome, degraded: sink.append(
             outcome["payload"]
         ),
-        on_failure=lambda task, kind, error: sink.append(None),
+        on_failure=lambda task, failure: sink.append(None),
         jobs=1,
         retry=RetryPolicy(max_attempts=3),
         tracer=tracer,

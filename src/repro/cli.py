@@ -126,7 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
-    """The hardened-execution flags shared by both CLIs (docs/robustness.md)."""
+    """The hardened-execution flags shared by qbss-report, qbss-replay and
+    qbss-serve (docs/robustness.md); :func:`_retry_policy` and
+    :func:`_backend_arg` validate them."""
     parser.add_argument(
         "--task-timeout",
         type=float,
@@ -153,8 +155,9 @@ def _add_robustness_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SPEC",
         help=(
-            "execution backend: 'serial' (inline), 'pool' (local process "
-            "pool, the default), or 'remote:HOST:PORT[,HOST:PORT...]' to "
+            "execution backend: 'serial' (one worker, inline), 'pool' "
+            "(local process pool, the default), or "
+            "'remote:HOST:PORT[,HOST:PORT...]' to "
             "fan tasks out to qbss-worker processes over TCP; remote "
             "entries may also be '@FILE' naming a qbss-worker --port-file "
             "(see docs/backends.md)"

@@ -91,10 +91,13 @@ class SpeedProfile:
                 )
         merged: list[Segment] = []
         for seg in cleaned:
+            # Speeds merge within EPS, relative below speed 1 so a scaled
+            # profile's distinct slow segments stay distinct.
             if (
                 merged
                 and abs(merged[-1].end - seg.start) <= EPS
-                and abs(merged[-1].speed - seg.speed) <= EPS
+                and abs(merged[-1].speed - seg.speed)
+                <= EPS * min(1.0, max(merged[-1].speed, seg.speed))
             ):
                 merged[-1] = Segment(merged[-1].start, seg.end, merged[-1].speed)
             else:

@@ -114,7 +114,8 @@ def normalize(
     (every kernel op preserves that invariant).  Reproduces the
     ``SpeedProfile`` constructor's chain-merge semantics exactly: a
     segment joins the current run when it touches the run's *current*
-    end and its speed is within ``EPS`` of the run's *first* speed.
+    end and its speed is within ``EPS * min(1, max(a, b))`` of the run's
+    *first* speed ``a`` (absolute at speeds >= 1, relative below).
     """
     keep = speeds > 0.0
     if not keep.all():
@@ -125,7 +126,9 @@ def normalize(
     # Screen: chain merging can only begin at a pair that touches with
     # near-equal speeds; when no pair qualifies, nothing merges at all.
     touch = np.abs(starts[1:] - ends[:-1]) <= EPS
-    close = np.abs(speeds[1:] - speeds[:-1]) <= EPS
+    close = np.abs(speeds[1:] - speeds[:-1]) <= EPS * np.minimum(
+        1.0, np.maximum(speeds[1:], speeds[:-1])
+    )
     if not bool(np.any(touch & close)):
         return (starts, ends, speeds)
     s_list, e_list, v_list = starts.tolist(), ends.tolist(), speeds.tolist()
@@ -133,7 +136,9 @@ def normalize(
     me: list[float] = [e_list[0]]
     mv: list[float] = [v_list[0]]
     for i in range(1, k):
-        if abs(me[-1] - s_list[i]) <= EPS and abs(mv[-1] - v_list[i]) <= EPS:
+        if abs(me[-1] - s_list[i]) <= EPS and abs(mv[-1] - v_list[i]) <= EPS * min(
+            1.0, max(mv[-1], v_list[i])
+        ):
             me[-1] = e_list[i]
         else:
             ms.append(s_list[i])

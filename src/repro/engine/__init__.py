@@ -32,7 +32,6 @@ from .backends import (
     BackendBroken,
     PoolBackend,
     RemoteBackend,
-    SerialBackend,
     create_backend,
     parse_backend_spec,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "BackendBroken",
     "PoolBackend",
     "RemoteBackend",
-    "SerialBackend",
     "create_backend",
     "parse_backend_spec",
     "CACHE_FORMAT_VERSION",

@@ -5,12 +5,13 @@ way to run a task: a local :class:`concurrent.futures.ProcessPoolExecutor`
 with serial degradation.  This package extracts that knowledge behind the
 small :class:`Backend` protocol — ``submit`` / ``cancel`` / ``drain`` /
 ``close`` — so the same driver loop (deadlines, seeded retries,
-broken-backend rebuilds, degradation) runs against any of three
-implementations:
+broken-backend rebuilds, degradation) runs against either
+implementation:
 
-* :class:`SerialBackend` — in-process, inline execution (``serial``);
 * :class:`PoolBackend` — the existing hardened local process pool
-  (``pool``, the default; behavior-identical to the pre-protocol driver);
+  (``pool``, the default; behavior-identical to the pre-protocol driver;
+  ``serial`` is the same default at one worker, which the driver runs
+  inline);
 * :class:`RemoteBackend` — a stdlib-socket TCP work queue fanning tasks
   out to ``qbss-worker`` processes (``remote:HOST:PORT[,HOST:PORT...]``),
   where workers publish results into the content-addressed
@@ -32,14 +33,12 @@ from .base import (
 )
 from .local import PoolBackend
 from .remote import RemoteBackend, resolve_worker_address
-from .serial import SerialBackend
 
 __all__ = [
     "Backend",
     "BackendBroken",
     "PoolBackend",
     "RemoteBackend",
-    "SerialBackend",
     "create_backend",
     "parse_backend_spec",
     "resolve_worker_address",

@@ -54,11 +54,6 @@ class Backend:
     #: Human name, used in error messages and ``repr``.
     name: str = "backend"
 
-    #: Inline backends run tasks on the driver thread (serial semantics:
-    #: blocking retries, no deadline preemption).  The driver never calls
-    #: ``submit``/``drain`` on them.
-    inline: bool = False
-
     #: Bounded backends cannot queue work beyond their workers: the
     #: driver caps submissions at :meth:`free_slots` even without a task
     #: deadline (the local pool only does so when a deadline is set,
@@ -168,21 +163,19 @@ def parse_backend_spec(spec: str) -> tuple[str, tuple[str, ...]]:
 def create_backend(spec: str | Backend | None) -> Backend | None:
     """Instantiate the backend a spec string names.
 
-    ``None`` and ``"pool"`` both return ``None``: the driver's built-in
-    default, which is the hardened local pool for ``jobs > 1`` and
-    inline serial execution otherwise — exactly the pre-protocol
-    behavior, sized per call.  A :class:`Backend` instance passes
-    through untouched.
+    ``None``, ``"pool"`` and ``"serial"`` all return ``None``: the
+    driver's built-in default, which is the hardened local pool for
+    ``jobs > 1`` and inline serial execution otherwise — exactly the
+    pre-protocol behavior, sized per call.  ``"serial"`` pins that size
+    at one worker (:attr:`ExecutionSession.pool_jobs
+    <repro.engine.session.ExecutionSession.pool_jobs>` reads 1 under
+    it).  A :class:`Backend` instance passes through untouched.
     """
     if spec is None or isinstance(spec, Backend):
         return spec
     kind, entries = parse_backend_spec(spec)
-    if kind == "pool":
+    if kind in ("pool", "serial"):
         return None
-    if kind == "serial":
-        from .serial import SerialBackend
-
-        return SerialBackend()
     from .remote import RemoteBackend
 
     return RemoteBackend(entries)

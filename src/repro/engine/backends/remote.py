@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Any
 
 from ...lint import lockwatch
-from ..faults import FAULT_PLAN_ENV
+from ..faults import FAULT_PLAN_ENV, crash_outcome
 from .base import Backend, BackendBroken
 
 #: Version of the frame protocol; bumped on any incompatible change.
@@ -163,18 +163,6 @@ class _WorkerLink:
     @property
     def label(self) -> str:
         return f"{self.address[0]}:{self.address[1]}"
-
-
-def _link_crash_outcome(label: str, wall: float) -> dict[str, Any]:
-    """The transient outcome a vanished worker leaves behind — same shape
-    and semantics as a dead local pool worker."""
-    return {
-        "ok": False,
-        "transient": True,
-        "kind": "crash",
-        "error": f"qbss-worker at {label} disconnected mid-task",
-        "wall": wall,
-    }
 
 
 class RemoteBackend(Backend):
@@ -383,8 +371,9 @@ class RemoteBackend(Backend):
                 continue
             outcome = frame.get("outcome")
             if not isinstance(outcome, dict):
-                outcome = _link_crash_outcome(
-                    link.label, time.monotonic() - started
+                outcome = crash_outcome(
+                    f"qbss-worker at {link.label} disconnected mid-task",
+                    time.monotonic() - started,
                 )
             handle.set_result(outcome)
 
@@ -418,6 +407,10 @@ class RemoteBackend(Backend):
         if pending is not None:
             _tid, handle, started = pending
             if not handle.done():
+                # Same shape and semantics as a dead local pool worker.
                 handle.set_result(
-                    _link_crash_outcome(link.label, time.monotonic() - started)
+                    crash_outcome(
+                        f"qbss-worker at {link.label} disconnected mid-task",
+                        time.monotonic() - started,
+                    )
                 )

@@ -11,20 +11,24 @@ to parallelise here).  Per task it:
    the call, so the deterministic fault harness drives remote workers
    exactly like local pool workers;
 3. runs the function — worker bodies such as
-   :func:`repro.engine.runner._execute` capture their own exceptions
-   into the outcome dict, and this loop catches anything that still
-   escapes;
+   :func:`repro.engine.runner._execute` run under
+   :func:`~repro.engine.faults.run_guarded`, which captures their
+   exceptions into the outcome dict, and this loop turns anything that
+   still escapes into the same failure outcome;
 4. on success, *publishes* the result into this worker's
    content-addressed :class:`~repro.engine.cache.ResultCache` (when the
-   task carries a publish spec and ``--cache-dir`` points at a store),
-   **before** replying.  With workers sharing a cache directory the
-   cache becomes the coordination point: if this worker dies after
-   publishing but before replying, the retrying driver finds the digest
-   already computed.
+   task carries a publish spec — the driver's
+   :meth:`~repro.engine.session.ExecutionSession.cache_entry` — and
+   ``--cache-dir`` points at a store), **before** replying.  With
+   workers sharing a cache directory the cache becomes the coordination
+   point: if this worker dies after publishing but before replying, the
+   retrying driver finds the digest already computed.
 
 Startup announces the bound address through ``--port-file`` (written
 atomically: temp file + fsync + rename), so ``--bind 127.0.0.1:0`` plus
-``remote:@FILE`` driver entries need no port arithmetic.
+``remote:@FILE`` driver entries need no port arithmetic.  ``qbss-serve``
+shares :func:`parse_bind` and :func:`write_port_file` for its own
+``--bind`` / ``--port-file``.
 
 A real ``kill`` fault (or SIGKILL from outside) terminates the process
 mid-task; the driver sees the connection drop and books a transient
@@ -47,7 +51,7 @@ from pathlib import Path
 from typing import Any
 
 from ..cache import ResultCache
-from ..faults import FAULT_PLAN_ENV
+from ..faults import FAULT_PLAN_ENV, failure_outcome
 from .remote import WIRE_VERSION, recv_frame, send_frame
 
 #: Default bind address when neither ``--bind`` nor the env hook is set.
@@ -77,12 +81,19 @@ def parse_bind(value: str) -> tuple[str, int]:
     return host, port
 
 
-def write_port_file(path: Path, bound: tuple[str, int]) -> None:
-    """Atomically publish the bound address (readers never see a torn file)."""
+def write_port_file(path: str | Path, bound: str) -> None:
+    """Atomically publish the bound ``HOST:PORT`` (readers poll this file
+    while the process boots and never see a torn one).
+
+    Written to a pid-suffixed sibling, fsync'd, then renamed into place,
+    so the content appears all at once or not at all; the parent
+    directory is created first.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
     with open(tmp, "w") as fh:
-        fh.write(f"{bound[0]}:{bound[1]}\n")
+        fh.write(bound + "\n")
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
@@ -137,13 +148,12 @@ def _publish_outcome(
     payload = outcome.get("payload")
     if not isinstance(payload, dict):
         return
-    report_doc = dict(payload, status="ok") if publish.get("wrap_status") else payload
     try:
         store.put(
             str(publish["key"]),
             str(publish.get("experiment", "task")),
             dict(publish.get("params") or {}),
-            report_doc,
+            payload,
             float(outcome.get("wall", 0.0)),
             publish.get("package_version"),
         )
@@ -169,13 +179,9 @@ def _run_task(frame: dict[str, Any], store: ResultCache | None) -> dict[str, Any
     except Exception:
         # Worker bodies catch their own errors; this guards the frame
         # plumbing itself (bad fn spec, unpicklable args, contract drift).
-        return {
-            "ok": False,
-            "error": traceback.format_exc(limit=8),
-            "transient": False,
-            "kind": "error",
-            "wall": time.perf_counter() - start,
-        }
+        return failure_outcome(
+            traceback.format_exc(limit=8), time.perf_counter() - start
+        )
     publish = frame.get("publish")
     if outcome.get("ok") and isinstance(publish, dict) and store is not None:
         _publish_outcome(store, publish, outcome)
@@ -288,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     server = socket.create_server(address, backlog=4)
     bound_host, bound_port = server.getsockname()[:2]
     if args.port_file is not None:
-        write_port_file(args.port_file, (bound_host, bound_port))
+        write_port_file(args.port_file, f"{bound_host}:{bound_port}")
     _log(f"listening on {bound_host}:{bound_port} (wire v{WIRE_VERSION})")
     # SIGTERM raises SystemExit(0), which propagates (QL004) and still
     # exits 0; Ctrl-C propagates as KeyboardInterrupt.

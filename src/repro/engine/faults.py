@@ -10,6 +10,10 @@ Everything the execution layer needs to *degrade gracefully* lives here:
   be completed: kind, attempts used, wall time per attempt, traceback.
   Surfaced in :meth:`repro.engine.EngineResult.summary`, the CLI footers
   and replay shard verdicts.
+* :func:`run_guarded` — the worker guard every worker body runs its
+  attempt under (fault hook, timing, exception capture), plus the
+  :func:`failure_outcome` / :func:`crash_outcome` dicts a failed attempt
+  reports.
 * :class:`FaultPlan` / :class:`FaultSpec` — a *deterministic*
   fault-injection harness.  A plan pins faults to exact ``(task,
   attempt)`` coordinates and travels to pool workers through the
@@ -20,8 +24,8 @@ Everything the execution layer needs to *degrade gracefully* lives here:
   entries (quarantine) and plain exceptions — at reproducible spots.
 
 Nothing here imports the experiment registry or the trace layer; it is
-shared verbatim by :mod:`repro.engine.runner` and
-:mod:`repro.traces.replay`.
+shared verbatim by :mod:`repro.engine.runner`, :mod:`repro.traces.replay`
+and the ``qbss-worker`` loop.
 """
 
 from __future__ import annotations
@@ -32,9 +36,10 @@ import os
 import random
 import signal
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 #: Environment variable holding the active fault plan (JSON, or ``@path``).
@@ -344,6 +349,58 @@ def _parse_env_plan(raw: str) -> FaultPlan:
 def active_fault_plan() -> FaultPlan | None:
     """What worker bodies call: the env-installed plan, or ``None``."""
     return FaultPlan.from_env()
+
+
+# -- the worker guard ---------------------------------------------------------------
+
+
+def failure_outcome(
+    error: str, wall: float, *, transient: bool = False, kind: str = "error"
+) -> dict[str, Any]:
+    """The outcome dict of one failed attempt."""
+    return {
+        "ok": False,
+        "error": error,
+        "transient": transient,
+        "kind": kind,
+        "wall": wall,
+    }
+
+
+def crash_outcome(error: str, wall: float) -> dict[str, Any]:
+    """The transient ``crash`` outcome of an attempt whose worker died —
+    a broken local pool and a vanished ``qbss-worker`` alike."""
+    return failure_outcome(error, wall, transient=True, kind="crash")
+
+
+def run_guarded(task: str, attempt: int, body: Callable[[], Any]) -> dict[str, Any]:
+    """Run one attempt of ``task`` and return its outcome dict.
+
+    Every worker body is one call into this guard.  It performs the
+    active fault plan's injection for ``(task, attempt)`` first, then
+    ``body()``, whose return value becomes the ``payload`` of an ``ok``
+    outcome.  An ordinary exception becomes a failure outcome (transient
+    for a :class:`TransientError`, kind ``crash`` for a
+    :class:`WorkerCrashError`) so one failing task cannot take down the
+    batch; ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C
+    actually stops a run.
+    """
+    start = time.perf_counter()
+    try:
+        plan = active_fault_plan()
+        if plan is not None:
+            plan.inject(task, attempt)
+        payload = body()
+        return {"ok": True, "payload": payload, "wall": time.perf_counter() - start}
+    except BaseException as exc:
+        if not isinstance(exc, Exception):
+            raise  # KeyboardInterrupt / SystemExit must propagate
+        return failure_outcome(
+            traceback.format_exc(limit=8),
+            time.perf_counter() - start,
+            transient=isinstance(exc, TransientError),
+            kind="crash" if isinstance(exc, WorkerCrashError) else "error",
+        )
 
 
 class installed_fault_plan:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import heapq
 import os
 import time
-import traceback
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -41,10 +40,9 @@ from .cache import cache_key
 from .faults import (
     FailureInfo,
     RetryPolicy,
-    TransientError,
-    WorkerCrashError,
-    active_fault_plan,
+    crash_outcome,
     installed_fault_plan,
+    run_guarded,
 )
 
 if TYPE_CHECKING:
@@ -88,10 +86,13 @@ class HardenedTask:
     driver only touches ``task_key`` (retry/injection coordinates),
     ``attempt`` (1-based), ``walls`` (per-attempt wall times) and the two
     tracing slots (open ``task`` / ``attempt`` span handles, ``None``
-    whenever tracing is off or the span is closed).  ``publish`` is an
-    advisory cache-publication spec for backends whose workers write the
-    result store themselves (the remote work queue); inline and pool
-    execution ignore it.
+    whenever tracing is off or the span is closed).  ``publish`` is the
+    task's cache-write spec (:meth:`ExecutionSession.cache_entry
+    <repro.engine.session.ExecutionSession.cache_entry>`; ``None`` when
+    caching is off): the driver's own write after a success
+    (:meth:`~repro.engine.session.ExecutionSession.cache_put`) reads it,
+    and a remote ``qbss-worker`` reads the same spec to publish into the
+    shared store before replying.
     """
 
     __slots__ = ("task_key", "attempt", "walls", "span", "attempt_span", "publish")
@@ -107,13 +108,37 @@ class HardenedTask:
 
 @dataclass
 class ExecutionStats:
-    """What the hardened driver did beyond plain execution."""
+    """What the hardened driver did beyond plain execution.
+
+    The driver fills the counters; ``quarantined`` (corrupt cache entries
+    moved aside) is the caller's to fill.  :class:`EngineResult` and
+    :class:`~repro.traces.replay.ReplayMetrics` extend this record, so
+    both footers render the same :meth:`recovery_line`.
+    """
 
     retries: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
     degraded: bool = False
     degraded_tasks: list[str] = field(default_factory=list)
+    quarantined: int = 0
+
+    def recovery_line(self) -> str | None:
+        """The footer's ``recovery:`` line; ``None`` when nothing happened."""
+        if not (
+            self.retries
+            or self.timeouts
+            or self.pool_rebuilds
+            or self.degraded
+            or self.quarantined
+        ):
+            return None
+        return (
+            f"recovery: {self.retries} retries | {self.timeouts} timeouts "
+            f"| {self.pool_rebuilds} pool rebuilds | "
+            f"{self.quarantined} quarantined"
+            + (" | DEGRADED to serial" if self.degraded else "")
+        )
 
 
 class _PoolBroken(Exception):
@@ -124,14 +149,8 @@ class _PoolHung(Exception):
     """Internal: every worker is pinned by a timed-out task; replace the pool."""
 
 
-def _crash_outcome(wall: float) -> dict[str, Any]:
-    return {
-        "ok": False,
-        "transient": True,
-        "kind": "crash",
-        "error": "worker process died unexpectedly (BrokenProcessPool)",
-        "wall": wall,
-    }
+#: The error text of an attempt lost with its worker process.
+_POOL_CRASH = "worker process died unexpectedly (BrokenProcessPool)"
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
@@ -160,7 +179,7 @@ def execute_hardened(
     worker: Callable[..., dict[str, Any]],
     payload: Callable[[HardenedTask], tuple],
     on_success: Callable[[HardenedTask, dict[str, Any], bool], None],
-    on_failure: Callable[[HardenedTask, str, str | None], None],
+    on_failure: Callable[[HardenedTask, FailureInfo], None],
     jobs: int = 1,
     retry: RetryPolicy | None = None,
     task_timeout: float | None = None,
@@ -168,6 +187,7 @@ def execute_hardened(
     tracer: Any | None = None,
     trace_parent: Any | None = None,
     backend: Backend | None = None,
+    stats: ExecutionStats | None = None,
 ) -> ExecutionStats:
     """Run ``tasks`` through ``worker`` with timeouts, retries and recovery.
 
@@ -175,8 +195,10 @@ def execute_hardened(
     ``worker(*payload(task), task.attempt)`` and returning an *outcome*
     dict: ``{"ok": True, "payload": ..., "wall": s}`` or ``{"ok": False,
     "error": tb, "transient": bool, "kind": str, "wall": s}`` — worker
-    bodies capture their own exceptions so the future itself only raises
-    on worker *death*.
+    bodies run under :func:`~repro.engine.faults.run_guarded`, which
+    captures their exceptions, so the future itself only raises on worker
+    *death*.  A task that finally fails reaches ``on_failure`` with the
+    :class:`~repro.engine.faults.FailureInfo` the driver built for it.
 
     Guarantees, in order of escalation:
 
@@ -212,8 +234,7 @@ def execute_hardened(
     :mod:`repro.engine.backends`): ``None`` keeps the built-in default —
     a hardened local :class:`~repro.engine.backends.local.PoolBackend`
     of ``jobs`` workers for ``jobs > 1``, inline serial execution
-    otherwise.  An ``inline`` backend forces the serial path regardless
-    of ``jobs``.  Any other backend runs the same driver loop:
+    otherwise.  Any other backend runs the same driver loop:
     :class:`~repro.engine.backends.base.BackendBroken` plays the role
     :class:`BrokenProcessPool` plays for the pool (rebuild once, then
     degrade), deadline cancellation pins workers through
@@ -229,9 +250,13 @@ def execute_hardened(
     counters move — trace counts and footer counts agree by construction.
     Every emission is guarded by ``tracer is not None``, so a disabled
     tracer costs nothing on the hot path.
+
+    ``stats`` is the record the driver writes its counters into (a fresh
+    :class:`ExecutionStats` when omitted); callers pass their own result
+    object, which extends :class:`ExecutionStats`, and get it back.
     """
     retry = retry or RetryPolicy()
-    stats = ExecutionStats()
+    stats = stats if stats is not None else ExecutionStats()
     stream = iter(tasks)
 
     def begin_task(task: HardenedTask) -> None:
@@ -254,6 +279,20 @@ def execute_hardened(
         if task.span is not None:
             tracer.end(task.span, status=status, attempts=task.attempt)
             task.span = None
+
+    def fail(task: HardenedTask, kind: str, error: str | None) -> None:
+        """Close ``task``'s spans and hand its failure record to the caller."""
+        close_spans(task, kind)
+        on_failure(
+            task,
+            FailureInfo(
+                task=task.task_key,
+                kind=kind,
+                attempts=task.attempt,
+                wall_times=list(task.walls),
+                traceback=error,
+            ),
+        )
 
     def settle(task: HardenedTask, outcome: dict[str, Any], degraded: bool) -> float | None:
         """Record an outcome; a float return means retry after that delay."""
@@ -282,8 +321,7 @@ def execute_hardened(
                 )
             task.attempt += 1
             return delay
-        close_spans(task, kind)
-        on_failure(task, kind, outcome.get("error"))
+        fail(task, kind, outcome.get("error"))
         return None
 
     def run_serial(seq: Iterable[HardenedTask], degraded: bool = False) -> None:
@@ -298,9 +336,6 @@ def execute_hardened(
                 if delay > 0:
                     time.sleep(delay)
 
-    if backend is not None and backend.inline:
-        run_serial(stream)
-        return stats
     if backend is None:
         if jobs <= 1:
             run_serial(stream)
@@ -346,7 +381,7 @@ def execute_hardened(
             # The whole backend is dead: every in-flight task is a crashed
             # attempt (attribution is impossible).
             for _fut, (task, _deadline, t0) in list(inflight.items()):
-                outcome = _crash_outcome(time.monotonic() - t0)
+                outcome = crash_outcome(_POOL_CRASH, time.monotonic() - t0)
                 delay = settle(task, outcome, False)
                 if delay is not None:
                     park(task, delay)
@@ -413,7 +448,7 @@ def execute_hardened(
                         outcome = backend.result(fut)
                     except BackendBroken:
                         broken = True
-                        outcome = _crash_outcome(time.monotonic() - t0)
+                        outcome = crash_outcome(_POOL_CRASH, time.monotonic() - t0)
                     delay = settle(task, outcome, False)
                     if delay is not None:
                         park(task, delay)
@@ -444,8 +479,7 @@ def execute_hardened(
                                 attempt=task.attempt,
                                 deadline=task_timeout,
                             )
-                        close_spans(task, "timeout")
-                        on_failure(
+                        fail(
                             task,
                             "timeout",
                             f"task exceeded its {task_timeout}s deadline "
@@ -521,18 +555,14 @@ class ExperimentRun:
         return self.report is not None
 
 
-@dataclass
-class EngineResult:
-    """All runs of one engine invocation, in input order."""
+@dataclass(kw_only=True)
+class EngineResult(ExecutionStats):
+    """All runs of one engine invocation, in input order, plus the
+    driver's recovery counters (inherited from :class:`ExecutionStats`)."""
 
     runs: list[ExperimentRun]
     jobs: int
     cache_dir: str | None
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    degraded: bool = False
-    quarantined: int = 0
 
     @property
     def reports(self) -> list[ExperimentReport]:
@@ -601,19 +631,9 @@ class EngineResult:
             f"total {self.total_wall_time:.3f}s | {self.hits} hit / "
             f"{self.misses} miss | jobs={self.jobs} | cache: {cache_note}"
         )
-        if (
-            self.retries
-            or self.timeouts
-            or self.pool_rebuilds
-            or self.degraded
-            or self.quarantined
-        ):
-            lines.append(
-                f"recovery: {self.retries} retries | {self.timeouts} timeouts "
-                f"| {self.pool_rebuilds} pool rebuilds | "
-                f"{self.quarantined} quarantined"
-                + (" | DEGRADED to serial" if self.degraded else "")
-            )
+        recovery = self.recovery_line()
+        if recovery is not None:
+            lines.append(recovery)
         for fail in self.failures:
             lines.append(f"failed: {fail.summary_line()}")
         return "\n".join(lines)
@@ -625,37 +645,17 @@ def _execute(
     task: str | None = None,
     attempt: int = 1,
 ) -> dict[str, Any]:
-    """Worker body: run one experiment, return its JSON payload + timing.
+    """Worker body: run one experiment under the shared worker guard
+    (:func:`~repro.engine.faults.run_guarded`); the outcome's payload is
+    the report's JSON document.
 
     Must stay a module-level function (pickled by name into pool workers).
-    Ordinary exceptions are captured into the outcome so one failing
-    experiment cannot take down the whole batch; ``BaseException``
-    subclasses that are *not* ``Exception`` (``KeyboardInterrupt``,
-    ``SystemExit``) are re-raised so Ctrl-C actually stops a run.  Reads
-    the :data:`~repro.engine.faults.FAULT_PLAN_ENV` hook first.
     """
-    start = time.perf_counter()
-    task = task if task is not None else name
-    try:
-        plan = active_fault_plan()
-        if plan is not None:
-            plan.inject(task, attempt)
-        report = REGISTRY[name](**call_kwargs)
-        return {
-            "ok": True,
-            "payload": report.to_dict(),
-            "wall": time.perf_counter() - start,
-        }
-    except BaseException as exc:
-        if not isinstance(exc, Exception):
-            raise  # KeyboardInterrupt / SystemExit must propagate
-        return {
-            "ok": False,
-            "error": traceback.format_exc(limit=8),
-            "transient": isinstance(exc, TransientError),
-            "kind": "crash" if isinstance(exc, WorkerCrashError) else "error",
-            "wall": time.perf_counter() - start,
-        }
+    return run_guarded(
+        task if task is not None else name,
+        attempt,
+        lambda: REGISTRY[name](**call_kwargs).to_dict(),
+    )
 
 
 class _ExperimentTask(HardenedTask):
@@ -734,6 +734,11 @@ def run_experiments(
 
     store = session.store
     quarantined_before = store.quarantined if store is not None else 0
+    result = EngineResult(
+        runs=[],
+        jobs=jobs,
+        cache_dir=str(store.root) if store is not None else None,
+    )
     tasks: list[_ExperimentTask] = []
     runs: list[ExperimentRun | None] = [None] * len(names)
     batch_span = (
@@ -772,16 +777,7 @@ def run_experiments(
             task = _ExperimentTask(i, name, call_kwargs, resolved, key)
             task.quarantined = quarantined
             if store is not None:
-                # Remote workers publish straight into the shared result
-                # store by digest; local execution ignores the spec (the
-                # driver's own on_success write below covers it).
-                task.publish = {
-                    "key": key,
-                    "experiment": name,
-                    "params": resolved,
-                    "package_version": package_version,
-                    "wrap_status": False,
-                }
+                task.publish = session.cache_entry(key, name, resolved)
             tasks.append(task)
 
         def on_success(
@@ -789,11 +785,8 @@ def run_experiments(
         ) -> None:
             payload = outcome["payload"]
             report = ExperimentReport.from_dict(payload)
-            if store is not None:
-                session.cache_put(
-                    task, task.key, task.name, task.resolved, payload,
-                    outcome["wall"],
-                )
+            if task.publish is not None:
+                session.cache_put(task, payload, outcome["wall"])
             metrics = RunMetrics(
                 experiment=task.name,
                 wall_time=sum(task.walls),
@@ -805,23 +798,14 @@ def run_experiments(
             )
             runs[task.index] = ExperimentRun(task.name, task.resolved, report, metrics)
 
-        def on_failure(
-            task: _ExperimentTask, kind: str, error: str | None
-        ) -> None:
-            failure = FailureInfo(
-                task=task.task_key,
-                kind=kind,
-                attempts=task.attempt,
-                wall_times=list(task.walls),
-                traceback=error,
-            )
+        def on_failure(task: _ExperimentTask, failure: FailureInfo) -> None:
             metrics = RunMetrics(
                 experiment=task.name,
                 wall_time=sum(task.walls),
                 cache_hit=False,
                 rows=0,
-                error=error,
-                status=kind,
+                error=failure.traceback,
+                status=failure.kind,
                 attempts=task.attempt,
                 quarantined=task.quarantined,
                 failure=failure,
@@ -833,7 +817,7 @@ def run_experiments(
         effective_jobs = jobs
         if len(tasks) <= 1 and task_timeout is None:
             effective_jobs = 1
-        stats = session.execute(
+        session.execute(
             tasks,
             worker=_execute,
             payload=lambda t: (t.name, t.call_kwargs, t.task_key),
@@ -841,20 +825,12 @@ def run_experiments(
             on_failure=on_failure,
             jobs=min(effective_jobs, max(1, len(tasks))),
             trace_parent=batch_span,
+            stats=result,
         )
 
-    result = EngineResult(
-        runs=[r for r in runs if r is not None],
-        jobs=jobs,
-        cache_dir=str(store.root) if store is not None else None,
-        retries=stats.retries,
-        timeouts=stats.timeouts,
-        pool_rebuilds=stats.pool_rebuilds,
-        degraded=stats.degraded,
-        quarantined=(
-            store.quarantined - quarantined_before if store is not None else 0
-        ),
-    )
+    result.runs = [r for r in runs if r is not None]
+    if store is not None:
+        result.quarantined = store.quarantined - quarantined_before
     if tracer is not None:
         tracer.end(
             batch_span,

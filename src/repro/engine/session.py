@@ -12,8 +12,9 @@ shared — the shape a long-lived ``qbss-serve`` process needs, where a
 single session must outlive many requests.
 
 The session is also the one place cache decisions are made: the traced
-lookup (:meth:`ExecutionSession.cache_lookup`) and the retry-then-warn
-write with the fault plan's corrupt/torn hooks
+lookup (:meth:`ExecutionSession.cache_lookup`), the cache-write spec a
+task carries (:meth:`ExecutionSession.cache_entry`) and the
+retry-then-warn write with the fault plan's corrupt/torn hooks
 (:meth:`ExecutionSession.cache_put`) serve both entry points.
 """
 
@@ -29,6 +30,7 @@ from collections.abc import Callable, Iterable
 from .backends.base import Backend, create_backend, parse_backend_spec
 from .cache import ResultCache
 from .faults import (
+    FailureInfo,
     FaultPlan,
     RetryPolicy,
     active_fault_plan,
@@ -59,6 +61,8 @@ class ExecutionSession:
       ``"pool"``, ``"remote:HOST:PORT[,...]"``), a constructed
       :class:`~repro.engine.backends.Backend`, or ``None`` for the
       default local pool (see :mod:`repro.engine.backends`).
+      ``"serial"`` is the local default at one worker: :attr:`pool_jobs`
+      reads 1 whatever ``jobs`` asks for.
 
     The cache handle is created lazily on first use and then reused for
     the session's lifetime, so warm lookups across consecutive runs share
@@ -130,7 +134,12 @@ class ExecutionSession:
 
     @property
     def pool_jobs(self) -> int:
-        """The resolved concrete worker count (>= 1)."""
+        """The resolved concrete worker count (>= 1; 1 under ``"serial"``)."""
+        if (
+            isinstance(self.backend, str)
+            and parse_backend_spec(self.backend)[0] == "serial"
+        ):
+            return 1
         return resolve_jobs(self.jobs)
 
     @property
@@ -174,17 +183,27 @@ class ExecutionSession:
             tracer.end(span, result="hit" if entry is not None else "miss")
         return entry, quarantined
 
+    def cache_entry(
+        self, key: str, experiment: str, params: dict[str, Any]
+    ) -> dict[str, Any]:
+        """The cache-write spec of one task (its :attr:`HardenedTask.publish`).
+
+        :meth:`cache_put` writes from it after a success, and a remote
+        ``qbss-worker`` publishes from it into the shared store before
+        replying, so both writes produce the same envelope.
+        """
+        return {
+            "key": key,
+            "experiment": experiment,
+            "params": params,
+            "package_version": self.package_version,
+        }
+
     def cache_put(
-        self,
-        task: HardenedTask,
-        key: str,
-        experiment: str,
-        params: dict[str, Any],
-        payload: dict[str, Any],
-        wall: float,
+        self, task: HardenedTask, payload: dict[str, Any], wall: float
     ) -> None:
-        """Write one result into :attr:`store`; a failed write never fails
-        the run.
+        """Write ``task``'s result into :attr:`store` under its
+        :meth:`cache_entry` spec; a failed write never fails the run.
 
         An :class:`OSError` is retried under :attr:`retry_policy`; once the
         attempts are spent the write is skipped with a
@@ -194,12 +213,19 @@ class ExecutionSession:
         caching is on.
         """
         store = self.store
+        spec = task.publish
+        assert spec is not None, "cache_put needs the task's cache_entry spec"
         retry = self.retry_policy
         attempt = 1
         while True:
             try:
                 path = store.put(
-                    key, experiment, params, payload, wall, self.package_version
+                    spec["key"],
+                    spec["experiment"],
+                    spec["params"],
+                    payload,
+                    wall,
+                    spec["package_version"],
                 )
                 break
             except OSError as exc:
@@ -244,17 +270,19 @@ class ExecutionSession:
         worker: Callable[..., dict[str, Any]],
         payload: Callable[[HardenedTask], tuple],
         on_success: Callable[[HardenedTask, dict[str, Any], bool], None],
-        on_failure: Callable[[HardenedTask, str, str | None], None],
+        on_failure: Callable[[HardenedTask, FailureInfo], None],
         jobs: int | None = None,
         max_inflight: int | None = None,
         trace_parent: Any | None = None,
+        stats: ExecutionStats | None = None,
     ) -> ExecutionStats:
         """Run ``tasks`` under this session's hardening and observability.
 
         Thin wrapper over :func:`~repro.engine.runner.execute_hardened`
         with the session supplying pool size, retry policy, deadline and
         tracer.  ``jobs`` overrides the pool size for this call only (the
-        engine shrinks it to the task count).
+        engine shrinks it to the task count); ``stats`` is the record the
+        driver fills.
         """
         self._check_open()
         return execute_hardened(
@@ -270,5 +298,6 @@ class ExecutionSession:
             tracer=self.tracer,
             trace_parent=trace_parent,
             backend=self.execution_backend,
+            stats=stats,
         )
 

@@ -5,8 +5,8 @@ worker body whose output depends on anything *else* (environment
 variables, mutable module globals) silently poisons the content-addressed
 cache: two runs with the same key produce different bytes.  This rule
 walks the call graph from every function handed to the hardened executor
-(``execute_hardened(worker=...)``, ``pool.submit(fn, ...)``) and flags,
-anywhere reachable:
+(``execute_hardened(worker=...)``, ``session.execute(worker=...)``,
+``pool.submit(fn, ...)``) and flags, anywhere reachable:
 
 - ``os.environ`` / ``os.getenv`` reads — except the sanctioned keys
   (always ``QBSS_FAULT_PLAN`` / ``FAULT_PLAN_ENV``; a ``.qbss-lint.json``
@@ -166,7 +166,7 @@ def _worker_root_names(tree: ast.Module) -> Iterator[str]:
             callee = func.id
         elif isinstance(func, ast.Attribute):
             callee = func.attr
-        if callee == "execute_hardened":
+        if callee in ("execute_hardened", "execute"):
             for kw in node.keywords:
                 if kw.arg == "worker" and isinstance(kw.value, ast.Name):
                     yield kw.value.id

@@ -2,7 +2,8 @@
 
 The execution layer keeps its own structured result types
 (:class:`~repro.engine.runner.EngineResult`,
-:class:`~repro.traces.replay.ReplayMetrics`); these helpers map them onto
+:class:`~repro.traces.replay.ReplayMetrics`, both extending
+:class:`~repro.engine.runner.ExecutionStats`); these helpers map them onto
 the registry's name taxonomy so the CLI footers, the JSON/Prometheus
 export and the trace stream all describe the same numbers.  Cache
 hit/miss/quarantine/prune series are *not* published here — the
@@ -12,13 +13,19 @@ registry is threaded into it, so a long campaign can be scraped mid-run.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .metrics import MetricsRegistry
+
+if TYPE_CHECKING:  # annotations only: repro.obs never imports the engine
+    from ..engine.runner import EngineResult, ExecutionStats
+    from ..traces.replay import ReplayMetrics, ReplayReport
 
 #: Wall-time histogram buckets for experiment/shard execution (seconds).
 WALL_BUCKETS = (0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0, 600.0)
 
 
-def publish_engine_result(registry: MetricsRegistry, result: Any) -> None:
+def publish_engine_result(registry: MetricsRegistry, result: EngineResult) -> None:
     """Publish an :class:`~repro.engine.runner.EngineResult`."""
     for run in result.runs:
         m = run.metrics
@@ -41,7 +48,9 @@ def publish_engine_result(registry: MetricsRegistry, result: Any) -> None:
     _publish_recovery(registry, result)
 
 
-def publish_replay(registry: MetricsRegistry, report: Any, metrics: Any) -> None:
+def publish_replay(
+    registry: MetricsRegistry, report: ReplayReport, metrics: ReplayMetrics
+) -> None:
     """Publish a replay's :class:`~repro.traces.replay.ReplayMetrics` +
     per-shard verdicts from the :class:`~repro.traces.replay.ReplayReport`."""
     for shard in report.shards:
@@ -77,9 +86,8 @@ def publish_skipped(registry: MetricsRegistry, skipped: int) -> None:
     ).inc(skipped)
 
 
-def _publish_recovery(registry: MetricsRegistry, stats: Any) -> None:
-    """The shared recovery counters (engine result and replay metrics both
-    carry ``retries`` / ``timeouts`` / ``pool_rebuilds`` / ``degraded``)."""
+def _publish_recovery(registry: MetricsRegistry, stats: ExecutionStats) -> None:
+    """The shared recovery counters of an engine result or replay metrics."""
     registry.counter(
         "qbss_retries_total", "Transient-failure retries issued."
     ).inc(stats.retries)

@@ -21,27 +21,14 @@ import sys
 import threading
 
 from .. import __version__ as PACKAGE_VERSION
-from ..engine.faults import RetryPolicy
+from ..cli import _add_robustness_arguments, _backend_arg, _retry_policy
+from ..engine.backends.worker import parse_bind, write_port_file
 from ..engine.runner import resolve_jobs
 from .server import QbssServer, ServeConfig
 
 #: Environment override for the default bind address.
 BIND_ENV = "QBSS_SERVE_BIND"
 DEFAULT_BIND = "127.0.0.1:8457"
-
-
-def parse_bind(value: str) -> tuple[str, int]:
-    """``host:port`` -> tuple; port 0 asks the OS for a free port."""
-    host, sep, port_text = value.rpartition(":")
-    if not sep or not host:
-        raise ValueError(f"--bind must be HOST:PORT, got {value!r}")
-    try:
-        port = int(port_text)
-    except ValueError as exc:
-        raise ValueError(f"invalid port in --bind {value!r}") from exc
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port must be in [0, 65535], got {port}")
-    return host, port
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -158,30 +145,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="bypass the shard cache entirely",
     )
-    parser.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-shard evaluation deadline in seconds (default: none)",
-    )
-    parser.add_argument(
-        "--max-attempts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retry budget for transient shard failures (default: policy default)",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "shard execution backend: 'serial', 'pool' (default), or "
-            "'remote:HOST:PORT[,HOST:PORT...]' / 'remote:@PORTFILE' "
-            "fanning shards out to qbss-worker processes (docs/backends.md)"
-        ),
-    )
+    _add_robustness_arguments(parser)
     parser.add_argument(
         "--drain-timeout",
         type=float,
@@ -232,18 +196,14 @@ def _config_from_args(
         parser.error("--queue-limit must be >= 1")
     if args.rate is not None and args.rate <= 0:
         parser.error("--rate must be > 0")
-    retry = None
-    if args.max_attempts is not None:
-        if args.max_attempts < 1:
-            parser.error("--max-attempts must be >= 1")
-        retry = RetryPolicy(max_attempts=args.max_attempts)
-    if args.backend is not None:
-        from ..engine.backends.base import parse_backend_spec
-
-        try:
-            parse_backend_spec(args.backend)
-        except ValueError as exc:
-            parser.error(str(exc))
+    if args.burst is not None and args.burst <= 0:
+        parser.error("--burst must be > 0")
+    if args.request_timeout <= 0:
+        parser.error("--request-timeout must be > 0")
+    retry = _retry_policy(parser, args)
+    # Serve keeps its own --jobs under a remote backend: only the spec
+    # is validated here.
+    backend, _remote_jobs = _backend_arg(parser, args, 1)
     return ServeConfig(
         host=host,
         port=port,
@@ -262,24 +222,9 @@ def _config_from_args(
         cache_dir=args.cache_dir,
         task_timeout=args.task_timeout,
         retry=retry,
-        backend=args.backend,
+        backend=backend,
         journal_dir=args.journal,
     )
-
-
-def write_port_file(path: str, bound: str) -> None:
-    """Publish the bound address atomically (tmp + ``os.replace``).
-
-    Readers poll this file while the daemon boots; a plain ``write``
-    could expose a partial port string to a racing reader.  The rename
-    makes the content appear all-at-once or not at all.
-    """
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w") as fh:
-        fh.write(bound + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _run_stdin(server: QbssServer) -> int:

@@ -255,8 +255,9 @@ class AdmissionJournal:
     def scan(self) -> JournalScan:
         """Tolerantly read every record currently in the journal.
 
-        Parsing stops at the first line that is not a complete, valid
-        record; that line and everything after it count as ``torn``.
+        Each newline-terminated line that is not a valid record counts as
+        ``torn`` and is skipped; valid records after it are still kept.
+        A final fragment with no trailing newline counts as ``torn`` too.
         Only a crash mid-append can produce such a tail (every completed
         append ends with a newline), and nothing droppable was ever
         acknowledged: a torn admission was never fsync'd (hence never

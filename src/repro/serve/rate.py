@@ -65,6 +65,8 @@ class RateLimiter:
     ):
         if rate is not None and rate <= 0:
             raise ValueError(f"rate must be > 0 (or None), got {rate}")
+        if burst is not None and burst <= 0:
+            raise ValueError(f"burst must be > 0 (or None), got {burst}")
         if idle_grace <= 0:
             raise ValueError(f"idle_grace must be > 0, got {idle_grace}")
         self.rate = rate

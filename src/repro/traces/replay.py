@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import time
-import traceback
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -41,12 +40,11 @@ from ..core.instance import QBSSInstance
 from ..core.qjob import QJob
 from ..engine.faults import (
     FailureInfo,
-    TransientError,
-    WorkerCrashError,
     active_fault_plan,
     installed_fault_plan,
+    run_guarded,
 )
-from ..engine.runner import HardenedTask
+from ..engine.runner import ExecutionStats, HardenedTask
 from ..engine.session import ExecutionSession
 from .checkpoint import ReplayCheckpoint
 from ..qbss.registry import get_algorithm
@@ -214,10 +212,12 @@ def shard_cache_key(
 def _evaluate_shard(
     shard_doc: dict, algorithms: tuple[str, ...], alpha: float
 ) -> dict:
-    """Worker body: measure every algorithm on one shard.
+    """Measure every algorithm on one shard.
 
-    Module-level (pickled by name into pool workers); returns a plain-JSON
-    payload so cached and fresh results are indistinguishable.
+    Returns a plain-JSON payload so cached and fresh results are
+    indistinguishable.  Its ``status`` is the mode-independent verdict
+    ``"ok"`` (the one cached and checkpointed); a degraded run overrides
+    it in the report only.
     """
     from ..analysis.ratios import measure
     from ..core.profile_kernel import kernel_enabled
@@ -254,6 +254,7 @@ def _evaluate_shard(
         "end": shard_doc["end"],
         "n_jobs": len(shard_doc["instance"]["jobs"]),
         "rows": rows,
+        "status": "ok",
     }
 
 
@@ -264,34 +265,16 @@ def _evaluate_shard_task(
     task: str,
     attempt: int,
 ) -> dict:
-    """Hardened worker body: fault hook + captured exceptions.
+    """Worker body: :func:`_evaluate_shard` under the shared worker guard
+    (:func:`~repro.engine.faults.run_guarded`), so one pathological shard
+    cannot abort the replay.
 
-    Module-level (pickled by name); reads the ``QBSS_FAULT_PLAN`` env hook,
-    then defers to :func:`_evaluate_shard`.  Ordinary exceptions come back
-    as a failure outcome so one pathological shard cannot abort the
-    replay; ``KeyboardInterrupt``/``SystemExit`` still propagate.
+    Module-level (pickled by name into pool workers and named in remote
+    task frames).
     """
-    start = time.perf_counter()
-    try:
-        plan = active_fault_plan()
-        if plan is not None:
-            plan.inject(task, attempt)
-        payload = _evaluate_shard(shard_doc, algorithms, alpha)
-        return {
-            "ok": True,
-            "payload": payload,
-            "wall": time.perf_counter() - start,
-        }
-    except BaseException as exc:
-        if not isinstance(exc, Exception):
-            raise
-        return {
-            "ok": False,
-            "error": traceback.format_exc(limit=8),
-            "transient": isinstance(exc, TransientError),
-            "kind": "crash" if isinstance(exc, WorkerCrashError) else "error",
-            "wall": time.perf_counter() - start,
-        }
+    return run_guarded(
+        task, attempt, lambda: _evaluate_shard(shard_doc, algorithms, alpha)
+    )
 
 
 def _normalise(payload: dict) -> dict:
@@ -515,11 +498,13 @@ class ReplayReport:
 
 
 @dataclass
-class ReplayMetrics:
+class ReplayMetrics(ExecutionStats):
     """Execution metrics of one replay (stderr material, not report data).
 
     Timing and cache behaviour stay out of :class:`ReplayReport` so report
-    output is deterministic; this carries the operational story instead.
+    output is deterministic; this carries the operational story instead,
+    with the driver's recovery counters inherited from
+    :class:`~repro.engine.runner.ExecutionStats`.
     ``peak_resident_jobs`` is the largest number of jobs simultaneously
     held in memory (current shard + in-flight shards) — the number the
     bounded-memory test pins down.
@@ -534,11 +519,6 @@ class ReplayMetrics:
     peak_resident_jobs: int = 0
     cache_dir: str | None = None
     pool_jobs: int = 1
-    retries: int = 0
-    timeouts: int = 0
-    pool_rebuilds: int = 0
-    degraded: bool = False
-    quarantined: int = 0
     failures: list[FailureInfo] = field(default_factory=list)
 
     def footer(self) -> str:
@@ -554,19 +534,9 @@ class ReplayMetrics:
         )
         if self.resumed:
             out += f"\nresumed: {self.resumed} shards from checkpoint"
-        if (
-            self.retries
-            or self.timeouts
-            or self.pool_rebuilds
-            or self.degraded
-            or self.quarantined
-        ):
-            out += (
-                f"\nrecovery: {self.retries} retries | {self.timeouts} "
-                f"timeouts | {self.pool_rebuilds} pool rebuilds | "
-                f"{self.quarantined} quarantined"
-                + (" | DEGRADED to serial" if self.degraded else "")
-            )
+        recovery = self.recovery_line()
+        if recovery is not None:
+            out += "\n" + recovery
         for fail in self.failures:
             out += f"\nfailed: {fail.summary_line()}"
         return out
@@ -706,19 +676,11 @@ def replay_jobs(
                 metrics.misses += 1
                 task = _ShardTask(doc, key)
                 if store is not None and key is not None:
-                    # Remote workers publish the shard verdict by digest
-                    # before replying — the shared cache is the
-                    # coordination point on worker loss.
-                    task.publish = {
-                        "key": key,
-                        "experiment": "trace-shard",
-                        "params": {
-                            "algorithms": list(algorithms),
-                            "alpha": alpha,
-                        },
-                        "package_version": package_version,
-                        "wrap_status": True,
-                    }
+                    task.publish = session.cache_entry(
+                        key,
+                        "trace-shard",
+                        {"algorithms": list(algorithms), "alpha": alpha},
+                    )
                 resident += task.njobs
                 metrics.peak_resident_jobs = max(
                     metrics.peak_resident_jobs, resident
@@ -728,38 +690,28 @@ def replay_jobs(
         def on_success(task: _ShardTask, outcome: dict, degraded: bool) -> None:
             nonlocal resident
             resident -= task.njobs
+            # The payload carries the mode-independent verdict: a degraded
+            # result is still the correct result, so the cache and the
+            # checkpoint keep it as ok and only the report says degraded.
+            # (A qbss-worker older than the verdict key replies without it.)
             payload = _normalise(outcome["payload"])
-            if store is not None and task.key is not None:
-                # Cache the mode-independent verdict: a degraded result is
-                # still the correct result, so warm replays serve it as ok.
-                session.cache_put(
-                    task,
-                    task.key,
-                    "trace-shard",
-                    {"algorithms": list(algorithms), "alpha": alpha},
-                    dict(payload, status="ok"),
-                    outcome["wall"],
-                )
+            payload.setdefault("status", "ok")
+            if task.publish is not None:
+                session.cache_put(task, payload, outcome["wall"])
             if checkpoint is not None and task.key is not None:
                 checkpoint.record(
                     task.key,
-                    dict(payload, status="ok"),
+                    payload,
                     torn=plan is not None
                     and plan.wants_torn_write(task.task_key, task.attempt),
                 )
-            payload["status"] = "degraded" if degraded else "ok"
-            results[task.doc["index"]] = payload
+            results[task.doc["index"]] = (
+                dict(payload, status="degraded") if degraded else payload
+            )
 
-        def on_failure(task: _ShardTask, kind: str, error: str | None) -> None:
+        def on_failure(task: _ShardTask, failure: FailureInfo) -> None:
             nonlocal resident
             resident -= task.njobs
-            failure = FailureInfo(
-                task=task.task_key,
-                kind=kind,
-                attempts=task.attempt,
-                wall_times=list(task.walls),
-                traceback=error,
-            )
             metrics.failures.append(failure)
             doc = task.doc
             results[doc["index"]] = _normalise(
@@ -769,12 +721,12 @@ def replay_jobs(
                     "end": doc["end"],
                     "n_jobs": len(doc["instance"]["jobs"]),
                     "rows": [],
-                    "status": "timeout" if kind == "timeout" else "error",
+                    "status": "timeout" if failure.kind == "timeout" else "error",
                     "failure": failure.to_dict(),
                 }
             )
 
-        stats = session.execute(
+        session.execute(
             shard_tasks(),
             worker=_evaluate_shard_task,
             payload=lambda t: (t.doc, algorithms, alpha, t.task_key),
@@ -782,15 +734,11 @@ def replay_jobs(
             on_failure=on_failure,
             max_inflight=2 * jobs if jobs > 1 else None,
             trace_parent=batch_span,
+            stats=metrics,
         )
 
-    metrics.retries = stats.retries
-    metrics.timeouts = stats.timeouts
-    metrics.pool_rebuilds = stats.pool_rebuilds
-    metrics.degraded = stats.degraded
-    metrics.quarantined = (
-        store.quarantined - quarantined_before if store is not None else 0
-    )
+    if store is not None:
+        metrics.quarantined = store.quarantined - quarantined_before
     metrics.wall_time = time.perf_counter() - start_wall
     if tracer is not None:
         tracer.end(

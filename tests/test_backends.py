@@ -28,7 +28,6 @@ from repro.engine import (
     PoolBackend,
     RemoteBackend,
     RetryPolicy,
-    SerialBackend,
     create_backend,
     parse_backend_spec,
     run_experiments,
@@ -150,10 +149,10 @@ class TestBackendSpec:
     def test_create_backend_mapping(self):
         assert create_backend(None) is None
         assert create_backend("pool") is None  # driver's built-in default
-        assert isinstance(create_backend("serial"), SerialBackend)
+        assert create_backend("serial") is None  # the default at one worker
         remote = create_backend("remote:127.0.0.1:1")
         assert isinstance(remote, RemoteBackend)
-        passthrough = SerialBackend()
+        passthrough = PoolBackend(1)
         assert create_backend(passthrough) is passthrough
 
     def test_resolve_worker_address_literal_and_file(self, tmp_path):
@@ -173,14 +172,6 @@ class TestBackendSpec:
     def test_pool_backend_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             PoolBackend(0)
-
-    def test_serial_backend_is_inline_only(self):
-        backend = SerialBackend()
-        assert backend.inline
-        backend.ensure_open()  # a no-op, never raises
-        with pytest.raises(RuntimeError, match="inline"):
-            backend.submit(print, ())
-        backend.close()
 
 
 # -- conformance: identical outputs across backends ---------------------------------
@@ -412,13 +403,15 @@ class TestRemoteLifecycle:
     def test_serial_spec_through_session(self, no_env_plan):
         session = ExecutionSession(jobs=4, cache=False, backend="serial")
         try:
-            backend = session.execution_backend
-            assert isinstance(backend, SerialBackend)
-            assert backend is session.execution_backend  # memoized
+            # "serial" is the built-in default at one worker: no backend
+            # object, and the session sizes every run to one worker.
+            assert session.execution_backend is None
+            assert session.pool_jobs == 1
+            assert ExecutionSession(jobs=4, backend="pool").pool_jobs == 4
         finally:
             session.close()
 
     def test_backend_is_a_context_manager(self):
-        with SerialBackend() as backend:
+        with PoolBackend(1) as backend:
             assert isinstance(backend, Backend)
-            assert "serial" in repr(backend)
+            assert "pool" in repr(backend)

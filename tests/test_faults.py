@@ -186,32 +186,49 @@ class TestFailureInfo:
 
 
 class TestExecuteBaseException:
+    """The shared worker guard, driven through the engine's worker body
+    (:func:`_execute`); the subclass below runs every case again through
+    the replay body."""
+
     @staticmethod
-    def _register(monkeypatch, exc):
+    def run_body(monkeypatch, exc):
         from repro.analysis.experiments import REGISTRY
 
         def boom():
             raise exc
 
         monkeypatch.setitem(REGISTRY, "kaboom", boom)
+        return _execute("kaboom", {})
 
     def test_keyboard_interrupt_propagates(self, no_env_plan, monkeypatch):
-        self._register(monkeypatch, KeyboardInterrupt())
         with pytest.raises(KeyboardInterrupt):
-            _execute("kaboom", {})
+            self.run_body(monkeypatch, KeyboardInterrupt())
 
     def test_system_exit_propagates(self, no_env_plan, monkeypatch):
-        self._register(monkeypatch, SystemExit(3))
         with pytest.raises(SystemExit):
-            _execute("kaboom", {})
+            self.run_body(monkeypatch, SystemExit(3))
 
     def test_plain_exception_is_captured(self, no_env_plan, monkeypatch):
-        self._register(monkeypatch, ValueError("nope"))
-        outcome = _execute("kaboom", {})
+        outcome = self.run_body(monkeypatch, ValueError("nope"))
         assert outcome["ok"] is False
         assert "ValueError" in outcome["error"]
         assert not outcome["transient"]
         assert outcome["kind"] == "error"
+
+
+class TestEvaluateShardTaskBaseException(TestExecuteBaseException):
+    """The same cases through the replay worker body
+    (:func:`repro.traces.replay._evaluate_shard_task`)."""
+
+    @staticmethod
+    def run_body(monkeypatch, exc):
+        from repro.traces import replay
+
+        def boom(shard_doc, algorithms, alpha):
+            raise exc
+
+        monkeypatch.setattr(replay, "_evaluate_shard", boom)
+        return replay._evaluate_shard_task({}, ("avrq",), 3.0, "shard:0", 1)
 
 
 # -- satellite: cache quarantine ----------------------------------------------------
@@ -645,7 +662,7 @@ class TestHardenedDriver:
             worker=_ok_worker,
             payload=lambda t: (t.task_key,),
             on_success=lambda t, o, d: succeeded.append(t.task_key),
-            on_failure=lambda t, k, e: failed.append((t.task_key, k)),
+            on_failure=lambda t, f: failed.append((t.task_key, f.kind)),
             jobs=2,
             retry=QUICK,
         )
@@ -680,7 +697,7 @@ class TestHardenedDriver:
                 worker=_ok_worker,
                 payload=lambda t: (t.task_key,),
                 on_success=lambda t, o, d: flags.__setitem__(t.task_key, d),
-                on_failure=lambda t, k, e: flags.__setitem__(t.task_key, k),
+                on_failure=lambda t, f: flags.__setitem__(t.task_key, f.kind),
                 jobs=2,
                 retry=QUICK,
             )

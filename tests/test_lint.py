@@ -219,6 +219,30 @@ def test_ql003cfg_explicit_config_overrides_discovery():
     assert [f for f in run.findings if f.rule == "QL003"] == []
 
 
+def test_ql003_roots_include_session_execute(tmp_path):
+    """Engine and replay hand their worker bodies to ``session.execute``;
+    a body reached only that way is still checked."""
+    write_tree(
+        tmp_path,
+        "repro/runner.py",
+        """
+        import os
+
+
+        def _body(task, attempt):
+            return os.environ["HOME"]
+
+
+        def run(session, tasks):
+            return session.execute(tasks, worker=_body, payload=None)
+        """,
+    )
+    run = lint_paths([tmp_path], root=tmp_path)
+    hits = [f for f in run.findings if f.rule == "QL003"]
+    assert len(hits) == 1
+    assert "`_body`" in hits[0].message
+
+
 def test_lint_config_is_additive_only(tmp_path):
     """A config can extend the sanctioned set but never drop the fault hook."""
     path = tmp_path / ".qbss-lint.json"

@@ -7,7 +7,7 @@ feasibility, profile algebra, and the information-hiding protocol.
 
 import math
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.constants import PHI
@@ -100,6 +100,9 @@ def test_profile_work_equals_segment_sum(segs):
 
 
 @given(segment_lists(), st.floats(min_value=0.0, max_value=4.0))
+# Speeds 1 and 2 scaled to 1e-9 and 2e-9 differ by under the absolute EPS;
+# they must stay two segments.
+@example(segs=[Segment(0.0, 1.0, 1.0), Segment(1.0, 2.0, 2.0)], k=1e-9)
 def test_profile_scale_linearity(segs, k):
     prof = SpeedProfile(segs)
     assert math.isclose(

@@ -372,6 +372,8 @@ class TestRateLimiter:
             RateLimiter(0.0)
         with pytest.raises(ValueError):
             RateLimiter(1.0, idle_grace=0.0)
+        with pytest.raises(ValueError):
+            RateLimiter(1.0, burst=0.0)
 
     def test_bucket_map_stays_bounded_under_one_shot_clients(self):
         # The leak this guards against: every distinct client id used to
@@ -743,13 +745,19 @@ class TestServeCli:
             ["--rate", "-1"],
             ["--max-attempts", "0"],
             ["--jobs", "bogus"],
+            ["--task-timeout", "0"],
+            ["--rate", "1", "--burst", "-5"],
+            ["--request-timeout", "0"],
         ],
     )
     def test_bad_arguments_are_usage_errors(self, argv):
-        from repro.serve.cli import main as serve_main
+        # Validation only: main() would go on to start a daemon for any
+        # flag that slipped through instead of failing.
+        from repro.serve.cli import _config_from_args, build_serve_parser
 
+        parser = build_serve_parser()
         with pytest.raises(SystemExit) as excinfo:
-            serve_main(argv)
+            _config_from_args(parser, parser.parse_args(argv))
         assert excinfo.value.code == 2
 
 

@@ -65,8 +65,8 @@ class TestLifecycle:
                 [],
                 worker=lambda: {},
                 payload=lambda t: (),
-                on_success=lambda *a: None,
-                on_failure=lambda *a: None,
+                on_success=lambda task, outcome, degraded: None,
+                on_failure=lambda task, failure: None,
             )
 
     def test_store_after_close_raises(self, tmp_path):
