@@ -49,6 +49,9 @@ def write_trace(path: Path) -> None:
 
 def start_worker(name: str, env: dict) -> tuple[subprocess.Popen, Path]:
     port_file = ARTIFACTS / f"{name}.port"
+    # A port file an earlier run left behind names a dead worker; the
+    # readiness wait below must only see the one this worker writes.
+    port_file.unlink(missing_ok=True)
     log = open(ARTIFACTS / f"{name}.log", "w")
     proc = subprocess.Popen(
         [

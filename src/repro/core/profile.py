@@ -14,11 +14,10 @@ The class supports the algebra the paper's constructions need:
 * restriction and work-in-interval queries (critical-interval reasoning).
 
 Since the 1.2 kernel redesign a profile is a thin view over parallel
-float64 breakpoint arrays: aggregates and algebra dispatch to
-:mod:`repro.core.profile_kernel` when :func:`~repro.core.profile_kernel.
-kernel_enabled` (the default), and to the original segment loops under
-:func:`~repro.core.profile_kernel.pure_python`.  Both paths are bit-for-bit
-identical (pinned by ``tests/test_profile_kernel.py``).
+float64 breakpoint arrays, and aggregates and algebra run in
+:mod:`repro.core.profile_kernel`.  The original segment loops survive only
+as the test oracle ``tests/_reference_profile.py``; the kernel reproduces
+them bit for bit (pinned by ``tests/test_profile_kernel.py``).
 """
 
 from __future__ import annotations
@@ -154,21 +153,17 @@ class SpeedProfile:
         """
         if len(speeds) != len(times) - 1:
             raise ValueError("need exactly one speed per consecutive breakpoint pair")
-        if _pk.kernel_enabled():
-            t = _pk.as_float_array(times)
-            v = _pk.as_float_array(speeds)
-            if t.size < 2 or bool(np.all(np.diff(t) > 0.0)):
-                keep = v > 0.0
-                return cls._from_arrays(
-                    _pk.normalize(t[:-1][keep], t[1:][keep], v[keep])
-                )
-            # non-monotonic breakpoints: let the constructor sort/validate
-        segs = [
-            Segment(a, b, v)
-            for a, b, v in zip(times, times[1:], speeds)
-            if v > 0
-        ]
-        return cls(segs)
+        t = _pk.as_float_array(times)
+        v = _pk.as_float_array(speeds)
+        if t.size < 2 or bool(np.all(np.diff(t) > 0.0)):
+            keep = v > 0.0
+            return cls._from_arrays(
+                _pk.normalize(t[:-1][keep], t[1:][keep], v[keep])
+            )
+        # non-monotonic breakpoints: let the constructor sort/validate
+        return cls(
+            Segment(a, b, v) for a, b, v in zip(times, times[1:], speeds) if v > 0
+        )
 
     @classmethod
     def from_segments(
@@ -182,15 +177,11 @@ class SpeedProfile:
 
         Equivalent to ``SpeedProfile(Segment(a, b, v) for ...)`` — the same
         validation (``end > start``, ``speed >= 0``, no overlap) and
-        normalisation apply — but skips per-segment object construction on
-        the kernel path.
+        normalisation apply — but validates and normalises the arrays in
+        the kernel instead of building a segment object per input.
         """
         if not (len(starts) == len(ends) == len(speeds)):
             raise ValueError("starts, ends and speeds must have equal length")
-        if not _pk.kernel_enabled():
-            return cls(
-                Segment(a, b, v) for a, b, v in zip(starts, ends, speeds)
-            )
         a = _pk.as_float_array(starts)
         b = _pk.as_float_array(ends)
         v = _pk.as_float_array(speeds)
@@ -271,46 +262,22 @@ class SpeedProfile:
 
     def speeds_at(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
         """Batched :meth:`speed_at` over an array of query times."""
-        if _pk.kernel_enabled():
-            return _pk.speeds_at(*self._get_arrays(), _pk.as_float_array(times))
-        return _pk.as_float_array([self.speed_at(float(t)) for t in times])
+        return _pk.speeds_at(*self._get_arrays(), _pk.as_float_array(times))
 
     def breakpoints(self) -> list[float]:
         """Sorted, deduplicated list of all segment boundaries."""
-        if _pk.kernel_enabled():
-            starts, ends, _ = self._get_arrays()
-            return _pk.collapse_times(np.concatenate([starts, ends])).tolist()
-        raw = sorted(
-            {seg.start for seg in self._segments}
-            | {seg.end for seg in self._segments}
-        )
-        pts: list[float] = []
-        for t in raw:
-            if not pts or t - pts[-1] > EPS:
-                pts.append(t)
-        return pts
+        starts, ends, _ = self._get_arrays()
+        return _pk.collapse_times(np.concatenate([starts, ends])).tolist()
 
     # -- aggregates -------------------------------------------------------------
 
     def total_work(self) -> float:
         """Total work ``integral s(t) dt``."""
-        if _pk.kernel_enabled():
-            return _pk.total_work(*self._get_arrays())
-        return sum(seg.work for seg in self._segments)
+        return _pk.total_work(*self._get_arrays())
 
     def work_in(self, start: float, end: float) -> float:
         """Work available in ``[start, end)``: ``integral_start^end s(t) dt``."""
-        if _pk.kernel_enabled():
-            return _pk.work_in(*self._get_arrays(), start, end)
-        if end <= start:
-            return 0.0
-        total = 0.0
-        for seg in self._segments:
-            lo = max(seg.start, start)
-            hi = min(seg.end, end)
-            if hi > lo:
-                total += seg.speed * (hi - lo)
-        return total
+        return _pk.work_in(*self._get_arrays(), start, end)
 
     def work_in_many(
         self,
@@ -318,28 +285,19 @@ class SpeedProfile:
         ends: Sequence[float] | np.ndarray,
     ) -> np.ndarray:
         """Batched :meth:`work_in` over parallel interval arrays."""
-        if _pk.kernel_enabled():
-            return _pk.work_in_many(
-                *self._get_arrays(),
-                _pk.as_float_array(starts),
-                _pk.as_float_array(ends),
-            )
-        return _pk.as_float_array(
-            [self.work_in(float(a), float(b)) for a, b in zip(starts, ends)]
+        return _pk.work_in_many(
+            *self._get_arrays(),
+            _pk.as_float_array(starts),
+            _pk.as_float_array(ends),
         )
 
     def max_speed(self) -> float:
         """Peak speed (0 for the empty profile)."""
-        if _pk.kernel_enabled():
-            return _pk.max_speed(self._get_arrays()[2])
-        return max((seg.speed for seg in self._segments), default=0.0)
+        return _pk.max_speed(self._get_arrays()[2])
 
     def energy(self, power: PowerFunction) -> float:
         """Total energy ``integral s(t)**alpha dt`` under ``power``."""
-        if _pk.kernel_enabled():
-            starts, ends, speeds = self._get_arrays()
-            return _pk.energy(starts, ends, speeds, power.alpha)
-        return sum(power.energy(seg.speed, seg.duration) for seg in self._segments)
+        return _pk.energy(*self._get_arrays(), power.alpha)
 
     # -- algebra -------------------------------------------------------------
 
@@ -347,33 +305,15 @@ class SpeedProfile:
         """Pointwise speed scaling ``t -> factor * s(t)``."""
         if factor < 0:
             raise ValueError(f"scale factor must be >= 0, got {factor}")
-        if _pk.kernel_enabled():
-            return SpeedProfile._from_arrays(_pk.scale(self._get_arrays(), factor))
-        return SpeedProfile(
-            Segment(s.start, s.end, factor * s.speed) for s in self._segments
-        )
+        return SpeedProfile._from_arrays(_pk.scale(self._get_arrays(), factor))
 
     def restrict(self, start: float, end: float) -> SpeedProfile:
         """Profile equal to this one on ``[start, end)`` and 0 elsewhere."""
-        if _pk.kernel_enabled():
-            return SpeedProfile._from_arrays(
-                _pk.restrict(self._get_arrays(), start, end)
-            )
-        segs = []
-        for seg in self._segments:
-            lo = max(seg.start, start)
-            hi = min(seg.end, end)
-            if hi > lo:
-                segs.append(Segment(lo, hi, seg.speed))
-        return SpeedProfile(segs)
+        return SpeedProfile._from_arrays(_pk.restrict(self._get_arrays(), start, end))
 
     def shift(self, delta: float) -> SpeedProfile:
         """Profile translated in time by ``delta``."""
-        if _pk.kernel_enabled():
-            return SpeedProfile._from_arrays(_pk.shift(self._get_arrays(), delta))
-        return SpeedProfile(
-            Segment(s.start + delta, s.end + delta, s.speed) for s in self._segments
-        )
+        return SpeedProfile._from_arrays(_pk.shift(self._get_arrays(), delta))
 
     def __add__(self, other: SpeedProfile) -> SpeedProfile:
         """Pointwise sum of two profiles."""
@@ -384,72 +324,25 @@ class SpeedProfile:
     def dominates(self, other: SpeedProfile, tol: float = EPS) -> bool:
         """Whether ``self(t) >= other(t)`` for all ``t`` (up to tolerance)."""
         pts = sorted(set(self.breakpoints()) | set(other.breakpoints()))
-        if _pk.kernel_enabled() and len(pts) >= 2:
-            grid = _pk.as_float_array(pts)
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            mine = self.speeds_at(mids)
-            theirs = other.speeds_at(mids)
-            return bool(np.all(mine >= theirs - tol))
-        for a, b in zip(pts, pts[1:]):
-            mid = 0.5 * (a + b)
-            if self.speed_at(mid) < other.speed_at(mid) - tol:
-                return False
-        return True
+        if len(pts) < 2:
+            return True
+        grid = _pk.as_float_array(pts)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        return bool(np.all(self.speeds_at(mids) >= other.speeds_at(mids) - tol))
 
 
 def sum_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
     """Pointwise sum of many profiles (used by AVR: sum of densities)."""
-    if _pk.kernel_enabled():
-        return SpeedProfile._from_arrays(
-            _pk.sum_arrays([p._get_arrays() for p in profiles])
-        )
-    pts: list[float] = []
-    for p in profiles:
-        for seg in p.segments:
-            pts.append(seg.start)
-            pts.append(seg.end)
-    if not pts:
-        return SpeedProfile()
-    uniq = sorted(set(pts))
-    # collapse numerically-equal points
-    collapsed: list[float] = [uniq[0]]
-    for t in uniq[1:]:
-        if t - collapsed[-1] > EPS:
-            collapsed.append(t)
-    segs = []
-    for a, b in zip(collapsed, collapsed[1:]):
-        mid = 0.5 * (a + b)
-        speed = sum(p.speed_at(mid) for p in profiles)
-        if speed > 0:
-            segs.append(Segment(a, b, speed))
-    return SpeedProfile(segs)
+    return SpeedProfile._from_arrays(
+        _pk.sum_arrays([p._get_arrays() for p in profiles])
+    )
 
 
 def max_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
     """Pointwise maximum of many profiles."""
-    if _pk.kernel_enabled():
-        return SpeedProfile._from_arrays(
-            _pk.max_arrays([p._get_arrays() for p in profiles])
-        )
-    pts: list[float] = []
-    for p in profiles:
-        for seg in p.segments:
-            pts.append(seg.start)
-            pts.append(seg.end)
-    if not pts:
-        return SpeedProfile()
-    uniq = sorted(set(pts))
-    collapsed: list[float] = [uniq[0]]
-    for t in uniq[1:]:
-        if t - collapsed[-1] > EPS:
-            collapsed.append(t)
-    segs = []
-    for a, b in zip(collapsed, collapsed[1:]):
-        mid = 0.5 * (a + b)
-        speed = max((p.speed_at(mid) for p in profiles), default=0.0)
-        if speed > 0:
-            segs.append(Segment(a, b, speed))
-    return SpeedProfile(segs)
+    return SpeedProfile._from_arrays(
+        _pk.max_arrays([p._get_arrays() for p in profiles])
+    )
 
 
 def profiles_energy(

@@ -24,16 +24,16 @@ possible:
 * elementwise ``+ - * max min`` and ``searchsorted``/``bisect`` are
   exact, so broadcasting them is free.
 
-The kernel can be switched off at runtime with :func:`pure_python` —
-:class:`~repro.core.profile.SpeedProfile` then falls back to the original
-segment-loop implementations.  The equality suite and the replay
-byte-identity test both diff the two modes.
+The pure-Python reference is the original segment-loop implementation,
+kept as the test oracle ``tests/_reference_profile.py``: its
+``reference_mode()`` patches the loops back in, and the equality suite,
+the replay byte-identity test and the perf trajectory's ``before`` arms
+run against it.
 """
 
 from __future__ import annotations
 
-import contextlib
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,30 +43,6 @@ from .constants import EPS
 #: ``speeds`` (float64, equal length, sorted by start, non-overlapping,
 #: all speeds strictly positive).
 ProfileArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-_KERNEL_ENABLED: bool = True
-
-
-def kernel_enabled() -> bool:
-    """Whether profile operations dispatch to the numpy kernel."""
-    return _KERNEL_ENABLED
-
-
-@contextlib.contextmanager
-def pure_python() -> Iterator[None]:
-    """Context manager: force the pure-Python reference implementations.
-
-    Used by the equality/byte-identity tests and the perf-trajectory
-    recorder to measure the pre-kernel code paths.  Not thread safe (it
-    flips a module global) — test/bench use only.
-    """
-    global _KERNEL_ENABLED
-    previous = _KERNEL_ENABLED
-    _KERNEL_ENABLED = False
-    try:
-        yield
-    finally:
-        _KERNEL_ENABLED = previous
 
 
 def empty_arrays() -> ProfileArrays:
@@ -307,40 +283,3 @@ def max_arrays(arrays_list: Sequence[ProfileArrays]) -> ProfileArrays:
     """Pointwise maximum of many profiles."""
     return _combine(arrays_list, pointwise_max=True)
 
-
-# -- batched clairvoyant baselines ---------------------------------------------------
-
-
-def shard_clairvoyant_values(
-    releases: Sequence[float] | np.ndarray,
-    deadlines: Sequence[float] | np.ndarray,
-    loads: Sequence[float] | np.ndarray,
-    alpha: float,
-) -> tuple[float, float]:
-    """Single-machine clairvoyant optimum of one shard, values only.
-
-    Takes the shard's derived classical loads ``p* = min(w, c + w*)`` as
-    flat arrays and returns ``(optimal_energy, optimal_max_speed)`` via
-    the discovery-only YDS loop — no EDF realization, no
-    :class:`~repro.core.schedule.Schedule` objects, and the compressed
-    timeline arithmetic runs through :meth:`TimelineCompressor.compress_many
-    <repro.speed_scaling.yds.TimelineCompressor.compress_many>` in one
-    vectorized pass per iteration.  Bit-identical to
-    ``yds(jobs).profile`` energy/max-speed.
-    """
-    from .job import Job
-    from .power import PowerFunction
-    from ..speed_scaling.yds import yds_profile
-
-    rel = as_float_array(releases)
-    dls = as_float_array(deadlines)
-    wks = as_float_array(loads)
-    jobs = [
-        Job(r, d, w, str(i))
-        for i, (r, d, w) in enumerate(zip(rel.tolist(), dls.tolist(), wks.tolist()))
-    ]
-    profile = yds_profile(jobs)
-    return (
-        profile.energy(PowerFunction(alpha)),
-        profile.max_speed(),
-    )

@@ -118,30 +118,16 @@ class Schedule:
 
     def energy(self, power: PowerFunction) -> float:
         """Total energy over all machines."""
-        if _pk.kernel_enabled():
-            speeds = _pk.as_float_array(
-                [s.speed for per in self._slices for s in per]
-            )
-            durations = _pk.as_float_array(
-                [s.duration for per in self._slices for s in per]
-            )
-            return _pk.sequential_sum(_pk.powers(speeds, power.alpha) * durations)
-        return sum(
-            power.energy(s.speed, s.duration)
-            for per in self._slices
-            for s in per
+        speeds = _pk.as_float_array([s.speed for per in self._slices for s in per])
+        durations = _pk.as_float_array(
+            [s.duration for per in self._slices for s in per]
         )
+        return _pk.sequential_sum(_pk.powers(speeds, power.alpha) * durations)
 
     def max_speed(self) -> float:
         """Peak speed over all machines and times."""
-        if _pk.kernel_enabled():
-            return _pk.max_speed(
-                _pk.as_float_array(
-                    [s.speed for per in self._slices for s in per]
-                )
-            )
-        return max(
-            (s.speed for per in self._slices for s in per), default=0.0
+        return _pk.max_speed(
+            _pk.as_float_array([s.speed for per in self._slices for s in per])
         )
 
     def span(self) -> tuple[float, float]:

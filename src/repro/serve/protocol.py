@@ -45,6 +45,11 @@ ERROR_STATUS = {
     "internal": 500,
 }
 
+#: Byte budget of one job record in a request body.  qbss-serve refuses,
+#: unread, any body longer than ``queue_limit * MAX_RECORD_BYTES``: it
+#: would carry more jobs than the queue ever admits.
+MAX_RECORD_BYTES = 4096
+
 #: Rejection codes a client may transparently retry with backoff: the
 #: condition is load-dependent, and resubmission is safe because shard
 #: evaluation is deterministic and the result cache idempotent.

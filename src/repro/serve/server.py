@@ -356,6 +356,33 @@ class QbssServer:
 
     # -- admission -------------------------------------------------------------------
 
+    def body_length(self, header: str | None) -> int:
+        """A request's ``Content-Length``, checked before any body byte is read.
+
+        Accepts a decimal length up to ``queue_limit * MAX_RECORD_BYTES``.
+        Anything else raises an ``invalid_request`` :class:`ServeError`
+        (400 when malformed or negative, 413 over the cap), counted like a
+        malformed body.
+        """
+        cap = self.config.queue_limit * protocol.MAX_RECORD_BYTES
+        text = "0" if header is None else header.strip()
+        if not (text.isascii() and text.isdigit()):
+            error = ServeError(
+                "invalid_request",
+                f"Content-Length must be a decimal byte count, got {text[:40]!r}",
+            )
+        # Digit count first: int() refuses strings of over 4300 digits.
+        elif len(text.lstrip("0")) > len(str(cap)) or int(text) > cap:
+            error = ServeError(
+                "invalid_request",
+                f"Content-Length exceeds the {cap}-byte body cap",
+                status=413,
+            )
+        else:
+            return int(text)
+        self._count_rejection("invalid_request", 1)
+        raise error
+
     def submit_payload(
         self, body: str, client: str, *, block: bool = False
     ) -> Batch:
@@ -636,7 +663,12 @@ class _Handler(BaseHTTPRequestHandler):
                 ServeError("invalid_request", f"no such path {self.path!r}", status=404)
             )
             return
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = self.qbss.body_length(self.headers.get("Content-Length"))
+        except ServeError as err:
+            # The body stays unread, so the connection cannot carry more.
+            self._send_error_envelope(err, close=True)
+            return
         body = self.rfile.read(length).decode("utf-8", errors="replace")
         client = self.headers.get("X-QBSS-Client", "anonymous")
         try:
@@ -656,13 +688,23 @@ class _Handler(BaseHTTPRequestHandler):
         status = batch.error.status if batch.error is not None else 200
         self._send(status, protocol.encode_jsonl(envelopes), "application/jsonl")
 
-    def _send_error_envelope(self, err: ServeError) -> None:
-        self._send(err.status, protocol.encode_jsonl([err.to_dict()]), "application/jsonl")
+    def _send_error_envelope(self, err: ServeError, *, close: bool = False) -> None:
+        self._send(
+            err.status,
+            protocol.encode_jsonl([err.to_dict()]),
+            "application/jsonl",
+            close=close,
+        )
 
-    def _send(self, status: int, body: str, content_type: str) -> None:
+    def _send(
+        self, status: int, body: str, content_type: str, *, close: bool = False
+    ) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            # Also makes http.server close the connection after this response.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)

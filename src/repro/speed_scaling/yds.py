@@ -31,7 +31,6 @@ from ..core.job import Job
 from ..core.profile import Segment, SpeedProfile
 from ..core.schedule import Schedule
 from ..core import profile_kernel as _pk
-from ..core.timeline import dedupe_times
 
 
 class TimelineCompressor:
@@ -156,20 +155,14 @@ def _max_intensity(
     pairs — this is the hot loop of YDS; the coordinate mapping runs
     through :meth:`TimelineCompressor.compress_many` in one pass.
     """
-    if _pk.kernel_enabled():
-        comp_all = compressor.compress_many(
-            [j.release for j in jobs] + [j.deadline for j in jobs]
-        )
-        comp_r, comp_d = comp_all[: len(jobs)], comp_all[len(jobs):]
-        # collapse_times == dedupe_times on floats (sub-EPS chain collapse
-        # keeping the first of each group), minus the Python sort.
-        starts = _pk.collapse_times(comp_r)
-        ends = _pk.collapse_times(comp_d)
-    else:
-        comp_r = np.array([compressor.compress(j.release) for j in jobs])
-        comp_d = np.array([compressor.compress(j.deadline) for j in jobs])
-        starts = np.array(dedupe_times(comp_r))
-        ends = np.array(dedupe_times(comp_d))
+    comp_all = compressor.compress_many(
+        [j.release for j in jobs] + [j.deadline for j in jobs]
+    )
+    comp_r, comp_d = comp_all[: len(jobs)], comp_all[len(jobs):]
+    # collapse_times == dedupe_times on floats (sub-EPS chain collapse
+    # keeping the first of each group), minus the Python sort.
+    starts = _pk.collapse_times(comp_r)
+    ends = _pk.collapse_times(comp_d)
     works = np.array([j.work for j in jobs])
 
     # in_start[i, j] : job j's compressed window starts at or after starts[i]

@@ -220,15 +220,13 @@ def _evaluate_shard(
     it in the report only.
     """
     from ..analysis.ratios import measure
-    from ..core.profile_kernel import kernel_enabled
     from ..io import qbss_instance_from_dict
     from ..qbss.clairvoyant import clairvoyant_values
 
     qi = qbss_instance_from_dict(shard_doc["instance"])
     # One clairvoyant baseline serves every algorithm of the shard (the
-    # values are identical per algorithm anyway).  Gated on the kernel flag
-    # so pure_python() reproduces the pre-kernel call graph exactly.
-    baseline = clairvoyant_values(qi, alpha=alpha) if kernel_enabled() else None
+    # values are identical per algorithm anyway).
+    baseline = clairvoyant_values(qi, alpha=alpha)
     rows = []
     for name in algorithms:
         m = measure(name, qi, alpha=alpha, baseline=baseline)

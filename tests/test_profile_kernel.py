@@ -14,8 +14,12 @@ pin that:
 * replay byte-identity — a kernel-backed replay serialises to the same
   JSON bytes as the pre-kernel pure-Python path (the acceptance test for
   ``qbss-replay``).
+
+The pure-Python reference is the pre-kernel loops kept in
+``tests/_reference_profile.py``; ``reference_mode()`` patches them in.
 """
 
+import importlib
 import json
 import struct
 
@@ -23,6 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference_profile as oracle
+from _reference_profile import KernelPathReached, reference_mode
 from repro.core import profile_kernel as pk
 from repro.core.job import Job
 from repro.core.power import PowerFunction
@@ -85,9 +91,9 @@ queries = st.floats(min_value=-6.0, max_value=40.0, allow_nan=False)
 
 
 def both_modes(segs, fn):
-    """Run ``fn`` on a profile built in kernel mode and in pure mode."""
+    """Run ``fn`` on a profile built on the kernel and on the reference loops."""
     kernel = fn(SpeedProfile(segs))
-    with pk.pure_python():
+    with reference_mode():
         reference = fn(SpeedProfile(segs))
     return kernel, reference
 
@@ -147,7 +153,7 @@ class TestKernelEqualsReference:
         ks = [SpeedProfile(s) for s in many]
         k_sum = profile_bits(sum_profiles(ks))
         k_max = profile_bits(max_profiles(ks))
-        with pk.pure_python():
+        with reference_mode():
             rs = [SpeedProfile(s) for s in many]
             r_sum = profile_bits(sum_profiles(rs))
             r_max = profile_bits(max_profiles(rs))
@@ -159,7 +165,7 @@ class TestKernelEqualsReference:
     def test_add_and_dominates(self, segs, other):
         k_add = profile_bits(SpeedProfile(segs) + SpeedProfile(other))
         k_dom = SpeedProfile(segs).dominates(SpeedProfile(other))
-        with pk.pure_python():
+        with reference_mode():
             r_add = profile_bits(SpeedProfile(segs) + SpeedProfile(other))
             r_dom = SpeedProfile(segs).dominates(SpeedProfile(other))
         assert k_add == r_add
@@ -171,7 +177,7 @@ class TestKernelEqualsReference:
         power = PowerFunction(alpha)
         ks = [SpeedProfile(s) for s in many]
         k_e, k_s = profiles_energy(ks, power), profiles_max_speed(ks)
-        with pk.pure_python():
+        with reference_mode():
             rs = [SpeedProfile(s) for s in many]
             r_e, r_s = profiles_energy(rs, power), profiles_max_speed(rs)
         assert same_number(k_e, r_e)
@@ -219,7 +225,7 @@ class TestConstructorParity:
             for _ in range(n - 1)
         ]
         k = SpeedProfile.from_breakpoints(times=times, speeds=speeds)
-        with pk.pure_python():
+        with reference_mode():
             r = SpeedProfile.from_breakpoints(times=times, speeds=speeds)
         assert profile_bits(k) == profile_bits(r)
 
@@ -228,7 +234,7 @@ class TestConstructorParity:
             starts=[4.0, 0.0, 1.0], ends=[5.0, 1.0, 2.0], speeds=[2.0, 1.0, 1.0]
         )
         k = SpeedProfile.from_segments(**kwargs)
-        with pk.pure_python():
+        with reference_mode():
             r = SpeedProfile.from_segments(**kwargs)
         assert profile_bits(k) == profile_bits(r)
 
@@ -236,7 +242,7 @@ class TestConstructorParity:
         kwargs = dict(starts=[0.0, 1.0], ends=[2.0, 3.0], speeds=[1.0, 1.0])
         with pytest.raises(ValueError):
             SpeedProfile.from_segments(**kwargs)
-        with pk.pure_python(), pytest.raises(ValueError):
+        with reference_mode(), pytest.raises(ValueError):
             SpeedProfile.from_segments(**kwargs)
 
 
@@ -282,7 +288,7 @@ class TestYDSKernelPaths:
             (bits(s.start), bits(s.end), bits(s.speed), s.job_id)
             for s in k.schedule.slices()
         ]
-        with pk.pure_python():
+        with reference_mode():
             r = yds(jobs)
             r_rows = [
                 (bits(s.start), bits(s.end), bits(s.speed), s.job_id)
@@ -313,6 +319,34 @@ class TestYDSKernelPaths:
         assert fast.exact == full.exact
 
 
+# -- the oracle itself ---------------------------------------------------------------
+
+
+class TestReferenceMode:
+    def test_kernel_arrays_raise_inside_reference_mode(self):
+        """A kernel path that escapes the patches fails loudly, so no test
+        compares (and no bench times) the kernel against itself."""
+        profile = SpeedProfile.constant(0.0, 1.0, 2.0)
+        with reference_mode():
+            assert profile.energy(PowerFunction(3.0)) == 8.0
+            with pytest.raises(KernelPathReached):
+                profile._get_arrays()
+            with pytest.raises(KernelPathReached):
+                SpeedProfile._from_arrays(pk.empty_arrays())
+        assert profile.energy(PowerFunction(3.0)) == 8.0
+
+    def test_names_imported_elsewhere_are_rebound(self):
+        # The packages re-export functions named like these modules.
+        avr = importlib.import_module("repro.speed_scaling.avr")
+        crp2d = importlib.import_module("repro.qbss.crp2d")
+        kernel_sum = avr.sum_profiles
+        with reference_mode():
+            assert avr.sum_profiles is oracle.sum_profiles
+            assert crp2d.sum_profiles is oracle.sum_profiles
+        assert avr.sum_profiles is kernel_sum
+        assert crp2d.sum_profiles is kernel_sum
+
+
 # -- replay byte-identity ------------------------------------------------------------
 
 
@@ -339,7 +373,7 @@ class TestReplayByteIdentity:
         from repro.engine import ExecutionSession
         from repro.traces.replay import replay_jobs
 
-        with pk.pure_python():
+        with reference_mode():
             golden, _ = replay_jobs(
                 _stream(), algorithms=("avrq", "bkpq"), alpha=3.0,
                 shard_window=600.0, session=ExecutionSession(cache=False),

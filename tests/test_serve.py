@@ -7,6 +7,7 @@ before tearing down — the same lifecycle the CLI drives on SIGTERM.
 """
 
 import json
+import socket
 import threading
 
 import pytest
@@ -598,6 +599,34 @@ class TestLiveDaemon:
         assert status == 404
         (envelope,) = parse_response_lines(text)
         assert envelope["kind"] == "error"
+
+    @pytest.mark.parametrize(
+        "length, status", [("abc", 400), ("-1", 400), ("1000000000000", 413)]
+    )
+    def test_bad_content_length_fails_closed(self, live_server, length, status):
+        """Checked before any body byte is read: no crash, no read to EOF,
+        no allocation of the claimed size.  A raw socket, because the typed
+        client always sends a correct length; the timeout turns a handler
+        blocked on the body into a failure instead of a hang."""
+        request = (
+            f"POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", live_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(request.encode("ascii"))
+            response = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == str(status).encode()
+        (envelope,) = parse_response_lines(body.decode("utf-8"))
+        assert envelope["code"] == "invalid_request"
+        assert envelope["status"] == status
+        samples = Client("127.0.0.1", live_server.port).metrics()
+        key = ("qbss_serve_jobs_rejected_total", (("reason", "invalid_request"),))
+        assert samples[key] == 1.0
 
     def test_rate_limited_client_gets_429(self, tmp_path):
         server = QbssServer(small_config(tmp_path, rate=1.0, burst=2.0))
