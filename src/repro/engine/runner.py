@@ -41,7 +41,6 @@ from .faults import (
     FailureInfo,
     RetryPolicy,
     crash_outcome,
-    installed_fault_plan,
     run_guarded,
 )
 
@@ -122,6 +121,11 @@ class ExecutionStats:
     degraded: bool = False
     degraded_tasks: list[str] = field(default_factory=list)
     quarantined: int = 0
+
+    def batch_attrs(self) -> dict[str, Any]:
+        """How the run's ``batch`` span closes
+        (:meth:`~repro.engine.session.ExecutionSession.batch`)."""
+        return {"status": "degraded" if self.degraded else "ok"}
 
     def recovery_line(self) -> str | None:
         """The footer's ``recovery:`` line; ``None`` when nothing happened."""
@@ -579,6 +583,9 @@ class EngineResult(ExecutionStats):
             r.metrics.failure for r in self.runs if r.metrics.failure is not None
         ]
 
+    def batch_attrs(self) -> dict[str, Any]:
+        return {**super().batch_attrs(), "failures": len(self.failures)}
+
     @property
     def hits(self) -> int:
         return sum(1 for r in self.runs if r.metrics.cache_hit)
@@ -726,14 +733,12 @@ def run_experiments(
     jobs = session.pool_jobs
     package_version = session.package_version
     task_timeout = session.task_timeout
-    tracer = session.tracer
     metrics = session.metrics
     unknown = [n for n in names if n not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown experiments: {unknown}")
 
     store = session.store
-    quarantined_before = store.quarantined if store is not None else 0
     result = EngineResult(
         runs=[],
         jobs=jobs,
@@ -741,13 +746,8 @@ def run_experiments(
     )
     tasks: list[_ExperimentTask] = []
     runs: list[ExperimentRun | None] = [None] * len(names)
-    batch_span = (
-        tracer.begin("batch", experiments=len(names), jobs=jobs)
-        if tracer is not None
-        else None
-    )
 
-    with installed_fault_plan(session.fault_plan):
+    with session.batch(result, experiments=len(names), jobs=jobs) as batch_span:
         for i, name in enumerate(names):
             call_kwargs, resolved, _unused = resolve_kwargs(
                 name, (overrides or {}).get(name)
@@ -827,16 +827,8 @@ def run_experiments(
             trace_parent=batch_span,
             stats=result,
         )
+        result.runs = [r for r in runs if r is not None]
 
-    result.runs = [r for r in runs if r is not None]
-    if store is not None:
-        result.quarantined = store.quarantined - quarantined_before
-    if tracer is not None:
-        tracer.end(
-            batch_span,
-            status="degraded" if result.degraded else "ok",
-            failures=len(result.failures),
-        )
     if metrics is not None:
         from ..obs.publish import publish_engine_result
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .backends.base import Backend, create_backend, parse_backend_spec
 from .cache import ResultCache
@@ -35,6 +36,7 @@ from .faults import (
     RetryPolicy,
     active_fault_plan,
     corrupt_cache_entry,
+    installed_fault_plan,
     torn_write_entry,
 )
 from .runner import (
@@ -247,6 +249,27 @@ class ExecutionSession:
                 corrupt_cache_entry(path)
             if plan.wants_torn_write(task.task_key, task.attempt):
                 torn_write_entry(path)
+
+    @contextmanager
+    def batch(self, stats: ExecutionStats, **attrs: Any) -> Iterator[Any]:
+        """Bracket one run: its ``batch`` span, fault plan and quarantine tally.
+
+        Opens a ``batch`` span with ``attrs`` and yields it (``None``
+        without a tracer), and installs :attr:`fault_plan` for the block.
+        On a normal exit it sets ``stats.quarantined`` to the corrupt
+        cache entries the run moved aside, then closes the span with
+        ``stats.batch_attrs()``.
+        """
+        store = self.store
+        before = store.quarantined if store is not None else 0
+        tracer = self.tracer
+        span = tracer.begin("batch", **attrs) if tracer is not None else None
+        with installed_fault_plan(self.fault_plan):
+            yield span
+        if store is not None:
+            stats.quarantined = store.quarantined - before
+        if tracer is not None:
+            tracer.end(span, **stats.batch_attrs())
 
     @property
     def execution_backend(self) -> Backend | None:

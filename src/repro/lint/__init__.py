@@ -15,15 +15,14 @@ QL004 exception hygiene — never swallow BaseException
 QL005 float equality — ``math.isclose`` in verdict code
 QL006 versioned IO — every document kind declares a version
 QL007 lock discipline — guarded state mutates only under the lock
-QL008 lock-order consistency — the acquisition graph is acyclic
 QL009 blocking-call hygiene — no unbounded blocking on main
-QL010 resource lifecycle — sockets/files/pools close on every path
-QL011 durability ordering — fsync dominates publish/ack
 ==== =========================================================
 
-QL007–QL011 share the project-wide call-graph / attribute-flow layer in
-:mod:`repro.lint.flow`; QL008's static lock graph is cross-validated at
-runtime by the opt-in :mod:`repro.lint.lockwatch` sanitizer.
+QL007 and QL009 share the project-wide call-graph / attribute-flow
+layer in :mod:`repro.lint.flow`.  Retired rule IDs stay reserved and are
+never reused (see ``docs/static-analysis.md``).  Lock order is checked
+at runtime instead: the :mod:`repro.lint.lockwatch` sanitizer watches
+every lock built through its seam in every test session.
 
 Use the ``qbss-lint`` console script (see ``docs/static-analysis.md``)
 or the :func:`lint_paths` API.  Inline suppressions

@@ -31,10 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
             "AST-based invariant linter for the QBSS reproduction: "
             "determinism (QL001), registry conformance (QL002), cache-key "
             "purity (QL003), exception hygiene (QL004), float equality "
-            "(QL005), versioned IO (QL006), lock discipline (QL007), "
-            "lock-order consistency (QL008), blocking-call hygiene "
-            "(QL009), resource lifecycle (QL010) and durability ordering "
-            "(QL011)."
+            "(QL005), versioned IO (QL006), lock discipline (QL007) and "
+            "blocking-call hygiene (QL009)."
         ),
     )
     parser.add_argument(

@@ -1,17 +1,12 @@
-"""QL007-QL009 -- concurrency contracts over the shared flow layer.
+"""QL007 and QL009 -- concurrency contracts over the shared flow layer.
 
-Three rules ride on :class:`repro.lint.flow.ProjectFlow`:
+Two rules ride on :class:`repro.lint.flow.ProjectFlow`:
 
 - **QL007 lock discipline**: an attribute of a class that owns a
   ``Lock``/``RLock``/``Condition`` may only be mutated under ``with
   self.<lock>`` in methods reachable from more than one thread.  A
   helper whose *every* resolved call site sits under the owning lock
   counts as guarded (the ``_sweep`` / ``_locked``-suffix idiom).
-- **QL008 lock-order consistency**: the static lock-acquisition graph
-  (every ``with <lock>`` block, closed over calls and property loads)
-  must be acyclic.  :func:`build_lock_graph` is exported so tests can
-  cross-validate the static graph against the runtime
-  :mod:`repro.lint.lockwatch` observations.
 - **QL009 blocking-call hygiene**: code reachable from a ``main`` entry
   point must not block unboundedly -- untimed ``Event.wait()``,
   ``Condition.wait()`` outside a predicate re-check loop, and
@@ -23,24 +18,18 @@ Three rules ride on :class:`repro.lint.flow.ProjectFlow`:
 from __future__ import annotations
 
 import ast
-from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
-from .context import LintContext, SourceModule
+from .context import LintContext
 from .findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
 from .flow import (
     KIND_CONDITION,
-    KIND_LOCK,
-    KIND_RLOCK,
     ClassInfo,
-    FuncKey,
     FunctionInfo,
     ProjectFlow,
     TypeEnv,
     dotted_key,
 )
-from .lockwatch import find_cycles
 from .rules import Rule
 
 #: Container methods that mutate their receiver in place.
@@ -66,57 +55,33 @@ _MUTATING_CALLS = {
 _EXEMPT_METHODS = {"__init__", "__post_init__", "__new__", "__del__"}
 
 
-# -- shared lock-expression resolution ----------------------------------------
+# -- lock-expression resolution -----------------------------------------------
 
 
 def resolve_lock_expr(
     expr: ast.expr, info: FunctionInfo, flow: ProjectFlow, env: TypeEnv
-) -> list[tuple[str, str]]:
-    """``(lock id, kind)`` candidates for a with-item / acquire target.
-
-    Lock ids follow the lockwatch naming convention: ``Class.attr`` for
-    instance locks, ``module.name`` for module-level locks.
-    """
-    if isinstance(expr, ast.Name):
-        kind = flow.module_locks.get((info.module.module, expr.id))
-        if kind is not None:
-            return [(f"{info.module.module}.{expr.id}", kind)]
-        prim = env.prims.get(expr.id)
-        if prim in (KIND_LOCK, KIND_RLOCK, KIND_CONDITION):
-            scope = f"{info.module.module}.{info.node.name}"
-            return [(f"{scope}.{expr.id}", prim)]
+) -> list[str]:
+    """``Class.attr`` ids of the instance locks a with-item target may be."""
+    if not isinstance(expr, ast.Attribute):
         return []
-    if isinstance(expr, ast.Attribute):
-        base = flow.expr_classes(expr.value, info, env)
-        if base:
-            out = []
-            for cls in base:
-                kind = flow.lock_attr_kind(cls, expr.attr)
-                if kind is not None:
-                    out.append((f"{cls.name}.{expr.attr}", kind))
-            return sorted(set(out))
-        # Untyped receiver: over-approximate to every class owning a
-        # lock attribute with this name.
+    base = flow.expr_classes(expr.value, info, env)
+    if base:
         return sorted(
             {
-                (f"{cls.name}.{expr.attr}", cls.lock_attrs[expr.attr])
-                for cls in flow.classes
-                if expr.attr in cls.lock_attrs
+                f"{cls.name}.{expr.attr}"
+                for cls in base
+                if flow.lock_attr_kind(cls, expr.attr) is not None
             }
         )
-    return []
-
-
-def with_lock_ids(
-    stmt: ast.With | ast.AsyncWith,
-    info: FunctionInfo,
-    flow: ProjectFlow,
-    env: TypeEnv,
-) -> list[tuple[str, str]]:
-    out: list[tuple[str, str]] = []
-    for item in stmt.items:
-        out.extend(resolve_lock_expr(item.context_expr, info, flow, env))
-    return out
+    # Untyped receiver: over-approximate to every class owning a lock
+    # attribute with this name.
+    return sorted(
+        {
+            f"{cls.name}.{expr.attr}"
+            for cls in flow.classes
+            if expr.attr in cls.lock_attrs
+        }
+    )
 
 
 def _under_lock_of(
@@ -131,10 +96,12 @@ def _under_lock_of(
     prefix = f"{cls.name}."
     cur = parents.get(id(node))
     while cur is not None:
-        if isinstance(cur, (ast.With, ast.AsyncWith)):
-            for lock_id, _kind in with_lock_ids(cur, info, flow, env):
-                if lock_id.startswith(prefix):
-                    return True
+        if isinstance(cur, (ast.With, ast.AsyncWith)) and any(
+            lock_id.startswith(prefix)
+            for item in cur.items
+            for lock_id in resolve_lock_expr(item.context_expr, info, flow, env)
+        ):
+            return True
         cur = parents.get(id(cur))
     return False
 
@@ -275,132 +242,6 @@ def _all_call_sites_guarded(
             if not _under_lock_of(sub, info, cls, flow, env):
                 return False
     return sites > 0
-
-
-# -- QL008 --------------------------------------------------------------------
-
-
-@dataclass
-class LockGraph:
-    """Static lock-acquisition graph: edge = acquired-while-holding."""
-
-    edges: dict[tuple[str, str], list[tuple[SourceModule, ast.AST]]] = field(
-        default_factory=dict
-    )
-    kinds: dict[str, str] = field(default_factory=dict)
-
-    def edge_set(self) -> set[tuple[str, str]]:
-        return set(self.edges)
-
-    def cycles(self) -> list[list[str]]:
-        return find_cycles(self.edge_set())
-
-
-def build_lock_graph(ctx: LintContext) -> LockGraph:
-    """Static acquisition-order graph over the whole parsed tree.
-
-    For every ``with <lock>`` block, any lock acquired lexically inside
-    it or anywhere in functions reachable from its body (calls and
-    property loads, closed transitively) adds an edge ``held ->
-    acquired``.  Same-lock re-acquisition is not an ordering edge.
-    """
-    flow = ctx.flow
-    graph = LockGraph()
-    for key in sorted(flow.functions):
-        info = flow.functions[key]
-        env = flow.type_env(info)
-        for stmt in ast.walk(info.node):
-            if not isinstance(stmt, (ast.With, ast.AsyncWith)):
-                continue
-            held = with_lock_ids(stmt, info, flow, env)
-            if not held:
-                continue
-            for lock_id, kind in held:
-                graph.kinds.setdefault(lock_id, kind)
-            acquired = _acquisitions_under(stmt, info, flow, env)
-            for held_id, _held_kind in held:
-                for acq_id, acq_kind, mod, node in acquired:
-                    graph.kinds.setdefault(acq_id, acq_kind)
-                    if acq_id == held_id:
-                        continue
-                    graph.edges.setdefault((held_id, acq_id), []).append(
-                        (mod, node)
-                    )
-    return graph
-
-
-def _acquisitions_under(
-    stmt: ast.With | ast.AsyncWith,
-    info: FunctionInfo,
-    flow: ProjectFlow,
-    env: TypeEnv,
-) -> list[tuple[str, str, SourceModule, ast.AST]]:
-    out: list[tuple[str, str, SourceModule, ast.AST]] = []
-    start: set[FuncKey] = set()
-    for body_stmt in stmt.body:
-        for sub in ast.walk(body_stmt):
-            if isinstance(sub, (ast.With, ast.AsyncWith)):
-                for lock_id, kind in with_lock_ids(sub, info, flow, env):
-                    out.append((lock_id, kind, info.module, sub))
-            elif isinstance(sub, ast.Call):
-                start.update(flow.resolve_call(sub, info, env))
-        start.update(flow.property_loads(body_stmt, info, env))
-    seen: set[FuncKey] = set()
-    queue: deque[FuncKey] = deque(
-        key for key in sorted(start) if key in flow.functions
-    )
-    while queue:
-        key = queue.popleft()
-        if key in seen:
-            continue
-        seen.add(key)
-        called = flow.functions[key]
-        called_env = flow.type_env(called)
-        for sub in ast.walk(called.node):
-            if isinstance(sub, (ast.With, ast.AsyncWith)):
-                for lock_id, kind in with_lock_ids(
-                    sub, called, flow, called_env
-                ):
-                    out.append((lock_id, kind, called.module, sub))
-        for nxt in sorted(flow.callees(called)):
-            if nxt not in seen and nxt in flow.functions:
-                queue.append(nxt)
-    return out
-
-
-class LockOrderRule(Rule):
-    rule_id = "QL008"
-    title = "lock-order consistency: the acquisition graph must be acyclic"
-    severity = SEVERITY_ERROR
-    rationale = (
-        "Two locks taken in opposite orders on two threads deadlock the "
-        "daemon; the static acquisition graph over-approximates every "
-        "nesting, so a cycle here is a deadlock waiting for the right "
-        "interleaving."
-    )
-
-    def finalize(self, ctx: LintContext) -> Iterable[Finding]:
-        graph = build_lock_graph(ctx)
-        for cycle in graph.cycles():
-            members = set(cycle)
-            sites = [
-                site
-                for edge, edge_sites in sorted(graph.edges.items())
-                if edge[0] in members and edge[1] in members
-                for site in edge_sites
-            ]
-            if not sites:
-                continue
-            module, node = min(
-                sites,
-                key=lambda s: (s[0].rel_path, getattr(s[1], "lineno", 0)),
-            )
-            path = " -> ".join([*cycle, cycle[0]])
-            yield self.finding(
-                module,
-                node,
-                f"inconsistent lock order (potential deadlock): {path}",
-            )
 
 
 # -- QL009 --------------------------------------------------------------------

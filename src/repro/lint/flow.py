@@ -3,7 +3,7 @@
 QL003's worker-reachability BFS solved one instance of a general
 problem: several contracts are properties of *paths through the
 project*, not of single files.  This module generalizes that layer so
-the concurrency and durability rules (QL007-QL011) share one index:
+the concurrency rules (QL007 and QL009) share one index:
 
 - every function and method definition, keyed ``(module, qualname)``;
 - every class: its methods, properties, instance attributes, the
@@ -205,8 +205,6 @@ class ProjectFlow:
         self.by_bare_name: dict[str, list[FuncKey]] = {}
         self.classes: list[ClassInfo] = []
         self.classes_by_name: dict[str, list[ClassInfo]] = {}
-        #: (module, name) -> kind for module-level lock bindings.
-        self.module_locks: dict[tuple[str, str], str] = {}
         self._reach_cache: dict[str, frozenset[FuncKey]] = {}
         self._env_cache: dict[FuncKey, TypeEnv] = {}
         self._parent_cache: dict[FuncKey, dict[int, ast.AST]] = {}
@@ -259,16 +257,6 @@ class ProjectFlow:
                     continue  # nested def shadowed by an earlier sibling
                 self.functions[key] = FunctionInfo(key, module, fnode)
                 self.by_bare_name.setdefault(fnode.name, []).append(key)
-            for stmt in module.tree.body:
-                if isinstance(stmt, ast.Assign) and isinstance(
-                    stmt.value, ast.Call
-                ):
-                    kind = lock_kind_of_call(stmt.value, module)
-                    if kind is None:
-                        continue
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            self.module_locks[(module.module, target.id)] = kind
 
     def _record_class_binding(
         self, cls: ClassInfo, targets: list[ast.expr], value: ast.expr

@@ -1,37 +1,26 @@
-"""Opt-in runtime lock-order sanitizer (the dynamic half of QL008).
+"""Runtime lock-order sanitizer.
 
-The static lock-acquisition graph (QL008) over-approximates: it follows
-every candidate call edge and cannot see dynamically chosen paths.
-``lockwatch`` closes the loop from the other side: production code
-constructs its locks through the :func:`new_lock` / :func:`new_rlock` /
-:func:`new_condition` seam, and when a :class:`LockWatcher` is installed
-those factories return *watched* wrappers that record the actual
-acquisition order per thread.  With no watcher installed the factories
-return plain ``threading`` primitives -- zero overhead, no monkeypatching.
+Production code constructs its locks through the :func:`new_lock` /
+:func:`new_rlock` / :func:`new_condition` seam.  When a
+:class:`LockWatcher` is installed those factories return *watched*
+wrappers that record the actual acquisition order per thread; with no
+watcher installed they return plain ``threading`` primitives -- zero
+overhead, no monkeypatching.
 
-A watcher accumulates:
+A watcher accumulates the observed edge set ``(outer lock, inner lock)``
+with an acquisition count per edge, and :meth:`LockWatcher.check` raises
+:class:`LockOrderError` on any lock-order cycle over that set.  Every
+test session installs a watcher (``tests/conftest.py``) and checks it at
+teardown, so the serve / backends / journal suites double as lock-order
+chaos runs.
 
-- the observed edge set ``(outer lock, inner lock)`` with a sample
-  acquisition count per edge;
-- lock-order cycles over that edge set (:meth:`LockWatcher.cycles`);
-- hold-time violations when ``max_hold_ms`` is set (conditions are
-  exempt: a ``Condition.wait`` releases the lock while blocked, so wall
-  time under a condition is not hold time).
-
-:meth:`LockWatcher.check` raises :class:`LockOrderError` on any cycle or
-hold-time violation; the test suites install a session watcher when
-``QBSS_LOCKWATCH=1`` and check it at teardown, so the serve / backends /
-journal suites double as lock-order chaos runs.
-
-Lock names follow the static rule's convention -- ``ClassName.attr``
-(e.g. ``AdmissionQueue._cond``) -- so the observed graph and QL008's
-static graph are directly comparable.
+Lock names follow the ``ClassName.attr`` convention (e.g.
+``AdmissionQueue._cond``).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from types import TracebackType
@@ -39,35 +28,22 @@ from typing import Any
 
 
 class LockOrderError(RuntimeError):
-    """Observed lock-order cycle or hold-time violation."""
+    """Observed lock-order cycle."""
 
 
 class LockWatcher:
-    """Records per-thread lock acquisition order and hold times.
+    """Records per-thread lock acquisition order."""
 
-    ``max_hold_ms`` (optional) flags any non-condition lock held longer
-    than that many milliseconds.  ``clock`` is injectable so tests can
-    drive hold times deterministically.
-    """
-
-    def __init__(
-        self,
-        *,
-        max_hold_ms: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.max_hold_ms = max_hold_ms
-        self._clock = clock
+    def __init__(self) -> None:
         self._mu = threading.Lock()
         #: (outer name, inner name) -> observation count.
         self._edges: dict[tuple[str, str], int] = {}
-        self._hold_violations: list[tuple[str, float]] = []
         self._tls = threading.local()
 
     # -- recording (called by the watched wrappers) ---------------------------
 
-    def _stack(self) -> list[tuple[str, float]]:
-        stack: list[tuple[str, float]] | None = getattr(self._tls, "stack", None)
+    def _stack(self) -> list[str]:
+        stack: list[str] | None = getattr(self._tls, "stack", None)
         if stack is None:
             stack = []
             self._tls.stack = stack
@@ -75,30 +51,19 @@ class LockWatcher:
 
     def note_acquired(self, name: str) -> None:
         stack = self._stack()
-        new_edges = [
-            (held, name) for held, _since in stack if held != name
-        ]
-        stack.append((name, self._clock()))
+        new_edges = [(held, name) for held in stack if held != name]
+        stack.append(name)
         if new_edges:
             with self._mu:
                 for edge in new_edges:
                     self._edges[edge] = self._edges.get(edge, 0) + 1
 
-    def note_released(self, name: str, *, is_condition: bool = False) -> None:
+    def note_released(self, name: str) -> None:
         stack = self._stack()
         for i in range(len(stack) - 1, -1, -1):
-            if stack[i][0] != name:
-                continue
-            _name, since = stack.pop(i)
-            held_ms = (self._clock() - since) * 1000.0
-            if (
-                self.max_hold_ms is not None
-                and not is_condition
-                and held_ms > self.max_hold_ms
-            ):
-                with self._mu:
-                    self._hold_violations.append((name, held_ms))
-            return
+            if stack[i] == name:
+                del stack[i]
+                return
 
     # -- inspection -----------------------------------------------------------
 
@@ -110,25 +75,16 @@ class LockWatcher:
         with self._mu:
             return dict(self._edges)
 
-    def hold_violations(self) -> list[tuple[str, float]]:
-        with self._mu:
-            return list(self._hold_violations)
-
     def cycles(self) -> list[list[str]]:
         """Lock-order cycles in the observed edge set (sorted SCCs)."""
         return find_cycles(self.edges())
 
     def check(self) -> None:
-        """Raise :class:`LockOrderError` on any cycle or hold violation."""
-        problems: list[str] = []
-        for cycle in self.cycles():
-            path = " -> ".join([*cycle, cycle[0]])
-            problems.append(f"lock-order cycle observed: {path}")
-        for name, held_ms in self.hold_violations():
-            problems.append(
-                f"lock {name} held {held_ms:.1f} ms "
-                f"(limit {self.max_hold_ms} ms)"
-            )
+        """Raise :class:`LockOrderError` on any observed cycle."""
+        problems = [
+            "lock-order cycle observed: " + " -> ".join([*cycle, cycle[0]])
+            for cycle in self.cycles()
+        ]
         if problems:
             raise LockOrderError("; ".join(problems))
 
@@ -136,9 +92,8 @@ class LockWatcher:
 def find_cycles(edges: set[tuple[str, str]]) -> list[list[str]]:
     """Non-trivial strongly connected components of a lock-order graph.
 
-    Shared by the runtime watcher and the QL008 static rule so both
-    report cycles over identical semantics.  Each cycle is returned as
-    a sorted node list; the result is sorted for determinism.
+    Each cycle is returned as a sorted node list; the result is sorted
+    for determinism.
     """
     graph: dict[str, list[str]] = {}
     nodes: set[str] = set()
@@ -229,8 +184,7 @@ class _WatchedCondition:
 
     ``wait`` / ``notify`` delegate to the wrapped condition; the
     internal release-and-reacquire inside ``wait`` is not re-reported
-    (the thread still logically holds its place in the lock order), and
-    hold-time accounting excludes conditions entirely.
+    (the thread still logically holds its place in the lock order).
     """
 
     def __init__(
@@ -247,7 +201,7 @@ class _WatchedCondition:
         return ok
 
     def release(self) -> None:
-        self._watcher.note_released(self.name, is_condition=True)
+        self._watcher.note_released(self.name)
         self._inner.release()
 
     def __enter__(self) -> bool:
@@ -261,7 +215,7 @@ class _WatchedCondition:
         exc: BaseException | None,
         tb: TracebackType | None,
     ) -> None:
-        self._watcher.note_released(self.name, is_condition=True)
+        self._watcher.note_released(self.name)
         self._inner.__exit__(exc_type, exc, tb)
 
     def wait(self, timeout: float | None = None) -> bool:

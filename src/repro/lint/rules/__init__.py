@@ -54,8 +54,7 @@ class Rule:
 
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, in ID order."""
-    from ..concurrency import BlockingCallRule, LockDisciplineRule, LockOrderRule
-    from ..lifecycle import DurabilityOrderRule, ResourceLifecycleRule
+    from ..concurrency import BlockingCallRule, LockDisciplineRule
     from .ql001_determinism import DeterminismRule
     from .ql002_registry import RegistryConformanceRule
     from .ql003_cache_purity import CachePurityRule
@@ -71,10 +70,7 @@ def all_rules() -> list[Rule]:
         FloatEqualityRule(),
         VersionedIORule(),
         LockDisciplineRule(),
-        LockOrderRule(),
         BlockingCallRule(),
-        ResourceLifecycleRule(),
-        DurabilityOrderRule(),
     ]
 
 

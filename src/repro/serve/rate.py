@@ -42,10 +42,14 @@ class TokenBucket:
         self.tokens = float(capacity)  # start full: first burst is free
         self.updated = now
 
+    def available(self, now: float) -> float:
+        """Tokens the bucket holds at time ``now``, refill included."""
+        elapsed = max(0.0, now - self.updated)
+        return min(self.capacity, self.tokens + elapsed * self.refill_rate)
+
     def try_take(self, n: float, now: float) -> bool:
         """Atomically take ``n`` tokens at time ``now``; False if short."""
-        elapsed = max(0.0, now - self.updated)
-        self.tokens = min(self.capacity, self.tokens + elapsed * self.refill_rate)
+        self.tokens = self.available(now)
         self.updated = now
         if n > self.tokens:
             return False
@@ -112,6 +116,21 @@ class RateLimiter:
                 bucket = TokenBucket(self.burst, self.rate, now=now)
                 self._buckets[client] = bucket
             return bucket.try_take(float(n), now)
+
+    def has_budget(self, client: str) -> bool:
+        """Whether ``client`` could submit one job right now.
+
+        Refill-aware and read-only: it takes no tokens and leaves the
+        bucket's idle clock alone, so :meth:`allow` stays the only charge.
+        """
+        if self.rate is None:
+            return True
+        assert self.burst is not None
+        now = self.clock()
+        with self._lock:
+            bucket = self._buckets.get(client)
+            available = self.burst if bucket is None else bucket.available(now)
+        return available >= 1.0
 
     @property
     def tracked_clients(self) -> int:

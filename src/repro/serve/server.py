@@ -383,6 +383,25 @@ class QbssServer:
         self._count_rejection("invalid_request", 1)
         raise error
 
+    def check_budget(self, client: str) -> None:
+        """Refuse ``client`` before its body is read when its bucket
+        cannot cover one job.
+
+        Takes no tokens: :meth:`submit_payload` charges the parsed job
+        count.  The refusal is a ``rate_limited`` :class:`ServeError`,
+        counted as one job because the body is never parsed.
+        """
+        if not self.limiter.has_budget(client):
+            self._count_rejection("rate_limited", 1)
+            raise self._rate_limited_error(client)
+
+    def _rate_limited_error(self, client: str) -> ServeError:
+        return ServeError(
+            "rate_limited",
+            f"client {client!r} exceeded {self.config.rate} jobs/s "
+            f"(burst {self.limiter.burst})",
+        )
+
     def submit_payload(
         self, body: str, client: str, *, block: bool = False
     ) -> Batch:
@@ -405,11 +424,7 @@ class QbssServer:
             )
         if not self.limiter.allow(client, n):
             self._count_rejection("rate_limited", n)
-            raise ServeError(
-                "rate_limited",
-                f"client {client!r} exceeded {self.config.rate} jobs/s "
-                f"(burst {self.limiter.burst})",
-            )
+            raise self._rate_limited_error(client)
         batch = Batch(requests, client, admitted_at=time.monotonic())
         self._journal_admission(batch)
         try:
@@ -663,14 +678,15 @@ class _Handler(BaseHTTPRequestHandler):
                 ServeError("invalid_request", f"no such path {self.path!r}", status=404)
             )
             return
+        client = self.headers.get("X-QBSS-Client", "anonymous")
         try:
             length = self.qbss.body_length(self.headers.get("Content-Length"))
+            self.qbss.check_budget(client)
         except ServeError as err:
             # The body stays unread, so the connection cannot carry more.
             self._send_error_envelope(err, close=True)
             return
         body = self.rfile.read(length).decode("utf-8", errors="replace")
-        client = self.headers.get("X-QBSS-Client", "anonymous")
         try:
             batch = self.qbss.submit_payload(body, client)
         except ServeError as err:

@@ -41,7 +41,6 @@ from ..core.qjob import QJob
 from ..engine.faults import (
     FailureInfo,
     active_fault_plan,
-    installed_fault_plan,
     run_guarded,
 )
 from ..engine.runner import ExecutionStats, HardenedTask
@@ -519,6 +518,13 @@ class ReplayMetrics(ExecutionStats):
     pool_jobs: int = 1
     failures: list[FailureInfo] = field(default_factory=list)
 
+    def batch_attrs(self) -> dict:
+        return {
+            **super().batch_attrs(),
+            "shards": self.shards,
+            "failures": len(self.failures),
+        }
+
     def footer(self) -> str:
         rate = self.shards / self.wall_time if self.wall_time > 0 else 0.0
         cache_note = self.cache_dir if self.cache_dir else "disabled"
@@ -619,11 +625,9 @@ def replay_jobs(
     jobs = session.pool_jobs
     package_version = session.package_version
     fault_plan = session.fault_plan
-    tracer = session.tracer
     algorithms = validate_replay_algorithms(algorithms)
     registry = session.metrics
     store = session.store
-    quarantined_before = store.quarantined if store is not None else 0
     meta = dict(meta or {})
     start_wall = time.perf_counter()
     metrics = ReplayMetrics(
@@ -632,13 +636,10 @@ def replay_jobs(
     )
     results: dict[int, dict] = {}
     resident = 0
-    batch_span = (
-        tracer.begin("batch", kind="replay", algorithms=len(algorithms))
-        if tracer is not None
-        else None
-    )
 
-    with installed_fault_plan(fault_plan):
+    with session.batch(
+        metrics, kind="replay", algorithms=len(algorithms)
+    ) as batch_span:
         plan = fault_plan if fault_plan is not None else active_fault_plan()
 
         def shard_tasks() -> Iterator[_ShardTask]:
@@ -735,16 +736,7 @@ def replay_jobs(
             stats=metrics,
         )
 
-    if store is not None:
-        metrics.quarantined = store.quarantined - quarantined_before
     metrics.wall_time = time.perf_counter() - start_wall
-    if tracer is not None:
-        tracer.end(
-            batch_span,
-            status="degraded" if metrics.degraded else "ok",
-            shards=metrics.shards,
-            failures=len(metrics.failures),
-        )
     report = ReplayReport(
         source=str(meta.get("source", "<stream>")),
         trace_format=str(meta.get("trace_format", "jobs")),

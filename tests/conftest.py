@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -12,17 +10,13 @@ from repro.core import Instance, Job, PowerFunction, QBSSInstance, QJob
 
 @pytest.fixture(autouse=True, scope="session")
 def _lockwatch_sanitizer():
-    """Opt-in lock-order sanitizer for the whole session.
+    """Lock-order sanitizer for the whole session.
 
-    With ``QBSS_LOCKWATCH=1`` every lock constructed through the
-    :mod:`repro.lint.lockwatch` seam (the serve daemon, the journal, the
-    TCP backend) is watched; teardown fails the run on any observed
-    lock-order cycle.  CI enables this on the serve / backends / chaos
-    suites so they double as lock-order chaos runs.
+    Every lock constructed through the :mod:`repro.lint.lockwatch` seam
+    (the serve daemon, the journal, the TCP backend) is watched, and
+    teardown fails the run on any observed lock-order cycle, so every
+    suite that drives those components doubles as a lock-order chaos run.
     """
-    if os.environ.get("QBSS_LOCKWATCH") != "1":
-        yield
-        return
     from repro.lint import lockwatch
 
     watcher = lockwatch.LockWatcher()

@@ -1,5 +1,4 @@
-"""repro.lint.lockwatch: the runtime lock-order sanitizer, and the
-agreement contract between the observed graph and QL008's static graph.
+"""repro.lint.lockwatch: the runtime lock-order sanitizer.
 
 The two-thread cycle test is fully deterministic: the threads run to
 completion one after the other (the edge *set* is what matters, not the
@@ -11,11 +10,7 @@ import threading
 
 import pytest
 
-from repro.engine import RetryPolicy
 from repro.lint import lockwatch
-from repro.lint.concurrency import build_lock_graph
-from repro.lint.context import LintContext, SourceModule
-from repro.lint.engine import collect_files
 from repro.lint.lockwatch import (
     LockOrderError,
     LockWatcher,
@@ -24,16 +19,12 @@ from repro.lint.lockwatch import (
     new_lock,
     new_rlock,
 )
-from repro.serve import QbssServer, ServeConfig
-
-from test_lint import REPO_ROOT
-from test_serve import job_lines
 
 
 @pytest.fixture(autouse=True)
 def _isolated_watcher():
-    """Stash any session-level watcher (QBSS_LOCKWATCH=1) so these
-    tests install their own, then restore it."""
+    """Stash the session watcher (installed by ``conftest.py`` for every
+    test session) so these tests install their own, then restore it."""
     prior = lockwatch.active_watcher()
     if prior is not None:
         lockwatch.uninstall_watcher()
@@ -43,7 +34,7 @@ def _isolated_watcher():
         lockwatch.install_watcher(prior)
 
 
-# -- find_cycles (shared with QL008) ------------------------------------------------
+# -- find_cycles -------------------------------------------------------------------
 
 
 class TestFindCycles:
@@ -144,29 +135,6 @@ class TestWatcher:
         assert watcher.edges() == set()
         watcher.check()
 
-    def test_hold_time_violation_with_injected_clock(self):
-        ticks = iter([0.0, 0.5])
-        watcher = LockWatcher(max_hold_ms=100.0, clock=lambda: next(ticks))
-        with lockwatch.watching(watcher):
-            lock = new_lock("slow")
-        with lock:
-            pass
-        (violation,) = watcher.hold_violations()
-        assert violation[0] == "slow"
-        assert violation[1] == pytest.approx(500.0)
-        with pytest.raises(LockOrderError, match="held 500.0 ms"):
-            watcher.check()
-
-    def test_conditions_are_exempt_from_hold_time(self):
-        ticks = iter([0.0, 9.0])
-        watcher = LockWatcher(max_hold_ms=1.0, clock=lambda: next(ticks))
-        with lockwatch.watching(watcher):
-            cond = new_condition("C")
-        with cond:
-            cond.notify_all()
-        assert watcher.hold_violations() == []
-        watcher.check()
-
     def test_watched_condition_wait_notify_round_trip(self):
         watcher = LockWatcher()
         with lockwatch.watching(watcher):
@@ -184,42 +152,3 @@ class TestWatcher:
             assert cond.wait_for(lambda: state["ready"], timeout=5.0)
         t.join()
         watcher.check()
-
-
-# -- static/dynamic agreement (acceptance criterion) --------------------------------
-
-
-class TestAgreement:
-    def test_observed_graph_is_subset_of_static_graph(self, tmp_path):
-        """Drive the real daemon under a watcher: every observed edge
-        must be predicted by QL008's static graph, and both are acyclic."""
-        watcher = LockWatcher()
-        with lockwatch.watching(watcher):
-            server = QbssServer(
-                ServeConfig(
-                    shard_window=250.0,
-                    seed=3,
-                    cache_dir=tmp_path / "cache",
-                    jobs=1,
-                    retry=RetryPolicy(
-                        max_attempts=2, backoff_base=0.001, backoff_cap=0.01
-                    ),
-                )
-            )
-            code, _ = server.serve_once(job_lines(12))
-            server.drain()
-        assert code == 0
-        watcher.check()
-
-        src = REPO_ROOT / "src" / "repro"
-        modules = [
-            SourceModule.parse(path, root=REPO_ROOT)
-            for path in collect_files([src])
-        ]
-        static = build_lock_graph(LintContext(modules))
-        assert static.cycles() == []
-        unpredicted = watcher.edges() - static.edge_set()
-        assert not unpredicted, (
-            "runtime lock edges the static graph missed: "
-            f"{sorted(unpredicted)}"
-        )

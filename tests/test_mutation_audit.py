@@ -1,0 +1,247 @@
+"""The mutation audit behind qbss-lint's rule set, kept executable.
+
+Each row of :data:`AUDIT` plants one bug into a copy of ``src/`` and
+names the defence that catches it:
+
+- a qbss-lint rule id -- the rule reports the bug in the row's file;
+- a list of pytest node ids -- run against the planted copy, they fail;
+- ``None`` -- a known gap that nothing catches (anchor-checked only).
+
+A flow-layer rule stays in qbss-lint only while a row shows it catching
+a bug that nothing else catches; a bug class the runtime suites already
+catch needs no rule.  ``docs/static-analysis.md`` ("The mutation audit")
+summarizes the table.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+from repro.lint import lint_paths, load_config
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SRC = REPO_ROOT / "src"
+
+
+class Row(NamedTuple):
+    id: int
+    path: str  # under src/
+    old: str  # occurs exactly once in the live file
+    new: str
+    catcher: str | list[str] | None
+
+
+AUDIT = [
+    # RateLimiter.allow mutates its buckets without the lock.
+    Row(
+        1,
+        "repro/serve/rate.py",
+        "with self._lock:\n            self._sweep(now)",
+        "if True:\n            self._sweep(now)",
+        "QL007",
+    ),
+    # AdmissionJournal.log_admission bumps its sequence without the lock.
+    Row(
+        2,
+        "repro/serve/journal.py",
+        "with self._lock:\n            batch = self._seq",
+        "if True:\n            batch = self._seq",
+        "QL007",
+    ),
+    # RemoteBackend._fail_link retires a link without its lock.
+    Row(
+        3,
+        "repro/engine/backends/remote.py",
+        "with link.lock:\n            if sock is not None and link.sock is not sock:",
+        "if True:\n            if sock is not None and link.sock is not sock:",
+        None,
+    ),
+    # submit_payload takes queue._cond, then registry.lock: the inverse of
+    # the registry.lock -> queue._cond order queue.depth already implies.
+    Row(
+        4,
+        "repro/serve/server.py",
+        "with self.registry.lock:\n            self._admitted.inc(n)",
+        "with self.queue._cond, self.registry.lock:\n"
+        "            self._admitted.inc(n)",
+        ["tests/test_serve.py::TestLiveDaemon::test_submit_and_scrape"],
+    ),
+    # ResultCache.put publishes an entry that was never fsync'd.
+    Row(
+        5,
+        "repro/engine/cache.py",
+        "os.fsync(fh.fileno())",
+        "pass",
+        [
+            "tests/test_faults.py::TestQuarantine"
+            "::test_put_fsyncs_before_atomic_replace"
+        ],
+    ),
+    # The journal acknowledges an admission that was never fsync'd.
+    Row(
+        6,
+        "repro/serve/journal.py",
+        "os.fsync(self._fh.fileno())",
+        "pass",
+        [
+            "tests/test_serve_journal.py::TestAdmissionJournal"
+            "::test_admissions_fsync_completion_marks_only_flush"
+        ],
+    ),
+    # write_port_file renames a port file that was never fsync'd.
+    Row(
+        7,
+        "repro/engine/backends/worker.py",
+        "os.fsync(fh.fileno())",
+        "pass",
+        ["tests/test_serve.py::TestPortFile::test_write_is_atomic_and_fsynced"],
+    ),
+    # AdmissionJournal.compact replaces the journal with an unsynced file.
+    Row(
+        8,
+        "repro/serve/journal.py",
+        "os.fsync(fh.fileno())",
+        "pass",
+        [
+            "tests/test_serve_journal.py::TestAdmissionJournal"
+            "::test_compact_fsyncs_before_replace"
+        ],
+    ),
+    # ReplayCheckpoint.record moves on before the append is durable.
+    Row(
+        9,
+        "repro/traces/checkpoint.py",
+        "os.fsync(self._fh.fileno())",
+        "pass",
+        [
+            "tests/test_replay_checkpoint.py::TestReplayCheckpoint"
+            "::test_appends_are_fsynced"
+        ],
+    ),
+    # RemoteBackend._connect leaks its socket and reader on a bad hello.
+    Row(
+        10,
+        "repro/engine/backends/remote.py",
+        "for closable in (reader, sock):",
+        "for closable in ():",
+        None,
+    ),
+    # The worker never closes a driver connection.
+    Row(
+        11,
+        "repro/engine/backends/worker.py",
+        "reader.close()\n            conn.close()",
+        "reader.close()",
+        None,
+    ),
+    # The worker never closes its listening socket.
+    Row(
+        12,
+        "repro/engine/backends/worker.py",
+        "finally:\n        server.close()",
+        "finally:\n        pass",
+        None,
+    ),
+    # qbss-serve's main thread parks in an untimed wait (signals starve).
+    Row(
+        13,
+        "repro/serve/cli.py",
+        "while not stop.wait(0.5):",
+        "while not stop.wait():",
+        "QL009",
+    ),
+    # A replay worker body reads the environment (poisons the cache key).
+    Row(
+        14,
+        "repro/traces/replay.py",
+        '    qi = qbss_instance_from_dict(shard_doc["instance"])',
+        "    import os\n\n"
+        '    alpha = float(os.environ.get("QBSS_ALPHA", alpha))\n'
+        '    qi = qbss_instance_from_dict(shard_doc["instance"])',
+        "QL003",
+    ),
+]
+
+LINT_ROWS = [row for row in AUDIT if isinstance(row.catcher, str)]
+RUNTIME_ROWS = [row for row in AUDIT if isinstance(row.catcher, list)]
+
+#: Rows whose catcher tests pass while the session watcher
+#: (``tests/conftest.py``) fails the run at teardown, and what it raises.
+TEARDOWN_FAILURES = {4: "LockOrderError: lock-order cycle observed"}
+
+
+def row_id(row: Row) -> str:
+    return f"row{row.id}"
+
+
+def planted_copy(tmp_path: Path, *rows: Row) -> Path:
+    """A copy of ``src/`` under ``tmp_path`` with ``rows`` applied."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    for row in rows:
+        path = src / row.path
+        text = path.read_text(encoding="utf-8")
+        assert text.count(row.old) == 1, f"row {row.id} anchor drifted"
+        path.write_text(text.replace(row.old, row.new), encoding="utf-8")
+    return src
+
+
+@pytest.mark.parametrize("row", AUDIT, ids=row_id)
+def test_anchor_matches_live_tree_once(row):
+    text = (SRC / row.path).read_text(encoding="utf-8")
+    assert text.count(row.old) == 1
+
+
+def test_lint_rows_are_caught_by_their_rule(tmp_path):
+    """Rows 1, 2, 13 and 14 sit in four files: one lint pass covers them.
+    The live tree has no finding of these rules in these files
+    (``test_lint.py::test_live_tree_is_lint_clean_modulo_baseline``)."""
+    assert len({row.path for row in LINT_ROWS}) == len(LINT_ROWS)
+    src = planted_copy(tmp_path, *LINT_ROWS)
+    run = lint_paths(
+        [src / "repro"],
+        root=tmp_path,
+        config=load_config(REPO_ROOT / ".qbss-lint.json"),
+    )
+    for row in LINT_ROWS:
+        hits = [
+            f
+            for f in run.findings
+            if f.rule == row.catcher and f.path == f"src/{row.path}"
+        ]
+        assert hits, f"row {row.id}: {row.catcher} missed the planted bug"
+
+
+@pytest.mark.parametrize("row", RUNTIME_ROWS, ids=row_id)
+def test_runtime_row_fails_its_tests(row, tmp_path):
+    """Run the row's node ids from the repo root against the planted copy."""
+    src = planted_copy(tmp_path, row)
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # Import repro before pytest starts, so the report can show which
+    # tree the child ran.
+    program = (
+        "import sys, pytest, repro; "
+        "print('repro imported from', repro.__file__); "
+        "sys.exit(pytest.main(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program, "-p", "no:cacheprovider", *row.catcher],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    out = proc.stdout + proc.stderr
+    assert f"repro imported from {src / 'repro' / '__init__.py'}" in out, out
+    assert proc.returncode != 0, f"row {row.id} went unnoticed:\n{out}"
+    if row.id in TEARDOWN_FAILURES:
+        assert TEARDOWN_FAILURES[row.id] in out, out
+    else:
+        for node in row.catcher:
+            assert f"FAILED {node}" in out, out

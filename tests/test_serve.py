@@ -364,6 +364,18 @@ class TestRateLimiter:
         assert limiter.allow("b", 1)
         assert not limiter.allow("a", 1)
 
+    def test_has_budget_is_refill_aware_and_takes_nothing(self):
+        now = [0.0]
+        limiter = RateLimiter(rate=1.0, burst=1.0, clock=lambda: now[0])
+        assert limiter.has_budget("c")  # unseen: a fresh bucket is full
+        assert limiter.tracked_clients == 0  # ... and none was created
+        assert limiter.allow("c", 1)
+        assert not limiter.has_budget("c")
+        now[0] = 1.0  # one token refilled
+        assert limiter.has_budget("c")
+        assert limiter.has_budget("c")  # the check took nothing
+        assert limiter.allow("c", 1)
+
     def test_default_burst_is_one_second(self):
         assert RateLimiter(5.0).burst == 5.0
         assert RateLimiter(0.25).burst == 1.0
@@ -642,6 +654,42 @@ class TestLiveDaemon:
                 )
             assert excinfo.value.code == "rate_limited"
             assert excinfo.value.status == 429
+        finally:
+            server.begin_drain()
+            server.drain(timeout=60.0)
+            server.stop()
+
+    def test_over_budget_client_is_refused_before_the_body(self, tmp_path):
+        """An empty bucket gets its 429 without the server waiting for the
+        body: this client announces 64 bytes and sends none.  The socket
+        timeout turns a handler blocked on the body into a failure."""
+        # One token, refilled every 100 s: the first job drains the bucket.
+        server = QbssServer(small_config(tmp_path, rate=0.01, burst=1.0))
+        server.start()
+        try:
+            client = Client("127.0.0.1", server.port, client_id="greedy")
+            assert client.submit([{"release": 0.0, "runtime": 1.0}]).ok
+            request = (
+                "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\n"
+                "X-QBSS-Client: greedy\r\nContent-Length: 64\r\n\r\n"
+            )
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5.0
+            ) as sock:
+                sock.sendall(request.encode("ascii"))
+                response = b""
+                while chunk := sock.recv(65536):  # until the server closes
+                    response += chunk
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.split(b" ")[1] == b"429"
+            assert b"Connection: close" in head
+            (envelope,) = parse_response_lines(body.decode("utf-8"))
+            assert envelope["code"] == "rate_limited"
+            samples = client.metrics()
+            key = ("qbss_serve_jobs_rejected_total", (("reason", "rate_limited"),))
+            assert samples[key] == 1.0
+            # the refusal left the bucket untouched: still exactly drained
+            assert server.limiter.tokens_left("greedy") == 0.0
         finally:
             server.begin_drain()
             server.drain(timeout=60.0)
@@ -962,17 +1010,27 @@ class TestPortFile:
 
         from repro.serve.cli import write_port_file
 
+        events = []
         replaced = []
-        real_replace = os.replace
-        monkeypatch.setattr(
-            os,
-            "replace",
-            lambda a, b: (replaced.append((str(a), str(b))), real_replace(a, b))[1],
-        )
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            events.append("fsync")
+            real_fsync(fd)
+
+        def spy_replace(a, b):
+            events.append("replace")
+            replaced.append((str(a), str(b)))
+            real_replace(a, b)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
         path = tmp_path / "daemon.port"
         write_port_file(str(path), "127.0.0.1:8457")
         assert path.read_text() == "127.0.0.1:8457\n"
+        # the content is durable before the rename publishes it
+        assert events == ["fsync", "replace"]
         # written via a sibling tmp name, then renamed into place
-        assert replaced and replaced[0][1] == str(path)
+        assert replaced[0][1] == str(path)
         assert replaced[0][0] != str(path)
         assert not list(tmp_path.glob("*.tmp*"))

@@ -156,12 +156,12 @@ class TestAdmissionJournal:
             journal.log_admission("ci", [])
         with open(tmp_path / JOURNAL_FILENAME, "a") as fh:
             fh.write('{"kind": "serve_journal_record", "vers')  # crash debris
-        fresh = AdmissionJournal(tmp_path)
-        scan = fresh.scan()
-        assert [r.type for r in scan.records] == ["admission"]
-        assert scan.torn == 1
-        # sequence numbering continues after the intact prefix
-        assert fresh.log_admission("ci", []) == 2
+        with AdmissionJournal(tmp_path) as fresh:
+            scan = fresh.scan()
+            assert [r.type for r in scan.records] == ["admission"]
+            assert scan.torn == 1
+            # sequence numbering continues after the intact prefix
+            assert fresh.log_admission("ci", []) == 2
 
     def test_torn_write_fault_tears_the_append(self, tmp_path):
         plan = FaultPlan(
@@ -195,6 +195,29 @@ class TestAdmissionJournal:
             ("batch_complete", 2),
         ]
 
+    def test_compact_fsyncs_before_replace(self, tmp_path, monkeypatch):
+        # The rewritten journal is durable before it replaces the old one:
+        # a crash between the two must leave one complete journal.
+        with AdmissionJournal(tmp_path) as journal:
+            journal.log_admission("ci", [{"id": "x", "release": 0, "runtime": 1}])
+            keep = journal.scan().incomplete()
+            events = []
+            real_fsync, real_replace = os.fsync, Path.replace
+
+            def spy_fsync(fd):
+                events.append("fsync")
+                real_fsync(fd)
+
+            def spy_replace(self, target):
+                events.append("replace")
+                return real_replace(self, target)
+
+            monkeypatch.setattr(os, "fsync", spy_fsync)
+            monkeypatch.setattr(Path, "replace", spy_replace)
+            journal.compact(keep)
+        assert events == ["fsync", "replace"]
+        assert [r.batch for r in AdmissionJournal(tmp_path).scan().records] == [1]
+
 
 # -- the server integration (inline, no HTTP) ---------------------------------------
 
@@ -227,10 +250,12 @@ class TestServerJournal:
             r.batch: r.status for r in scan.records if r.type == "batch_complete"
         }
         assert statuses == {2: "rejected"}
+        server.journal.close()
 
     def test_recover_replays_incomplete_batch(self, tmp_path):
         crashed = QbssServer(journal_config(tmp_path))
         crashed.submit_payload(job_lines(8), "ci")  # admitted, never evaluated
+        crashed.journal.close()  # what the crash does to its file handle
 
         server = QbssServer(journal_config(tmp_path))
         report = server.recover()
@@ -274,6 +299,7 @@ class TestServerJournal:
 
         crashed = QbssServer(journal_config(tmp_path))
         crashed.submit_payload(job_lines(30), "ci")  # journaled, never run
+        crashed.journal.close()  # what the crash does to its file handle
 
         survivor = QbssServer(journal_config(tmp_path))
         report = survivor.recover()
@@ -314,22 +340,23 @@ class TestChaosPin:
         env.pop(FAULT_PLAN_ENV, None)
         env.update(env_extra or {})
         port_file = tmp_path / f"{name}.port"
-        log = open(tmp_path / f"{name}.log", "w")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.serve.cli",
-                "--bind", "127.0.0.1:0",
-                "--port-file", str(port_file),
-                "--shard-window", str(self.WINDOW),
-                "--seed", "3",
-                "--jobs", "1",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--journal", str(tmp_path / "journal"),
-            ],
-            env=env,
-            cwd=REPO_ROOT,
-            stderr=log,
-        )
+        # The daemon writes through its own copy of the descriptor.
+        with open(tmp_path / f"{name}.log", "w") as log:
+            proc = subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro.serve.cli",
+                    "--bind", "127.0.0.1:0",
+                    "--port-file", str(port_file),
+                    "--shard-window", str(self.WINDOW),
+                    "--seed", "3",
+                    "--jobs", "1",
+                    "--cache-dir", str(tmp_path / "cache"),
+                    "--journal", str(tmp_path / "journal"),
+                ],
+                env=env,
+                cwd=REPO_ROOT,
+                stderr=log,
+            )
         return proc, port_file
 
     def _jobs(self):
