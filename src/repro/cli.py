@@ -228,6 +228,7 @@ def _obs_finish(
     started_at: float,
     seed=None,
     cache_dir=None,
+    fault_plan=None,
     recovery=None,
 ) -> None:
     """Flush the trace and write the metrics/manifest output files."""
@@ -243,7 +244,6 @@ def _obs_finish(
         )
     if args.manifest_out is not None:
         from . import io as rio
-        from .engine.faults import active_fault_plan
         from .obs import RunManifest
 
         manifest = RunManifest.create(
@@ -251,7 +251,7 @@ def _obs_finish(
             vars(args),
             seed=seed,
             cache_dir=cache_dir,
-            fault_plan=active_fault_plan(),
+            fault_plan=fault_plan,
             recovery=recovery,
             now=started_at,
         )
@@ -460,6 +460,7 @@ def _main(argv: list[str] | None = None) -> int:
         registry,
         started_at=started_at,
         cache_dir=result.cache_dir,
+        fault_plan=session.active_fault_plan,
     )
     print(result.footer(), file=sys.stderr)
     for run in result.errors:
@@ -743,6 +744,7 @@ def _replay_main(argv: list[str] | None = None) -> int:
         started_at=started_at,
         seed=args.seed,
         cache_dir=metrics.cache_dir,
+        fault_plan=session.active_fault_plan,
         recovery=recovery,
     )
     print(metrics.footer(), file=sys.stderr)

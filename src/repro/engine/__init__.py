@@ -54,8 +54,6 @@ from .faults import (
     RetryPolicy,
     TransientError,
     WorkerCrashError,
-    active_fault_plan,
-    installed_fault_plan,
 )
 from .runner import (
     EngineResult,
@@ -92,8 +90,6 @@ __all__ = [
     "RetryPolicy",
     "TransientError",
     "WorkerCrashError",
-    "active_fault_plan",
-    "installed_fault_plan",
     "EngineResult",
     "ExecutionStats",
     "ExperimentRun",

@@ -17,9 +17,11 @@ connection (a worker mid-hang accepts TCP via the listen backlog but
 cannot greet, so the timeout is what detects it).
 
 **Frames** — driver → worker: ``task`` (id, worker function as
-``module:qualname``, pickled args, the forwarded ``QBSS_FAULT_PLAN``
-value, an optional cache-publish spec) and ``shutdown``; worker →
-driver: ``hello``, ``result`` (id + outcome dict), ``bye``.
+``module:qualname``, pickled args, an optional cache-publish spec) and
+``shutdown``; worker → driver: ``hello``, ``result`` (id + outcome
+dict), ``bye``.  The task's fault plan is one of its args, exactly as
+in a local pool, so the same ``FaultPlan`` harness drives remote
+workers.
 
 **Failure semantics** — a worker that dies mid-task (connection reset /
 EOF) resolves that task's handle to a *transient crash outcome*, exactly
@@ -42,7 +44,6 @@ driver — only recomputes misses.
 from __future__ import annotations
 
 import itertools
-import os
 import pickle
 import socket
 import struct
@@ -53,12 +54,13 @@ from concurrent.futures import Future
 from pathlib import Path
 from typing import Any
 
-from ...lint import lockwatch
-from ..faults import FAULT_PLAN_ENV, crash_outcome
+from ...obs import lockwatch
+from ..faults import crash_outcome
 from .base import Backend, BackendBroken
 
-#: Version of the frame protocol; bumped on any incompatible change.
-WIRE_VERSION = 1
+#: Version of the frame protocol; bumped on any incompatible change
+#: (v2: the fault plan moved from a frame field into the task's args).
+WIRE_VERSION = 2
 
 #: Refuse frames beyond this size — a corrupt length prefix must not
 #: trigger a gigantic allocation.
@@ -290,10 +292,6 @@ class RemoteBackend(Backend):
             "id": task_id,
             "fn": worker_fn_spec(fn),
             "args": tuple(args),
-            # Forward the active fault plan verbatim: remote workers honor
-            # QBSS_FAULT_PLAN exactly like local pool workers, so the same
-            # FaultPlan harness verifies them.
-            "fault_plan": os.environ.get(FAULT_PLAN_ENV),
             "publish": getattr(task, "publish", None),
         }
         handle: Future = Future()

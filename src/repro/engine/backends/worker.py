@@ -7,15 +7,13 @@ to parallelise here).  Per task it:
 1. resolves the requested worker function (restricted to module-level
    callables inside the :mod:`repro` package — a frame cannot name
    arbitrary code to run);
-2. installs the forwarded ``QBSS_FAULT_PLAN`` value for the duration of
-   the call, so the deterministic fault harness drives remote workers
-   exactly like local pool workers;
-3. runs the function — worker bodies such as
+2. runs the function on the frame's args — worker bodies such as
    :func:`repro.engine.runner._execute` run under
-   :func:`~repro.engine.faults.run_guarded`, which captures their
+   :func:`~repro.engine.faults.run_guarded` with the fault plan their
+   args carry, exactly like local pool workers; the guard captures their
    exceptions into the outcome dict, and this loop turns anything that
    still escapes into the same failure outcome;
-4. on success, *publishes* the result into this worker's
+3. on success, *publishes* the result into this worker's
    content-addressed :class:`~repro.engine.cache.ResultCache` (when the
    task carries a publish spec — the driver's
    :meth:`~repro.engine.session.ExecutionSession.cache_entry` — and
@@ -45,13 +43,12 @@ import socket
 import sys
 import time
 import traceback
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
+from collections.abc import Callable
 from pathlib import Path
 from typing import Any
 
 from ..cache import ResultCache
-from ..faults import FAULT_PLAN_ENV, failure_outcome
+from ..faults import failure_outcome
 from .remote import WIRE_VERSION, recv_frame, send_frame
 
 #: Default bind address when neither ``--bind`` nor the env hook is set.
@@ -124,23 +121,6 @@ def resolve_task_fn(spec: str) -> Callable[..., Any]:
     return obj  # type: ignore[no-any-return]
 
 
-@contextmanager
-def _forwarded_fault_plan(raw: str | None) -> Iterator[None]:
-    """Install the driver's ``QBSS_FAULT_PLAN`` for one task, then restore."""
-    previous = os.environ.get(FAULT_PLAN_ENV)
-    if raw is None:
-        os.environ.pop(FAULT_PLAN_ENV, None)
-    else:
-        os.environ[FAULT_PLAN_ENV] = raw
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(FAULT_PLAN_ENV, None)
-        else:
-            os.environ[FAULT_PLAN_ENV] = previous
-
-
 def _publish_outcome(
     store: ResultCache, publish: dict[str, Any], outcome: dict[str, Any]
 ) -> None:
@@ -168,10 +148,7 @@ def _run_task(frame: dict[str, Any], store: ResultCache | None) -> dict[str, Any
     start = time.perf_counter()
     try:
         fn = resolve_task_fn(str(frame["fn"]))
-        args = tuple(frame.get("args") or ())
-        raw_plan = frame.get("fault_plan")
-        with _forwarded_fault_plan(raw_plan if isinstance(raw_plan, str) else None):
-            outcome = fn(*args)
+        outcome = fn(*tuple(frame.get("args") or ()))
         if not isinstance(outcome, dict) or "ok" not in outcome:
             raise TypeError(
                 f"worker fn returned {type(outcome).__name__}, expected an outcome dict"

@@ -91,8 +91,8 @@ class ResultCache:
     """The on-disk store; all methods are safe on a missing/corrupt tree.
 
     ``metrics`` optionally takes a
-    :class:`~repro.obs.metrics.MetricsRegistry`; when set, lookups, writes,
-    quarantines and prunes increment the ``qbss_cache_*`` series live (see
+    :class:`~repro.obs.metrics.MetricsRegistry`; when set, lookups, writes
+    and quarantines increment the ``qbss_cache_*`` series live (see
     ``docs/observability.md``), so long campaigns can be scraped mid-run.
     """
 
@@ -264,8 +264,6 @@ class ResultCache:
                 continue
             removed += 1
             freed += stat.st_size
-        if removed:
-            self._count("qbss_cache_prune_orphans_total", removed)
         return removed, freed
 
     def total_bytes(self) -> int:
@@ -326,10 +324,6 @@ class ResultCache:
                 except OSError:  # pragma: no cover - concurrent cleanup
                     pass
         orphans, orphan_bytes = self._sweep_orphans(now=now)
-        if removed:
-            self._count("qbss_cache_prune_removed_total", removed)
-        if freed or orphan_bytes:
-            self._count("qbss_cache_prune_freed_bytes_total", freed + orphan_bytes)
         return PruneStats(
             scanned=scanned,
             removed=removed,

@@ -16,12 +16,15 @@ Everything the execution layer needs to *degrade gracefully* lives here:
   reports.
 * :class:`FaultPlan` / :class:`FaultSpec` — a *deterministic*
   fault-injection harness.  A plan pins faults to exact ``(task,
-  attempt)`` coordinates and travels to pool workers through the
-  ``QBSS_FAULT_PLAN`` environment variable (raw JSON, or ``@/path`` to a
-  JSON file), which every worker body reads before running its task.
-  Tests use it to force each recovery path — worker crashes
-  (``BrokenProcessPool``), hangs (deadline timeouts), corrupted cache
-  entries (quarantine) and plain exceptions — at reproducible spots.
+  attempt)`` coordinates.  The
+  :class:`~repro.engine.session.ExecutionSession` running the tasks
+  resolves it once (its ``fault_plan``, else the ``QBSS_FAULT_PLAN``
+  environment variable: raw JSON, or ``@/path`` to a JSON file) and the
+  plan travels with each task as an ordinary argument, which every
+  worker body hands to :func:`run_guarded`.  No process writes the variable.  Tests use it to
+  force each recovery path — worker crashes (``BrokenProcessPool``),
+  hangs (deadline timeouts), corrupted cache entries (quarantine) and
+  plain exceptions — at reproducible spots.
 
 Nothing here imports the experiment registry or the trace layer; it is
 shared verbatim by :mod:`repro.engine.runner`, :mod:`repro.traces.replay`
@@ -246,9 +249,9 @@ def _in_pool_worker() -> bool:
 class FaultPlan:
     """A deterministic set of :class:`FaultSpec` injections.
 
-    Travels to pool workers via :data:`FAULT_PLAN_ENV`; worker bodies call
-    :func:`active_fault_plan` + :meth:`inject` before running each task.
-    The first spec matching ``(task, attempt)`` wins.
+    Travels with each task as an argument; :func:`run_guarded` calls
+    :meth:`inject` before running the task's body.  The first spec
+    matching ``(task, attempt)`` wins.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -323,32 +326,12 @@ class FaultPlan:
 
     @classmethod
     def from_env(cls, environ: dict[str, str] | None = None) -> FaultPlan | None:
-        """The plan installed in ``QBSS_FAULT_PLAN``, parsed and memoized."""
+        """The plan exported in ``QBSS_FAULT_PLAN`` (raw JSON or ``@path``)."""
         raw = (environ or os.environ).get(FAULT_PLAN_ENV)
         if not raw:
             return None
-        return _parse_env_plan(raw)
-
-
-_ENV_PLAN_MEMO: dict[str, FaultPlan] = {}
-
-
-def _parse_env_plan(raw: str) -> FaultPlan:
-    # Deterministic parse memo: same raw plan string always yields the
-    # same plan, so the mutation below can never change worker output.
-    plan = _ENV_PLAN_MEMO.get(raw)
-    if plan is None:
         text = Path(raw[1:]).read_text() if raw.startswith("@") else raw
-        plan = FaultPlan.from_json(text)
-        if len(_ENV_PLAN_MEMO) > 32:  # bound the memo during long fuzz runs
-            _ENV_PLAN_MEMO.clear()
-        _ENV_PLAN_MEMO[raw] = plan  # qbss-lint: disable=QL003
-    return plan
-
-
-def active_fault_plan() -> FaultPlan | None:
-    """What worker bodies call: the env-installed plan, or ``None``."""
-    return FaultPlan.from_env()
+        return cls.from_json(text)
 
 
 # -- the worker guard ---------------------------------------------------------------
@@ -373,21 +356,22 @@ def crash_outcome(error: str, wall: float) -> dict[str, Any]:
     return failure_outcome(error, wall, transient=True, kind="crash")
 
 
-def run_guarded(task: str, attempt: int, body: Callable[[], Any]) -> dict[str, Any]:
+def run_guarded(
+    task: str, attempt: int, plan: FaultPlan | None, body: Callable[[], Any]
+) -> dict[str, Any]:
     """Run one attempt of ``task`` and return its outcome dict.
 
-    Every worker body is one call into this guard.  It performs the
-    active fault plan's injection for ``(task, attempt)`` first, then
-    ``body()``, whose return value becomes the ``payload`` of an ``ok``
-    outcome.  An ordinary exception becomes a failure outcome (transient
-    for a :class:`TransientError`, kind ``crash`` for a
-    :class:`WorkerCrashError`) so one failing task cannot take down the
-    batch; ``KeyboardInterrupt``/``SystemExit`` propagate so Ctrl-C
-    actually stops a run.
+    Every worker body is one call into this guard.  It performs ``plan``'s
+    injection for ``(task, attempt)`` first (the plan the task carries;
+    ``None`` injects nothing), then ``body()``, whose return value becomes
+    the ``payload`` of an ``ok`` outcome.  An ordinary exception becomes a
+    failure outcome (transient for a :class:`TransientError`, kind
+    ``crash`` for a :class:`WorkerCrashError`) so one failing task cannot
+    take down the batch; ``KeyboardInterrupt``/``SystemExit`` propagate so
+    Ctrl-C actually stops a run.
     """
     start = time.perf_counter()
     try:
-        plan = active_fault_plan()
         if plan is not None:
             plan.inject(task, attempt)
         payload = body()
@@ -401,33 +385,6 @@ def run_guarded(task: str, attempt: int, body: Callable[[], Any]) -> dict[str, A
             transient=isinstance(exc, TransientError),
             kind="crash" if isinstance(exc, WorkerCrashError) else "error",
         )
-
-
-class installed_fault_plan:
-    """Context manager installing ``plan`` into :data:`FAULT_PLAN_ENV`.
-
-    Pool workers inherit the parent environment at spawn time, so wrapping
-    pool creation in this context is all the plumbing a programmatic
-    ``fault_plan=`` argument needs.  ``None`` is a no-op (an externally
-    exported ``QBSS_FAULT_PLAN`` stays in effect).
-    """
-
-    def __init__(self, plan: FaultPlan | None) -> None:
-        self.plan = plan
-        self._old: str | None = None
-
-    def __enter__(self) -> FaultPlan | None:
-        if self.plan is not None:
-            self._old = os.environ.get(FAULT_PLAN_ENV)
-            os.environ[FAULT_PLAN_ENV] = self.plan.to_json()
-        return self.plan
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.plan is not None:
-            if self._old is None:
-                os.environ.pop(FAULT_PLAN_ENV, None)
-            else:
-                os.environ[FAULT_PLAN_ENV] = self._old
 
 
 def corrupt_cache_entry(path: str | Path) -> None:

@@ -39,6 +39,7 @@ from .backends.base import Backend, BackendBroken
 from .cache import cache_key
 from .faults import (
     FailureInfo,
+    FaultPlan,
     RetryPolicy,
     crash_outcome,
     run_guarded,
@@ -650,17 +651,19 @@ def _execute(
     name: str,
     call_kwargs: dict[str, Any],
     task: str | None = None,
+    plan: FaultPlan | None = None,
     attempt: int = 1,
 ) -> dict[str, Any]:
     """Worker body: run one experiment under the shared worker guard
-    (:func:`~repro.engine.faults.run_guarded`); the outcome's payload is
-    the report's JSON document.
+    (:func:`~repro.engine.faults.run_guarded`) with the fault ``plan`` the
+    task carries; the outcome's payload is the report's JSON document.
 
     Must stay a module-level function (pickled by name into pool workers).
     """
     return run_guarded(
         task if task is not None else name,
         attempt,
+        plan,
         lambda: REGISTRY[name](**call_kwargs).to_dict(),
     )
 
@@ -712,8 +715,8 @@ def run_experiments(
     deadline on each task (pool mode only); ``retry`` is the
     :class:`RetryPolicy` for transient failures (default: 3 attempts) and
     for cache writes, which are skipped with a :class:`RuntimeWarning`
-    rather than failing the run; ``fault_plan`` installs a deterministic
-    :class:`~repro.engine.faults.FaultPlan` for the duration of the run
+    rather than failing the run; ``fault_plan`` is a deterministic
+    :class:`~repro.engine.faults.FaultPlan` every task of the run carries
     (tests; equivalently export ``QBSS_FAULT_PLAN``).  ``backend`` selects
     where tasks execute (see ``docs/backends.md``).
 

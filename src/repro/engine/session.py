@@ -15,7 +15,10 @@ The session is also the one place cache decisions are made: the traced
 lookup (:meth:`ExecutionSession.cache_lookup`), the cache-write spec a
 task carries (:meth:`ExecutionSession.cache_entry`) and the
 retry-then-warn write with the fault plan's corrupt/torn hooks
-(:meth:`ExecutionSession.cache_put`) serve both entry points.
+(:meth:`ExecutionSession.cache_put`) serve both entry points.  So is
+the fault plan: :attr:`ExecutionSession.active_fault_plan` resolves it
+once, and :meth:`ExecutionSession.execute` hands it to every task as an
+argument.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from .faults import (
     FailureInfo,
     FaultPlan,
     RetryPolicy,
-    active_fault_plan,
     corrupt_cache_entry,
-    installed_fault_plan,
     torn_write_entry,
 )
 from .runner import (
@@ -150,6 +151,15 @@ class ExecutionSession:
         return self.retry if self.retry is not None else RetryPolicy()
 
     @property
+    def active_fault_plan(self) -> FaultPlan | None:
+        """The fault plan this session's work runs under: :attr:`fault_plan`
+        when set, else the one exported in ``QBSS_FAULT_PLAN`` (``None``
+        when neither is).  :meth:`execute` hands it to every task."""
+        if self.fault_plan is not None:
+            return self.fault_plan
+        return FaultPlan.from_env()
+
+    @property
     def store(self) -> ResultCache | None:
         """The session's result cache (lazy; ``None`` when caching is off)."""
         self._check_open()
@@ -210,7 +220,7 @@ class ExecutionSession:
         An :class:`OSError` is retried under :attr:`retry_policy`; once the
         attempts are spent the write is skipped with a
         :class:`RuntimeWarning` and the run continues uncached.  A written
-        entry then gets the active fault plan's ``corrupt-cache`` /
+        entry then gets :attr:`active_fault_plan`'s ``corrupt-cache`` /
         ``torn-write`` hooks at ``task``'s coordinates.  Only valid while
         caching is on.
         """
@@ -243,7 +253,7 @@ class ExecutionSession:
                 if delay > 0:
                     time.sleep(delay)
                 attempt += 1
-        plan = self.fault_plan if self.fault_plan is not None else active_fault_plan()
+        plan = self.active_fault_plan
         if plan is not None:
             if plan.wants_corrupt_cache(task.task_key, task.attempt):
                 corrupt_cache_entry(path)
@@ -252,20 +262,18 @@ class ExecutionSession:
 
     @contextmanager
     def batch(self, stats: ExecutionStats, **attrs: Any) -> Iterator[Any]:
-        """Bracket one run: its ``batch`` span, fault plan and quarantine tally.
+        """Bracket one run: its ``batch`` span and quarantine tally.
 
         Opens a ``batch`` span with ``attrs`` and yields it (``None``
-        without a tracer), and installs :attr:`fault_plan` for the block.
-        On a normal exit it sets ``stats.quarantined`` to the corrupt
-        cache entries the run moved aside, then closes the span with
-        ``stats.batch_attrs()``.
+        without a tracer).  On a normal exit it sets ``stats.quarantined``
+        to the corrupt cache entries the run moved aside, then closes the
+        span with ``stats.batch_attrs()``.
         """
         store = self.store
         before = store.quarantined if store is not None else 0
         tracer = self.tracer
         span = tracer.begin("batch", **attrs) if tracer is not None else None
-        with installed_fault_plan(self.fault_plan):
-            yield span
+        yield span
         if store is not None:
             stats.quarantined = store.quarantined - before
         if tracer is not None:
@@ -303,15 +311,18 @@ class ExecutionSession:
 
         Thin wrapper over :func:`~repro.engine.runner.execute_hardened`
         with the session supplying pool size, retry policy, deadline and
-        tracer.  ``jobs`` overrides the pool size for this call only (the
-        engine shrinks it to the task count); ``stats`` is the record the
-        driver fills.
+        tracer.  Every task's arguments end with :attr:`active_fault_plan`,
+        resolved once here: ``worker`` is called as
+        ``worker(*payload(task), plan, task.attempt)``.  ``jobs``
+        overrides the pool size for this call only (the engine shrinks it
+        to the task count); ``stats`` is the record the driver fills.
         """
         self._check_open()
+        plan = self.active_fault_plan
         return execute_hardened(
             tasks,
             worker=worker,
-            payload=payload,
+            payload=lambda task: (*payload(task), plan),
             on_success=on_success,
             on_failure=on_failure,
             jobs=self.pool_jobs if jobs is None else jobs,

@@ -21,7 +21,7 @@ QL009 blocking-call hygiene — no unbounded blocking on main
 QL007 and QL009 share the project-wide call-graph / attribute-flow
 layer in :mod:`repro.lint.flow`.  Retired rule IDs stay reserved and are
 never reused (see ``docs/static-analysis.md``).  Lock order is checked
-at runtime instead: the :mod:`repro.lint.lockwatch` sanitizer watches
+at runtime instead: the :mod:`repro.obs.lockwatch` sanitizer watches
 every lock built through its seam in every test session.
 
 Use the ``qbss-lint`` console script (see ``docs/static-analysis.md``)
@@ -33,7 +33,6 @@ the rare justified exception.
 from __future__ import annotations
 
 from .baseline import Baseline, BaselineEntry
-from .config import LintConfig, LintConfigError, discover_config, load_config
 from .engine import LintRun, collect_files, lint_paths, render_json, render_text
 from .findings import LINT_FORMAT_VERSION, Finding
 from .rules import Rule, all_rules, select_rules
@@ -44,15 +43,11 @@ __all__ = [
     "BaselineEntry",
     "Finding",
     "LINT_FORMAT_VERSION",
-    "LintConfig",
-    "LintConfigError",
     "LintRun",
     "Rule",
     "all_rules",
     "collect_files",
-    "discover_config",
     "lint_paths",
-    "load_config",
     "render_json",
     "render_sarif",
     "render_text",

@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .. import __version__ as PACKAGE_VERSION
 from .baseline import Baseline, BaselineError
-from .config import CONFIG_FILENAME, LintConfig, LintConfigError, load_config
 from .engine import LintRun, lint_paths, render_json, render_text
 from .rules import all_rules
 from .sarif import render_sarif
@@ -63,14 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=f"%(prog)s {PACKAGE_VERSION}",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help=(
-            f"lint-config file (default: {CONFIG_FILENAME} in the cwd when "
-            "it exists; 'none' disables discovery)"
-        ),
     )
     parser.add_argument(
         "--baseline",
@@ -181,17 +172,6 @@ def main(argv: list[str] | None = None) -> int:
             )
         paths = [default]
 
-    config: LintConfig | None = None
-    if args.config is not None:
-        if args.config.lower() == "none":
-            config = LintConfig()
-        else:
-            try:
-                config = load_config(Path(args.config))
-            except LintConfigError as exc:
-                print(f"qbss-lint: error: {exc}", file=sys.stderr)
-                return 2
-
     restrict: set[str] | None = None
     if args.changed is not None:
         try:
@@ -205,7 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             paths,
             select=_split_ids(args.select),
             ignore=_split_ids(args.ignore),
-            config=config,
             restrict=restrict,
         )
     except (FileNotFoundError, ValueError) as exc:

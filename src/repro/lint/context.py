@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .config import LintConfig
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .flow import ProjectFlow
 
@@ -145,11 +143,9 @@ def relativize(path: Path, root: Path | None) -> str:
 
 @dataclass
 class LintContext:
-    """Everything a rule may look at: all parsed modules, by name, plus
-    the resolved :class:`~repro.lint.config.LintConfig`."""
+    """Everything a rule may look at: all parsed modules, by name."""
 
     modules: list[SourceModule] = field(default_factory=list)
-    config: LintConfig = field(default_factory=lambda: LintConfig())
 
     def __post_init__(self) -> None:
         self.by_name: dict[str, SourceModule] = {m.module: m for m in self.modules}

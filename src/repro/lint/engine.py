@@ -18,7 +18,6 @@ from typing import Any
 
 from .. import __version__ as PACKAGE_VERSION
 from .baseline import Baseline
-from .config import LintConfig, discover_config
 from .context import LintContext, SourceModule, relativize
 from .findings import (
     LINT_FORMAT_VERSION,
@@ -73,14 +72,9 @@ def lint_paths(
     select: list[str] | None = None,
     ignore: list[str] | None = None,
     root: Path | None = None,
-    config: LintConfig | None = None,
     restrict: set[str] | None = None,
 ) -> LintRun:
     """Lint every Python file under ``paths`` and return the findings.
-
-    ``config`` overrides the lint configuration; by default a
-    ``.qbss-lint.json`` at ``root`` (or the cwd) is discovered, falling
-    back to the built-in defaults.
 
     ``restrict`` (``--changed``) filters the *reported* findings to the
     given relative paths.  The whole tree is still parsed and analyzed —
@@ -88,8 +82,6 @@ def lint_paths(
     one file that breaks an invariant anchored in it is still caught,
     while pre-existing findings elsewhere stay out of the report.
     """
-    if config is None:
-        config = discover_config(root)
     files = collect_files(paths)
     modules: list[SourceModule] = []
     raw: list[Finding] = []
@@ -107,7 +99,7 @@ def lint_paths(
                     message=f"file does not parse: {exc.msg}",
                 )
             )
-    ctx = LintContext(modules, config=config)
+    ctx = LintContext(modules)
     rules = select_rules(select, ignore)
     for rule in rules:
         for module in ctx.modules:

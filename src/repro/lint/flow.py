@@ -87,16 +87,16 @@ KIND_RLOCK = "rlock"
 KIND_CONDITION = "condition"
 
 #: Dotted origins that construct a lock-like primitive.  The lockwatch
-#: seam (:mod:`repro.lint.lockwatch`) is recognized alongside the raw
+#: seam (:mod:`repro.obs.lockwatch`) is recognized alongside the raw
 #: ``threading`` factories so instrumented production code keeps the
 #: same static model.
 LOCK_FACTORIES: dict[str, str] = {
     "threading.Lock": KIND_LOCK,
     "threading.RLock": KIND_RLOCK,
     "threading.Condition": KIND_CONDITION,
-    "repro.lint.lockwatch.new_lock": KIND_LOCK,
-    "repro.lint.lockwatch.new_rlock": KIND_RLOCK,
-    "repro.lint.lockwatch.new_condition": KIND_CONDITION,
+    "repro.obs.lockwatch.new_lock": KIND_LOCK,
+    "repro.obs.lockwatch.new_rlock": KIND_RLOCK,
+    "repro.obs.lockwatch.new_condition": KIND_CONDITION,
 }
 
 EVENT_FACTORIES = {"threading.Event"}

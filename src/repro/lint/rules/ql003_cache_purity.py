@@ -8,10 +8,8 @@ walks the call graph from every function handed to the hardened executor
 (``execute_hardened(worker=...)``, ``session.execute(worker=...)``,
 ``pool.submit(fn, ...)``) and flags, anywhere reachable:
 
-- ``os.environ`` / ``os.getenv`` reads — except the sanctioned keys
-  (always ``QBSS_FAULT_PLAN`` / ``FAULT_PLAN_ENV``; a ``.qbss-lint.json``
-  at the lint root may sanction additional keys, see
-  :mod:`repro.lint.config`);
+- ``os.environ`` / ``os.getenv`` reads, whatever the key (the fault
+  plan, too, reaches worker bodies as an argument);
 - ``global`` statements and stores into module-level constants.
 """
 
@@ -21,7 +19,6 @@ import ast
 from collections import deque
 from collections.abc import Iterable, Iterator
 
-from ..config import LintConfig
 from ..context import LintContext, SourceModule
 from ..flow import GENERIC_ATTRS
 from ..findings import Finding
@@ -64,17 +61,19 @@ class CachePurityRule(Rule):
                 continue
             module, func = defs[key]
             owned_globals = module_globals.get(module.module, set())
-            yield from self._check_body(module, func, owned_globals, ctx.config)
+            yield from self._check_body(module, func, owned_globals)
 
     def _check_body(
         self,
         module: SourceModule,
         func: ast.AST,
         owned_globals: set[str],
-        config: LintConfig,
     ) -> Iterator[Finding]:
         name = getattr(func, "name", "<fn>")
-        sanctioned = ", ".join(sorted(config.sanctioned_env_keys))
+        environ_read = (
+            f"worker-reachable `{name}` reads os.environ; worker bodies "
+            "take every input as an argument (cache keys must stay pure)"
+        )
         for node in ast.walk(func):
             if isinstance(node, ast.Global):
                 yield self.finding(
@@ -84,26 +83,12 @@ class CachePurityRule(Rule):
                     f"{', '.join(node.names)}`; worker bodies must not "
                     "mutate module state",
                 )
-            elif isinstance(node, ast.Call) and _is_environ_read(node):
-                if not _env_key_sanctioned(node.args, config):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"worker-reachable `{name}` reads os.environ; only "
-                        f"the sanctioned hook(s) ({sanctioned}) are allowed "
-                        "in worker bodies (cache keys must stay pure)",
-                    )
-            elif isinstance(node, ast.Subscript) and _is_environ_node(node.value):
-                if isinstance(node.ctx, ast.Load) and not _env_key_sanctioned(
-                    [node.slice], config
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f"worker-reachable `{name}` reads os.environ; only "
-                        f"the sanctioned hook(s) ({sanctioned}) are allowed "
-                        "in worker bodies (cache keys must stay pure)",
-                    )
+            elif (isinstance(node, ast.Call) and _is_environ_read(node)) or (
+                isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Load)
+                and _is_environ_node(node.value)
+            ):
+                yield self.finding(module, node, environ_read)
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):
                 targets: list[ast.expr]
                 if isinstance(node, ast.Assign):
@@ -262,16 +247,5 @@ def _is_environ_read(node: ast.Call) -> bool:
         if func.attr == "getenv" and isinstance(func.value, ast.Name):
             return func.value.id == "os"
     if isinstance(func, ast.Name) and func.id == "getenv":
-        return True
-    return False
-
-
-def _env_key_sanctioned(args: list[ast.expr], config: LintConfig) -> bool:
-    if not args:
-        return False
-    key = args[0]
-    if isinstance(key, ast.Constant) and key.value in config.sanctioned_env_keys:
-        return True
-    if isinstance(key, ast.Name) and key.id in config.sanctioned_env_names:
         return True
     return False

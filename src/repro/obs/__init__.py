@@ -11,6 +11,12 @@
 * :class:`RunManifest` — the reproducibility record written alongside a
   report (``--manifest-out``), round-tripping through :mod:`repro.io`.
 
+:mod:`repro.obs.lockwatch` is the lock construction seam of the
+concurrent components: plain ``threading`` primitives, or watched ones
+that record acquisition order while a ``LockWatcher`` is installed (every
+test session installs one).  It lives here, not in :mod:`repro.lint`, so
+production code never imports the linter.
+
 Quick start::
 
     from repro.engine import ExecutionSession, run_experiments

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import IO, Any
 
 from ..engine.faults import FaultPlan
-from ..lint import lockwatch
+from ..obs import lockwatch
 
 SERVE_JOURNAL_VERSION = 1
 JOURNAL_KIND = "serve_journal_record"
@@ -111,6 +111,7 @@ class JournalRecord:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> JournalRecord:
+        """Decode one record; anything malformed raises :class:`ValueError`."""
         if not isinstance(data, dict) or data.get("kind") != JOURNAL_KIND:
             raise ValueError("not a serve-journal record")
         if data.get("version") != SERVE_JOURNAL_VERSION:
@@ -119,17 +120,18 @@ class JournalRecord:
                 f"(this library reads version {SERVE_JOURNAL_VERSION})"
             )
         jobs = data.get("jobs") or ()
-        if not isinstance(jobs, (list, tuple)):
-            raise ValueError("journal 'jobs' must be a list")
+        if not isinstance(jobs, (list, tuple)) or not all(
+            isinstance(j, dict) for j in jobs
+        ):
+            raise ValueError("journal 'jobs' must be a list of objects")
+        shard_index = data.get("shard_index")
         return cls(
-            type=str(data["type"]),
-            batch=int(data["batch"]),
+            type=str(data.get("type")),
+            batch=_int_field(data.get("batch"), "batch"),
             client=str(data.get("client", "anonymous")),
             jobs=tuple(dict(j) for j in jobs),
             shard_index=(
-                int(data["shard_index"])
-                if data.get("shard_index") is not None
-                else None
+                None if shard_index is None else _int_field(shard_index, "shard_index")
             ),
             shard_digest=(
                 str(data["shard_digest"])
@@ -143,6 +145,22 @@ class JournalRecord:
 
     def encode(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def _int_field(value: Any, name: str) -> int:
+    # bool and float are not ints here: ``true`` or ``1e400`` is corruption
+    if type(value) is not int:
+        raise ValueError(f"journal {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _decode_record(line: bytes) -> JournalRecord | None:
+    """One journal line as a record, or ``None`` when it does not decode,
+    parse or validate (a torn or corrupted line)."""
+    try:
+        return JournalRecord.from_dict(json.loads(line.decode("utf-8")))
+    except (ValueError, RecursionError):
+        return None
 
 
 @dataclass
@@ -255,9 +273,12 @@ class AdmissionJournal:
     def scan(self) -> JournalScan:
         """Tolerantly read every record currently in the journal.
 
-        Each newline-terminated line that is not a valid record counts as
-        ``torn`` and is skipped; valid records after it are still kept.
-        A final fragment with no trailing newline counts as ``torn`` too.
+        Each newline-terminated line that is not a valid record (it does
+        not decode as UTF-8, parse as JSON or validate as a
+        :class:`JournalRecord`) counts as ``torn`` and is skipped; valid
+        records after it are still kept, and no file content makes this
+        raise.  A final fragment with no trailing newline counts as
+        ``torn`` too.
         Only a crash mid-append can produce such a tail (every completed
         append ends with a newline), and nothing droppable was ever
         acknowledged: a torn admission was never fsync'd (hence never
@@ -266,20 +287,21 @@ class AdmissionJournal:
         """
         scan = JournalScan()
         try:
-            raw = self.path.read_text()
+            raw = self.path.read_bytes()
         except FileNotFoundError:
             return scan
-        lines = raw.split("\n")
+        lines = raw.split(b"\n")
         # a journal that ends mid-line has no trailing "\n": its last
         # split element is the torn fragment, not an empty string
         complete, tail = lines[:-1], lines[-1]
         for line in complete:
             if not line.strip():
                 continue
-            try:
-                scan.records.append(JournalRecord.from_dict(json.loads(line)))
-            except (ValueError, KeyError, TypeError):
+            record = _decode_record(line)
+            if record is None:
                 scan.torn += 1
+            else:
+                scan.records.append(record)
         if tail.strip():
             scan.torn += 1
         if scan.torn and self._torn_counter is not None:

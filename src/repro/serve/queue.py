@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any
 
-from ..lint import lockwatch
+from ..obs import lockwatch
 
 
 class QueueFullError(Exception):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable
 
-from ..lint import lockwatch
+from ..obs import lockwatch
 
 #: Seconds a bucket may sit untouched before it is eligible for eviction.
 DEFAULT_IDLE_GRACE = 300.0

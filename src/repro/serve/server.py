@@ -48,9 +48,9 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from .. import __version__ as PACKAGE_VERSION
-from ..engine.faults import FaultPlan, RetryPolicy, active_fault_plan
+from ..engine.faults import FaultPlan, RetryPolicy
 from ..engine.session import ExecutionSession
-from ..lint import lockwatch
+from ..obs import lockwatch
 from ..obs.metrics import MetricsRegistry
 from ..obs.publish import WALL_BUCKETS
 from ..traces.replay import DEFAULT_ALGORITHMS, ReplayReport, replay_jobs
@@ -185,11 +185,7 @@ class QbssServer:
                 config.journal_dir,
                 metrics=self.registry,
                 tracer=config.tracer,
-                fault_plan=(
-                    config.fault_plan
-                    if config.fault_plan is not None
-                    else active_fault_plan()
-                ),
+                fault_plan=self.session.active_fault_plan,
             )
         # Pre-register every qbss_serve_* series so /metrics shows the
         # full shape (zeros included) from the first scrape onward.

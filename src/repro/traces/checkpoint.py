@@ -18,7 +18,9 @@ report is complete without re-evaluating anything.
 Loading is tolerant the same way the serve journal is: a torn final
 line (the crash hit mid-append, before the fsync) is dropped and
 counted in :attr:`ReplayCheckpoint.torn` — that shard simply re-runs,
-which is safe because shard evaluation is deterministic.
+which is safe because shard evaluation is deterministic.  So is any
+other line that does not decode, parse or validate as an entry: no file
+content makes a resume raise.
 """
 
 from __future__ import annotations
@@ -44,32 +46,34 @@ class ReplayCheckpoint:
         self.path = Path(path)
         self.torn = 0
         self._entries: dict[str, dict[str, Any]] = {}
-        if resume and self.path.exists():
-            self._load()
+        raw = self.path.read_bytes() if resume and self.path.exists() else b""
+        self._load(raw)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         mode = "a" if resume else "w"
         self._fh: IO[str] | None = open(self.path, mode)
+        if raw and not raw.endswith(b"\n"):
+            # end the torn tail, or the next entry would extend it
+            self._fh.write("\n")
 
-    def _load(self) -> None:
-        text = self.path.read_text()
-        for line in text.split("\n"):
+    def _load(self, raw: bytes) -> None:
+        for line in raw.split(b"\n"):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-            except json.JSONDecodeError:
+                data = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError):
                 self.torn += 1
                 continue
             if (
                 not isinstance(data, dict)
                 or data.get("kind") != CHECKPOINT_KIND
                 or data.get("version") != CHECKPOINT_FORMAT_VERSION
-                or "key" not in data
-                or "payload" not in data
+                or not isinstance(data.get("key"), str)
+                or not isinstance(data.get("payload"), dict)
             ):
                 self.torn += 1
                 continue
-            self._entries[str(data["key"])] = dict(data["payload"])
+            self._entries[data["key"]] = data["payload"]
 
     @property
     def completed(self) -> int:

@@ -40,7 +40,7 @@ from ..core.instance import QBSSInstance
 from ..core.qjob import QJob
 from ..engine.faults import (
     FailureInfo,
-    active_fault_plan,
+    FaultPlan,
     run_guarded,
 )
 from ..engine.runner import ExecutionStats, HardenedTask
@@ -260,17 +260,18 @@ def _evaluate_shard_task(
     algorithms: tuple[str, ...],
     alpha: float,
     task: str,
+    plan: FaultPlan | None,
     attempt: int,
 ) -> dict:
     """Worker body: :func:`_evaluate_shard` under the shared worker guard
-    (:func:`~repro.engine.faults.run_guarded`), so one pathological shard
-    cannot abort the replay.
+    (:func:`~repro.engine.faults.run_guarded`) with the fault ``plan`` the
+    task carries, so one pathological shard cannot abort the replay.
 
     Module-level (pickled by name into pool workers and named in remote
     task frames).
     """
     return run_guarded(
-        task, attempt, lambda: _evaluate_shard(shard_doc, algorithms, alpha)
+        task, attempt, plan, lambda: _evaluate_shard(shard_doc, algorithms, alpha)
     )
 
 
@@ -624,7 +625,6 @@ def replay_jobs(
             )
     jobs = session.pool_jobs
     package_version = session.package_version
-    fault_plan = session.fault_plan
     algorithms = validate_replay_algorithms(algorithms)
     registry = session.metrics
     store = session.store
@@ -640,7 +640,7 @@ def replay_jobs(
     with session.batch(
         metrics, kind="replay", algorithms=len(algorithms)
     ) as batch_span:
-        plan = fault_plan if fault_plan is not None else active_fault_plan()
+        plan = session.active_fault_plan
 
         def shard_tasks() -> Iterator[_ShardTask]:
             """Shards still needing evaluation; cache hits recorded inline."""

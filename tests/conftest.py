@@ -12,12 +12,12 @@ from repro.core import Instance, Job, PowerFunction, QBSSInstance, QJob
 def _lockwatch_sanitizer():
     """Lock-order sanitizer for the whole session.
 
-    Every lock constructed through the :mod:`repro.lint.lockwatch` seam
+    Every lock constructed through the :mod:`repro.obs.lockwatch` seam
     (the serve daemon, the journal, the TCP backend) is watched, and
     teardown fails the run on any observed lock-order cycle, so every
     suite that drives those components doubles as a lock-order chaos run.
     """
-    from repro.lint import lockwatch
+    from repro.obs import lockwatch
 
     watcher = lockwatch.LockWatcher()
     lockwatch.install_watcher(watcher)

@@ -1,12 +1,9 @@
-"""QL003 good fixture: worker touches only the sanctioned fault hook."""
-
-import os
-
-FAULT_PLAN_ENV = "QBSS_FAULT_PLAN"
+"""QL003 good fixture: the worker takes its fault plan as an argument."""
 
 
-def _worker(task, attempt):
-    os.environ.get(FAULT_PLAN_ENV)
+def _worker(task, plan, attempt):
+    if plan is not None:
+        plan.inject(task, attempt)
     return task
 
 

@@ -11,8 +11,10 @@ drives.
 
 import json
 import os
+import socket
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -32,7 +34,14 @@ from repro.engine import (
     parse_backend_spec,
     run_experiments,
 )
-from repro.engine.backends.remote import resolve_worker_address
+from repro.engine.backends import worker as worker_main
+from repro.engine.backends.remote import (
+    WIRE_VERSION,
+    _WorkerLink,
+    recv_frame,
+    resolve_worker_address,
+    send_frame,
+)
 from repro.engine.faults import FAULT_PLAN_ENV
 from repro.traces.replay import replay_jobs
 
@@ -415,3 +424,97 @@ class TestRemoteLifecycle:
         with PoolBackend(1) as backend:
             assert isinstance(backend, Backend)
             assert "pool" in repr(backend)
+
+    def test_bad_hello_closes_socket_and_reader(self, monkeypatch):
+        """A worker greeting with another wire version is refused, and the
+        backend closes both the socket and its buffered reader."""
+        opened, readers = [], []
+        real_connect = socket.create_connection
+        real_makefile = socket.socket.makefile
+
+        def connect_spy(*args, **kwargs):
+            opened.append(real_connect(*args, **kwargs))
+            return opened[-1]
+
+        def makefile_spy(sock, *args, **kwargs):
+            readers.append(real_makefile(sock, *args, **kwargs))
+            return readers[-1]
+
+        monkeypatch.setattr(socket, "create_connection", connect_spy)
+        monkeypatch.setattr(socket.socket, "makefile", makefile_spy)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(30.0)
+
+            def greet_wrongly():
+                conn, _ = listener.accept()
+                with conn:
+                    send_frame(
+                        conn,
+                        {"kind": "hello", "wire_version": WIRE_VERSION + 1},
+                    )
+
+            greeter = threading.Thread(target=greet_wrongly, daemon=True)
+            greeter.start()
+            address = listener.getsockname()[:2]
+            assert remote_backend([address])._connect(_WorkerLink(address)) is False
+            greeter.join(timeout=30.0)
+            assert not greeter.is_alive()
+        (sock,) = opened
+        (reader,) = readers
+        assert reader.closed
+        assert sock.fileno() == -1
+
+
+class TestWorkerLifecycle:
+    """The worker side of the wire, run in process."""
+
+    def test_serve_connection_closes_its_socket(self):
+        conn, peer = socket.socketpair()
+        received = []
+
+        def read_hello_then_hang_up():
+            with peer, peer.makefile("rb") as reader:
+                received.append(recv_frame(reader)["kind"])
+
+        peer_thread = threading.Thread(target=read_hello_then_hang_up, daemon=True)
+        peer_thread.start()
+        assert worker_main._serve_connection(conn, "peer", None) is False
+        peer_thread.join(timeout=30.0)
+        assert not peer_thread.is_alive() and received == ["hello"]
+        assert conn.fileno() == -1
+
+    def test_main_closes_its_listener(self, tmp_path, monkeypatch):
+        listeners = []
+        real_create_server = socket.create_server
+
+        def create_server_spy(*args, **kwargs):
+            listeners.append(real_create_server(*args, **kwargs))
+            listeners[-1].settimeout(30.0)  # a lost client fails, not hangs
+            return listeners[-1]
+
+        monkeypatch.setattr(socket, "create_server", create_server_spy)
+        monkeypatch.setattr(worker_main.signal, "signal", lambda *args: None)
+        port_file = tmp_path / "worker.port"
+        received = []
+
+        def shut_the_worker_down():
+            deadline = time.monotonic() + 30.0
+            while not port_file.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            address = resolve_worker_address(f"@{port_file}")
+            with socket.create_connection(address, timeout=30.0) as sock:
+                with sock.makefile("rb") as reader:
+                    received.append(recv_frame(reader)["kind"])
+                    send_frame(sock, {"kind": "shutdown"})
+                    received.append(recv_frame(reader)["kind"])
+
+        client = threading.Thread(target=shut_the_worker_down, daemon=True)
+        client.start()
+        rc = worker_main.main(
+            ["--bind", "127.0.0.1:0", "--port-file", str(port_file), "--no-cache"]
+        )
+        client.join(timeout=30.0)
+        assert not client.is_alive() and received == ["hello", "bye"]
+        assert rc == 0
+        (listener,) = listeners
+        assert listener.fileno() == -1

@@ -67,6 +67,24 @@ def no_env_plan(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
 
 
+class EnvRecordingTracer:
+    """A tracer recording, at every span start, whether this process's
+    environment holds ``QBSS_FAULT_PLAN``."""
+
+    def __init__(self):
+        self.env_set = []
+
+    def begin(self, name, parent=None, **attrs):
+        self.env_set.append(FAULT_PLAN_ENV in os.environ)
+        return len(self.env_set)
+
+    def end(self, span, **attrs):
+        pass
+
+    def event(self, name, parent=None, **attrs):
+        pass
+
+
 # -- unit: RetryPolicy / FaultPlan / FailureInfo ------------------------------------
 
 
@@ -114,6 +132,17 @@ class TestFaultPlan:
         assert FaultPlan.from_env() == plan
         monkeypatch.delenv(FAULT_PLAN_ENV)
         assert FaultPlan.from_env() is None
+
+    def test_session_resolves_its_plan_before_the_environment(
+        self, monkeypatch
+    ):
+        exported = FaultPlan((FaultSpec(task="x", kind="raise"),))
+        own = FaultPlan((FaultSpec(task="y", kind="hang"),))
+        monkeypatch.setenv(FAULT_PLAN_ENV, exported.to_json())
+        assert ExecutionSession(fault_plan=own).active_fault_plan == own
+        assert ExecutionSession().active_fault_plan == exported
+        monkeypatch.delenv(FAULT_PLAN_ENV)
+        assert ExecutionSession().active_fault_plan is None
 
     def test_attempt_zero_matches_every_attempt(self):
         spec = FaultSpec(task="t", kind="raise", attempt=0)
@@ -228,7 +257,7 @@ class TestEvaluateShardTaskBaseException(TestExecuteBaseException):
             raise exc
 
         monkeypatch.setattr(replay, "_evaluate_shard", boom)
-        return replay._evaluate_shard_task({}, ("avrq",), 3.0, "shard:0", 1)
+        return replay._evaluate_shard_task({}, ("avrq",), 3.0, "shard:0", None, 1)
 
 
 # -- satellite: cache quarantine ----------------------------------------------------
@@ -444,6 +473,28 @@ class TestEngineFaults:
         assert [a.render() for a in clean.reports] == [
             b.render() for b in res.reports
         ]
+
+    def test_session_plan_travels_with_tasks_not_the_environment(
+        self, no_env_plan
+    ):
+        """A pool run under ``ExecutionSession(fault_plan=...)`` injects
+        the plan in its workers while ``QBSS_FAULT_PLAN`` stays unset in
+        this process before, during (every span start inside the batch)
+        and after the run."""
+        plan = FaultPlan(
+            (FaultSpec(task="lemma42", kind="raise", attempt=1, transient=True),)
+        )
+        tracer = EnvRecordingTracer()
+        assert FAULT_PLAN_ENV not in os.environ
+        with ExecutionSession(
+            jobs=2, cache=False, retry=QUICK, fault_plan=plan, tracer=tracer
+        ) as session:
+            res = run_experiments(FAST, session=session)
+        assert FAULT_PLAN_ENV not in os.environ
+        assert len(tracer.env_set) > 1  # the batch span and the task spans
+        assert not any(tracer.env_set)
+        assert not res.errors
+        assert res.retries == 1
 
     def test_transient_crash_rebuilds_pool_once(self, tmp_path, no_env_plan):
         plan = FaultPlan(

@@ -1,4 +1,4 @@
-"""repro.lint.lockwatch: the runtime lock-order sanitizer.
+"""repro.obs.lockwatch: the runtime lock-order sanitizer.
 
 The two-thread cycle test is fully deterministic: the threads run to
 completion one after the other (the edge *set* is what matters, not the
@@ -6,12 +6,16 @@ interleaving), so the cycle is observed without ever risking an actual
 deadlock.
 """
 
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro.lint import lockwatch
-from repro.lint.lockwatch import (
+from repro.obs import lockwatch
+from repro.obs.lockwatch import (
     LockOrderError,
     LockWatcher,
     find_cycles,
@@ -57,6 +61,26 @@ class TestFindCycles:
 
 
 # -- the factory seam ---------------------------------------------------------------
+
+
+def test_production_entry_points_do_not_import_the_linter():
+    """The seam lives in ``repro.obs``: qbss-serve, qbss-worker and the
+    report/replay CLI load no ``repro.lint`` module."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    program = (
+        "import sys, repro.serve.cli, repro.engine.backends.worker, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == "
+        "['repro', 'lint']))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSeam:

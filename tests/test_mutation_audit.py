@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.lint import lint_paths, load_config
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -129,7 +129,10 @@ AUDIT = [
         "repro/engine/backends/remote.py",
         "for closable in (reader, sock):",
         "for closable in ():",
-        None,
+        [
+            "tests/test_backends.py::TestRemoteLifecycle"
+            "::test_bad_hello_closes_socket_and_reader"
+        ],
     ),
     # The worker never closes a driver connection.
     Row(
@@ -137,7 +140,10 @@ AUDIT = [
         "repro/engine/backends/worker.py",
         "reader.close()\n            conn.close()",
         "reader.close()",
-        None,
+        [
+            "tests/test_backends.py::TestWorkerLifecycle"
+            "::test_serve_connection_closes_its_socket"
+        ],
     ),
     # The worker never closes its listening socket.
     Row(
@@ -145,7 +151,10 @@ AUDIT = [
         "repro/engine/backends/worker.py",
         "finally:\n        server.close()",
         "finally:\n        pass",
-        None,
+        [
+            "tests/test_backends.py::TestWorkerLifecycle"
+            "::test_main_closes_its_listener"
+        ],
     ),
     # qbss-serve's main thread parks in an untimed wait (signals starve).
     Row(
@@ -203,11 +212,7 @@ def test_lint_rows_are_caught_by_their_rule(tmp_path):
     (``test_lint.py::test_live_tree_is_lint_clean_modulo_baseline``)."""
     assert len({row.path for row in LINT_ROWS}) == len(LINT_ROWS)
     src = planted_copy(tmp_path, *LINT_ROWS)
-    run = lint_paths(
-        [src / "repro"],
-        root=tmp_path,
-        config=load_config(REPO_ROOT / ".qbss-lint.json"),
-    )
+    run = lint_paths([src / "repro"], root=tmp_path)
     for row in LINT_ROWS:
         hits = [
             f

@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import io as rio
 from repro.cli import replay_main
@@ -113,6 +115,117 @@ class TestReplayCheckpoint:
             ck.record("k1", {"rows": [1]})
             ck.get("k1")["rows"].append(99)
             assert ck.get("k1") == {"rows": [1]}
+
+
+# -- fail closed: no checkpoint bytes crash a resume --------------------------------
+
+#: A well-formed line whose payload is not an object.
+LIST_PAYLOAD_ENTRY = (
+    b'{"kind":"replay_checkpoint_entry","version":1,"key":"k","payload":[1,2]}'
+)
+
+checkpoint_entries = st.tuples(
+    st.text(min_size=1, max_size=12),
+    st.dictionaries(
+        st.text(max_size=5),
+        st.one_of(
+            st.integers(),
+            st.text(max_size=5),
+            st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        max_size=3,
+    ),
+)
+
+
+def entry_line(key, payload) -> bytes:
+    return json.dumps(
+        {
+            "kind": CHECKPOINT_KIND,
+            "version": 1,
+            "key": key,
+            "payload": payload,
+        },
+        sort_keys=True,
+    ).encode()
+
+
+#: One line of anything but a newline: random bytes or a cut entry.
+junk_lines = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(checkpoint_entries, st.integers(0, 120)).map(
+        lambda pair: entry_line(*pair[0])[: pair[1]][:-1]
+    ),
+).map(lambda line: line.replace(b"\n", b""))
+
+
+def non_blank_lines(data: bytes) -> int:
+    return sum(1 for line in data.split(b"\n") if line.strip())
+
+
+class TestCheckpointFailsClosed:
+    """A checkpoint of any bytes resumes without raising: each non-blank
+    line is an entry or a torn line, and no valid entry is lost."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.binary(max_size=400))
+    @example(data=LIST_PAYLOAD_ENTRY + b"\n")
+    @example(data=b"\xff\n")
+    @example(data=LIST_PAYLOAD_ENTRY.replace(b'"k"', b"7") + b"\n")
+    def test_arbitrary_bytes_resume_as_entries_or_torn(self, tmp_path, data):
+        path = tmp_path / "ck.jsonl"
+        path.write_bytes(data)
+        with ReplayCheckpoint(path, resume=True) as ck:
+            assert ck.completed + ck.torn == non_blank_lines(data)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        lines=st.lists(
+            st.one_of(checkpoint_entries, junk_lines),
+            max_size=8,
+            unique_by=lambda line: line[0] if isinstance(line, tuple) else line,
+        ),
+        tail=junk_lines,
+    )
+    def test_valid_entries_survive_interleaved_junk(self, tmp_path, lines, tail):
+        data = b"".join(
+            (entry_line(*line) if isinstance(line, tuple) else line) + b"\n"
+            for line in lines
+        ) + tail
+        path = tmp_path / "ck.jsonl"
+        path.write_bytes(data)
+        entries = [line for line in lines if isinstance(line, tuple)]
+        with ReplayCheckpoint(path, resume=True) as ck:
+            assert ck.completed + ck.torn == non_blank_lines(data)
+            for key, payload in entries:
+                assert ck.get(key) == payload
+            ck.record("appended after resume", {"ok": True})
+        # an entry appended after a torn tail survives the next resume
+        with ReplayCheckpoint(path, resume=True) as again:
+            assert again.get("appended after resume") == {"ok": True}
+            for key, payload in entries:
+                assert again.get(key) == payload
+
+    def test_malformed_lines_resume_through_the_cli(self, tmp_path, capsys):
+        """The reproducers: a list payload (a TypeError) and a non-UTF-8
+        byte (a UnicodeDecodeError) used to abort ``--resume``."""
+        argv = [SAMPLE_CSV, "--shard-window", "100", "--no-cache", "--jobs", "1"]
+        assert replay_main(argv) == 0
+        clean = capsys.readouterr().out
+        ck = tmp_path / "ck.jsonl"
+        ck.write_bytes(LIST_PAYLOAD_ENTRY + b"\n\xff\xfe\n")
+        assert replay_main([*argv, "--checkpoint", str(ck), "--resume"]) == 0
+        resumed = capsys.readouterr()
+        assert resumed.out == clean
+        assert "0 shards already completed (2 torn entries dropped)" in resumed.err
 
 
 class TestReplayJobsCheckpoint:

@@ -17,6 +17,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro import io as rio
 from repro.engine import FaultPlan, FaultSpec
@@ -217,6 +219,134 @@ class TestAdmissionJournal:
             journal.compact(keep)
         assert events == ["fsync", "replace"]
         assert [r.batch for r in AdmissionJournal(tmp_path).scan().records] == [1]
+
+
+# -- fail closed: no journal bytes crash a scan -------------------------------------
+
+#: A batch number that parses as a float infinity.
+OVERFLOW_RECORD = (
+    b'{"kind":"serve_journal_record","version":1,"type":"admission","batch":1e400}'
+)
+
+journal_records = st.one_of(
+    st.builds(
+        JournalRecord,
+        type=st.just("admission"),
+        batch=st.integers(1, 10**6),
+        client=st.text(max_size=8),
+        jobs=st.lists(
+            st.fixed_dictionaries(
+                {
+                    "id": st.text(max_size=4),
+                    "release": st.floats(0.0, 1e6),
+                    "runtime": st.floats(0.1, 10.0),
+                }
+            ),
+            max_size=3,
+        ).map(tuple),
+    ),
+    st.builds(
+        JournalRecord,
+        type=st.just("shard_complete"),
+        batch=st.integers(1, 10**6),
+        shard_index=st.integers(0, 100),
+        shard_digest=st.text("0123456789abcdef", min_size=64, max_size=64),
+    ),
+    st.builds(
+        JournalRecord,
+        type=st.just("batch_complete"),
+        batch=st.integers(1, 10**6),
+        status=st.sampled_from(["ok", "error"]),
+    ),
+)
+
+#: One line of anything but a newline: random bytes or a cut record.
+junk_lines = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(journal_records, st.integers(0, 200)).map(
+        lambda pair: pair[0].encode().encode()[: pair[1]][:-1]
+    ),
+).map(lambda line: line.replace(b"\n", b""))
+
+
+def non_blank_lines(data: bytes) -> int:
+    return sum(1 for line in data.split(b"\n") if line.strip())
+
+
+class TestJournalFailsClosed:
+    """A journal file of any bytes scans without raising: each non-blank
+    line is a record or a torn line, and no valid record is lost."""
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.binary(max_size=400))
+    @example(data=OVERFLOW_RECORD + b"\n")
+    @example(data=b"\xff\n")
+    @example(data=OVERFLOW_RECORD.replace(b"1e400", b"true") + b"\n")
+    @example(data=OVERFLOW_RECORD.replace(b"1e400", b"1") + b"\n\xc3\n")
+    def test_arbitrary_bytes_scan_as_records_or_torn(self, tmp_path, data):
+        journal_path(tmp_path).parent.mkdir(exist_ok=True)
+        journal_path(tmp_path).write_bytes(data)
+        with AdmissionJournal(tmp_path / "journal") as journal:
+            scan = journal.scan()
+        assert len(scan.records) + scan.torn == non_blank_lines(data)
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        lines=st.lists(
+            st.one_of(journal_records, junk_lines), max_size=8
+        ),
+        tail=junk_lines,
+    )
+    def test_valid_records_survive_interleaved_junk(self, tmp_path, lines, tail):
+        data = b"".join(
+            (line.encode().encode() if isinstance(line, JournalRecord) else line)
+            + b"\n"
+            for line in lines
+        ) + tail
+        journal_path(tmp_path).parent.mkdir(exist_ok=True)
+        journal_path(tmp_path).write_bytes(data)
+        with AdmissionJournal(tmp_path / "journal") as journal:
+            scan = journal.scan()
+        assert len(scan.records) + scan.torn == non_blank_lines(data)
+        recovered = iter(scan.records)
+        for record in lines:
+            if isinstance(record, JournalRecord):
+                # in order: every valid line is among the records
+                assert any(record == got for got in recovered), record
+
+    def test_overflowing_batch_is_torn_and_the_daemon_recovers(self, tmp_path):
+        """The reproducer: ``"batch": 1e400`` used to kill qbss-serve
+        with an OverflowError before it served anything."""
+        journal_dir = tmp_path / "journal"
+        journal_dir.mkdir()
+        (journal_dir / JOURNAL_FILENAME).write_bytes(
+            OVERFLOW_RECORD + b"\n" + b"\xff\xfe\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        env.pop(FAULT_PLAN_ENV, None)
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.serve.cli",
+                "--stdin", "--journal", str(journal_dir), "--no-cache",
+            ],
+            input='{"release": 0, "runtime": 1}\n',
+            env=env,
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "2 torn record(s) dropped" in proc.stderr
+        assert '"kind":"shard_result"' in proc.stdout
 
 
 # -- the server integration (inline, no HTTP) ---------------------------------------
