@@ -33,7 +33,7 @@ from .core import (
     SpeedProfile,
 )
 
-__version__ = "1.0.0"
+__version__ = "1.0.1"
 
 __all__ = [
     "DEFAULT_ALPHA",

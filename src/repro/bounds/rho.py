@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..core.constants import PHI
 
@@ -70,6 +69,8 @@ def rho3(alpha: float, r_max: float = 256.0) -> float:
     i = int(values.argmax())
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
+    from scipy import optimize  # lazy: keeps scipy out of the CLI's import
+
     res = optimize.minimize_scalar(
         lambda r: -min(f1(r, alpha), f2(r, alpha)),
         bounds=(lo, hi),

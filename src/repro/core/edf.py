@@ -15,8 +15,10 @@ used by property-based tests.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from heapq import heappop, heappush
 
 from .constants import EPS
 from .job import Job
@@ -75,31 +77,34 @@ def run_edf(
         max(j.deadline for j in jobs),
         profile.end if not profile.is_empty else 0.0,
     )
+    # Jobs enter the ready heap in release order once released; t never
+    # decreases, so a job leaves it for good once finished or once its
+    # deadline is within tolerance of t (popped lazily, at the top only).
+    arrivals = sorted((by_id[jid] for jid in remaining), key=lambda j: j.release)
+    arrived = 0
+    ready: list[tuple[float, str]] = []
 
     t = events[0]
     while t < horizon - tol and remaining:
         # next structural breakpoint strictly after t (a breakpoint within
         # tolerance of t is handled by the sliver-crediting branch below,
         # which keeps the profile lookup inside the correct segment)
-        nxt = horizon
-        for e in events:
-            if e > t:
-                nxt = e
-                break
+        i = bisect_right(events, t)
+        nxt = events[i] if i < len(events) else horizon
         speed = profile.speed_at(0.5 * (t + nxt))
         # candidates: released, unfinished, deadline not passed
-        cands = [
-            by_id[jid]
-            for jid, rem in remaining.items()
-            if by_id[jid].release <= t + tol and by_id[jid].deadline > t + tol
-        ]
+        while arrived < len(arrivals) and arrivals[arrived].release <= t + tol:
+            heappush(ready, (arrivals[arrived].deadline, arrivals[arrived].id))
+            arrived += 1
+        while ready and (ready[0][1] not in remaining or ready[0][0] <= t + tol):
+            heappop(ready)
         # only exact zero speed means idle: sub-tolerance speeds must still
         # execute sub-tolerance jobs (thresholds would otherwise disagree
         # about which micro-jobs exist)
-        if not cands or speed <= 0.0:
+        if not ready or speed <= 0.0:
             t = nxt
             continue
-        job = min(cands, key=lambda j: (j.deadline, j.id))
+        job = by_id[ready[0][1]]
         rem = remaining[job.id]
         finish_in = rem / speed
         run_until = min(nxt, t + finish_in, job.deadline)

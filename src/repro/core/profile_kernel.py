@@ -24,6 +24,10 @@ possible:
 * elementwise ``+ - * max min`` and ``searchsorted``/``bisect`` are
   exact, so broadcasting them is free.
 
+:func:`window_work`, the YDS and BKP window sums, is outside the
+contract: both paths share it, and its oracle, a dense matmul in
+``tests/_reference_kernels.py``, matches it to rounding only.
+
 The pure-Python reference is the original segment-loop implementation,
 kept as the test oracle ``tests/_reference_profile.py``: its
 ``reference_mode()`` patches the loops back in, and the equality suite,
@@ -137,6 +141,44 @@ def collapse_times(values: np.ndarray) -> np.ndarray:
         if t - kept[-1] > EPS:
             kept.append(t)
     return as_float_array(kept)
+
+
+# -- window sums --------------------------------------------------------------------
+
+
+def window_work(
+    releases: np.ndarray,
+    deadlines: np.ndarray,
+    works: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> np.ndarray:
+    """``out[i, k]``: total work of jobs inside ``[starts[i], ends[k]]``.
+
+    A job is inside when ``release >= starts[i] - EPS`` and ``deadline <=
+    ends[k] + EPS``; ``starts`` and ``ends`` must be sorted.  Each job
+    lands in one cell of a (start rank, end rank) histogram, and the two
+    cumulative sums spread it over every window that contains it: O(n +
+    starts * ends) without the ``starts x jobs x ends`` product.
+
+    Only non-negative works are ever added, so a window holding no job
+    reads exactly ``0.0`` (prefix-sum differences would cancel to
+    ``±1e-17`` and fool the callers' ``<= 0`` tests).  The sums run in
+    histogram order, so they match a dense matmul over the same windows to
+    rounding, not bit for bit.
+    """
+    n_ends = ends.size
+    rows = np.searchsorted(starts - EPS, releases, side="right")
+    cols = np.searchsorted(ends + EPS, deadlines, side="left")
+    hist = np.bincount(
+        rows * (n_ends + 1) + cols,
+        weights=works,
+        minlength=(starts.size + 1) * (n_ends + 1),
+    ).reshape(starts.size + 1, n_ends + 1)
+    # Row r holds jobs inside windows [starts[i], ...] for every i < r;
+    # column c holds jobs inside [..., ends[k]] for every k >= c.
+    acc = np.cumsum(np.cumsum(hist, axis=1)[::-1], axis=0)[::-1]
+    return acc[1:, :n_ends]
 
 
 # -- aggregates ---------------------------------------------------------------------

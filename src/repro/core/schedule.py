@@ -105,10 +105,16 @@ class Schedule:
 
     def completion_time(self, job_id: str) -> float:
         """Latest end time of any slice of ``job_id`` (-inf when absent)."""
-        ends = [
-            s.end for per in self._slices for s in per if s.job_id == job_id
-        ]
-        return max(ends) if ends else float("-inf")
+        return self.completion_times().get(job_id, float("-inf"))
+
+    def completion_times(self) -> dict[str, float]:
+        """:meth:`completion_time` of every scheduled job, in one pass."""
+        done: dict[str, float] = {}
+        for per in self._slices:
+            for s in per:
+                if s.end > done.get(s.job_id, float("-inf")):
+                    done[s.job_id] = s.end
+        return done
 
     def machine_profile(self, machine: int) -> SpeedProfile:
         """The speed profile of one machine."""

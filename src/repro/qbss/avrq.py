@@ -58,10 +58,11 @@ def check_queries_complete(derived, schedule) -> None:
     :class:`~repro.core.qjob.QueryNotCompleted` on violation, which would
     indicate the runner leaked the exact load before earning it.
     """
+    completion = schedule.completion_times()
     for view in derived.views:
         if view.revealed_at is None:
             continue
-        done = schedule.completion_time(view.id + ":query")
+        done = completion.get(view.id + ":query", float("-inf"))
         if done > view.revealed_at + 1e-6:
             raise QueryNotCompleted(
                 f"query of {view.id} finished at {done}, after the claimed "

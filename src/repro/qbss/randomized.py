@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy import optimize
 
 from ..core.constants import PHI
 
@@ -75,6 +74,8 @@ def best_rho(c: float, w: float, alpha: float, objective: Objective) -> tuple[fl
     Minimises :func:`worst_case_ratio` over ``rho`` in ``[0, 1]`` (the
     function is the max of two affine functions of ``rho``, hence convex).
     """
+    from scipy import optimize  # lazy: keeps scipy out of the CLI's import
+
     res = optimize.minimize_scalar(
         lambda rho: worst_case_ratio(rho, c, w, alpha, objective),
         bounds=(0.0, 1.0),
@@ -92,6 +93,8 @@ def randomized_lower_bound(alpha: float, objective: Objective) -> tuple[float, f
     value ``4/3`` for max speed (at ``theta = 2``) and ``(1 + phi**alpha)/2``
     for energy (at ``theta = phi``).
     """
+    from scipy import optimize
+
     res = optimize.minimize_scalar(
         lambda theta: -best_rho(1.0, theta, alpha, objective)[1],
         bounds=(1.0, 4.0),

@@ -25,6 +25,7 @@ Responses are JSONL envelopes, one object per line, each tagged with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
@@ -127,7 +128,7 @@ class JobRequest:
                 f"(known: {', '.join(sorted(_KNOWN_FIELDS))})",
             )
         for required in ("release", "runtime"):
-            if required not in data:
+            if data.get(required) is None:
                 raise ProtocolError(source, line, f"missing required field {required!r}")
         values: dict[str, float | None] = {}
         for name in ("release", "runtime", *_OPTIONAL_FIELDS):
@@ -139,7 +140,15 @@ class JobRequest:
                 raise ProtocolError(
                     source, line, f"field {name!r} must be a number, got {raw!r}"
                 )
-            values[name] = float(raw)
+            try:
+                value = float(raw)
+            except OverflowError:
+                value = math.inf
+            if not math.isfinite(value):
+                raise ProtocolError(
+                    source, line, f"field {name!r} must be finite, got {value}"
+                )
+            values[name] = value
         release, runtime = values["release"], values["runtime"]
         assert release is not None and runtime is not None
         if release < 0.0:
@@ -194,6 +203,12 @@ class JobRequest:
         )
 
 
+#: What ``json.loads`` raises on hostile bodies besides ``JSONDecodeError``:
+#: ``ValueError`` for an integer over ``sys.get_int_max_str_digits()``
+#: digits, ``RecursionError`` for arrays or objects nested too deep.
+_JSON_ERRORS = (ValueError, RecursionError)
+
+
 def parse_jobs_payload(
     body: str, *, source: str = "<request>"
 ) -> list[JobRequest]:
@@ -207,7 +222,7 @@ def parse_jobs_payload(
     if stripped.startswith("["):
         try:
             items = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise ProtocolError(source, 1, f"invalid JSON array: {exc}") from exc
         requests = [
             JobRequest.from_dict(item, source=source, line=i + 1)
@@ -220,7 +235,7 @@ def parse_jobs_payload(
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except _JSON_ERRORS as exc:
                 raise ProtocolError(
                     source, lineno, f"invalid JSON: {exc}"
                 ) from exc

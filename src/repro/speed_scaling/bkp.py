@@ -18,11 +18,13 @@ segment midpoints, vectorised over candidate pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from collections.abc import Sequence
 
 import numpy as np
 
+from ..core import profile_kernel as _pk
 from ..core.constants import E_CONST, EPS
 from ..core.edf import EDFResult, run_edf
 from ..core.job import Job
@@ -55,21 +57,28 @@ def bkp_intensity_at(jobs: Sequence[Job], t: float) -> float:
     strictly between events so the two coincide).
     """
     arrived = [j for j in jobs if j.release <= t and j.work > 0]
-    if not arrived:
-        return 0.0
-    r = np.array([j.release for j in arrived])
-    d = np.array([j.deadline for j in arrived])
-    w = np.array([j.work for j in arrived])
+    return _max_ratio(
+        np.array([j.release for j in arrived]),
+        np.array([j.deadline for j in arrived]),
+        np.array([j.work for j in arrived]),
+        dedupe_times(j.release for j in arrived if j.release < t),
+        dedupe_times(j.deadline for j in arrived if j.deadline >= t),
+    )
 
-    t1s = np.array(dedupe_times(r[r < t]))
-    t2s = np.array(dedupe_times(d[d >= t]))
-    if t1s.size == 0 or t2s.size == 0:
-        return 0.0
 
-    # include[i, j]: job j inside window [t1s[i], ...]; end[k, j]: ... <= t2s[k]
-    lo = r[None, :] >= t1s[:, None] - EPS
-    hi = d[None, :] <= t2s[:, None] + EPS
-    work = (lo * w[None, :]) @ hi.T.astype(float)
+def _max_ratio(
+    releases: np.ndarray,
+    deadlines: np.ndarray,
+    works: np.ndarray,
+    starts: list[float],
+    ends: list[float],
+) -> float:
+    """Largest ``work / span`` over the windows ``[starts[i], ends[k]]``."""
+    if not starts or not ends:
+        return 0.0
+    t1s = np.array(starts)
+    t2s = np.array(ends)
+    work = _pk.window_work(releases, deadlines, works, t1s, t2s)
     span = t2s[None, :] - t1s[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(span > EPS, work / span, 0.0)
@@ -77,17 +86,45 @@ def bkp_intensity_at(jobs: Sequence[Job], t: float) -> float:
 
 
 def bkp_profile(jobs: Sequence[Job]) -> SpeedProfile:
-    """The piecewise-constant BKP speed profile ``s(t)``."""
-    live = [j for j in jobs if j.work > EPS]
+    """The piecewise-constant BKP speed profile ``s(t)``.
+
+    Sweeps the event midpoints in time order over the live jobs sorted by
+    release once: the arrived jobs are a growing prefix, the start
+    candidates (collapsed releases below ``t``) grow with it, and the end
+    candidates are the collapsed arrived deadlines at or after ``t`` —
+    the same sets :func:`bkp_intensity_at` builds from scratch.
+    """
+    live = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
     if not live:
         return SpeedProfile()
-    events = dedupe_times(
-        [j.release for j in live] + [j.deadline for j in live]
-    )
+    releases = [j.release for j in live]
+    deadlines = [j.deadline for j in live]
+    r_arr = np.array(releases)
+    d_arr = np.array(deadlines)
+    w_arr = np.array([j.work for j in live])
+    events = dedupe_times(releases + deadlines)
+    arrived = 0  # live[:arrived] have r <= t
+    opened = 0  # live[:opened] have r < t
+    starts: list[float] = []
+    pending_ends: list[float] = []  # arrived deadlines, sorted
     segments = []
     for a, b in zip(events, events[1:]):
         mid = 0.5 * (a + b)
-        speed = E_CONST * bkp_intensity_at(live, mid)
+        while arrived < len(live) and releases[arrived] <= mid:
+            insort(pending_ends, deadlines[arrived])
+            arrived += 1
+        while opened < len(live) and releases[opened] < mid:
+            r = releases[opened]
+            if not starts or r - starts[-1] > EPS:
+                starts.append(r)
+            opened += 1
+        ends: list[float] = []
+        for d in pending_ends[bisect_left(pending_ends, mid):]:
+            if not ends or d - ends[-1] > EPS:
+                ends.append(d)
+        speed = E_CONST * _max_ratio(
+            r_arr[:arrived], d_arr[:arrived], w_arr[:arrived], starts, ends
+        )
         if speed > 0:
             segments.append(Segment(a, b, speed))
     return SpeedProfile(segments)

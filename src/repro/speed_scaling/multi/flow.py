@@ -24,14 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from ...core.constants import EPS
 from ...core.job import Job
 from ...core.schedule import Schedule
 from ...core.timeline import dedupe_times
 from .mcnaughton import mcnaughton_slot
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 SOURCE = "__source__"
 SINK = "__sink__"
@@ -47,6 +49,8 @@ def _grid(jobs: Sequence[Job]) -> list[tuple[float, float]]:
 def _build_network(
     jobs: Sequence[Job], machines: int, cap: float
 ) -> tuple[nx.DiGraph, list[tuple[float, float]]]:
+    import networkx as nx  # lazy: replay and serve never build a flow network
+
     grid = _grid(jobs)
     g = nx.DiGraph()
     for j in jobs:
@@ -67,6 +71,8 @@ def max_flow_allocation(
     live = [j for j in jobs if j.work > EPS]
     if not live:
         return 0.0, {}
+    import networkx as nx
+
     g, _ = _build_network(live, machines, cap)
     value, flows = nx.maximum_flow(g, SOURCE, SINK)
     alloc: dict[str, dict[int, float]] = {}

@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from ...core.constants import EPS
 from ...core.job import Job
@@ -122,6 +121,8 @@ def optimal_allocation(
     for v, (j, i) in enumerate(var_index):
         span = lengths[allowed[j]].sum()
         z0[v] = works[j] * lengths[i] / span
+
+    from scipy import optimize  # lazy: replay and serve never solve
 
     res = optimize.minimize(
         objective,
@@ -236,6 +237,8 @@ def convex_optimal_energy(
     for v, (j, i) in enumerate(var_index):
         span = lengths[allowed[j]].sum()
         z0[v] = works[j] * lengths[i] / span
+
+    from scipy import optimize  # lazy: replay and serve never solve
 
     res = optimize.minimize(
         objective,

@@ -20,6 +20,7 @@ and CRP2D calls YDS as a subroutine (Algorithm 2, line 6).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from collections.abc import Iterator, Sequence
 
@@ -126,7 +127,11 @@ class TimelineCompressor:
 
 @dataclass(frozen=True)
 class CriticalInterval:
-    """One YDS iteration: jobs run at ``speed`` in ``original_intervals``."""
+    """One YDS iteration: jobs run at ``speed`` in ``original_intervals``.
+
+    ``compressed`` is in the compressed timeline of the interval's busy
+    period, whose origin is that period's first release.
+    """
 
     speed: float
     compressed: tuple[float, float]
@@ -144,34 +149,30 @@ class YDSResult:
 
 
 def _max_intensity(
-    jobs: Sequence[Job], compressor: TimelineCompressor
-) -> tuple[float, float, float, list[Job], list[tuple[float, float]]] | None:
+    releases: np.ndarray,
+    deadlines: np.ndarray,
+    works: np.ndarray,
+    compressor: TimelineCompressor,
+) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray] | None:
     """Find the compressed interval of maximum intensity.
 
-    Returns ``(intensity, c_start, c_end, critical_jobs, comp_windows)`` —
-    where ``comp_windows`` are the critical jobs' compressed
-    ``(release, deadline)`` windows — or ``None`` when no positive-work
-    interval exists.  Vectorised over all candidate (release, deadline)
-    pairs — this is the hot loop of YDS; the coordinate mapping runs
-    through :meth:`TimelineCompressor.compress_many` in one pass.
+    Returns ``(intensity, c_start, c_end, inside, comp_r, comp_d)`` —
+    ``inside`` masks the critical jobs, ``comp_r``/``comp_d`` are every
+    job's compressed release and deadline — or ``None`` when no
+    positive-work interval exists.  Vectorised over all candidate
+    (release, deadline) pairs through :func:`~repro.core.profile_kernel.window_work`;
+    the coordinate mapping runs through
+    :meth:`TimelineCompressor.compress_many` in one pass.
     """
-    comp_all = compressor.compress_many(
-        [j.release for j in jobs] + [j.deadline for j in jobs]
-    )
-    comp_r, comp_d = comp_all[: len(jobs)], comp_all[len(jobs):]
+    n = releases.size
+    comp_all = compressor.compress_many(np.concatenate([releases, deadlines]))
+    comp_r, comp_d = comp_all[:n], comp_all[n:]
     # collapse_times == dedupe_times on floats (sub-EPS chain collapse
     # keeping the first of each group), minus the Python sort.
     starts = _pk.collapse_times(comp_r)
     ends = _pk.collapse_times(comp_d)
-    works = np.array([j.work for j in jobs])
-
-    # in_start[i, j] : job j's compressed window starts at or after starts[i]
-    in_start = comp_r[None, :] >= starts[:, None] - EPS
-    # in_end[k, j] : job j's compressed window ends at or before ends[k]
-    in_end = comp_d[None, :] <= ends[:, None] + EPS
-
     # work_matrix[i, k] = total work of jobs inside [starts[i], ends[k]]
-    work_matrix = (in_start * works[None, :]) @ in_end.T.astype(float)
+    work_matrix = _pk.window_work(comp_r, comp_d, works, starts, ends)
 
     lengths = ends[None, :] - starts[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -183,22 +184,18 @@ def _max_intensity(
     if not np.isfinite(intensity[i, k]):
         return None
     a, b = float(starts[i]), float(ends[k])
-    inside: list[Job] = []
-    windows: list[tuple[float, float]] = []
-    for j, r, d in zip(jobs, comp_r.tolist(), comp_d.tolist()):
-        if r >= a - EPS and d <= b + EPS:
-            inside.append(j)
-            windows.append((r, d))
-    return (float(intensity[i, k]), a, b, inside, windows)
+    inside = (comp_r >= a - EPS) & (comp_d <= b + EPS)
+    return (float(intensity[i, k]), a, b, inside, comp_r, comp_d)
 
 
 @dataclass(frozen=True)
 class _DiscoveryStep:
     """One critical interval as discovered, before timeline excision.
 
-    ``compressor`` is the live compressor in its *pre-cut* state — valid
-    only until the generator is advanced, which is exactly the window a
-    consumer needs to map compressed slices back to original time.
+    ``compressor`` is the live compressor of the step's busy period in its
+    *pre-cut* state — valid only until the generator is advanced, which is
+    exactly the window a consumer needs to map compressed slices back to
+    original time.
     """
 
     speed: float
@@ -210,30 +207,71 @@ class _DiscoveryStep:
     compressor: TimelineCompressor = field(repr=False)
 
 
+def _busy_periods(pending: Sequence[Job]) -> list[list[Job]]:
+    """Split jobs sorted by release into maximal overlapping runs.
+
+    A job released more than EPS after every earlier deadline starts a new
+    period: no job window spans the gap before it.
+    """
+    periods: list[list[Job]] = []
+    horizon = float("-inf")
+    for j in pending:
+        if j.release - horizon > EPS:
+            periods.append([])
+        periods[-1].append(j)
+        horizon = max(horizon, j.deadline)
+    return periods
+
+
+def _period_steps(jobs: Sequence[Job]) -> Iterator[_DiscoveryStep]:
+    """YDS on one busy period, in its own compressed timeline."""
+    compressor = TimelineCompressor(jobs[0].release)
+    releases = np.array([j.release for j in jobs])
+    deadlines = np.array([j.deadline for j in jobs])
+    works = np.array([j.work for j in jobs])
+    left = np.arange(len(jobs))  # indices of unscheduled jobs
+    while left.size:
+        found = _max_intensity(
+            releases[left], deadlines[left], works[left], compressor
+        )
+        if found is None:
+            break
+        speed, c1, c2, inside, comp_r, comp_d = found
+        original_cover = compressor.expand_interval(c1, c2)
+        yield _DiscoveryStep(
+            speed,
+            c1,
+            c2,
+            [jobs[i] for i in left[inside].tolist()],
+            list(zip(comp_r[inside].tolist(), comp_d[inside].tolist())),
+            original_cover,
+            compressor,
+        )
+        compressor.cut(original_cover)
+        left = left[~inside]
+
+
 def _discover(jobs: Sequence[Job]) -> Iterator[_DiscoveryStep]:
     """Yield the critical-interval decomposition step by step.
 
     This is the schedule-free core of YDS: both :func:`yds` (which
     additionally realises EDF inside each step) and :func:`yds_profile`
     (which only needs the speeds and covers) drive it.
+
+    The jobs split into busy periods separated by idle gaps longer than
+    EPS, and each period runs YDS on its own timeline.  That is exact: an
+    interval spanning a gap is strictly less intense than one of its two
+    sides, both of which are candidates, so no critical interval (and no
+    cut) ever reaches a gap and the periods never interact.  Their step
+    streams, each non-increasing in speed, are merged by speed, ties to
+    the earlier period.  ``heapq.merge`` advances a stream, which cuts its
+    timeline, only when asked for the item after that stream's last one.
     """
-    pending = [j for j in jobs if j.work > EPS]
-    if not pending:
-        return
-    origin = min(j.release for j in pending)
-    compressor = TimelineCompressor(origin)
-    while pending:
-        found = _max_intensity(pending, compressor)
-        if found is None:
-            break
-        speed, c1, c2, critical_jobs, comp_windows = found
-        original_cover = compressor.expand_interval(c1, c2)
-        yield _DiscoveryStep(
-            speed, c1, c2, critical_jobs, comp_windows, original_cover, compressor
-        )
-        compressor.cut(original_cover)
-        scheduled_ids = {j.id for j in critical_jobs}
-        pending = [j for j in pending if j.id not in scheduled_ids]
+    pending = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
+    yield from heapq.merge(
+        *(_period_steps(period) for period in _busy_periods(pending)),
+        key=lambda step: -step.speed,
+    )
 
 
 def _step_critical(step: _DiscoveryStep) -> CriticalInterval:

@@ -23,6 +23,7 @@ time — are skipped and tallied in :class:`~repro.traces.records.ParseStats`.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from collections.abc import Iterator
 
@@ -69,6 +70,13 @@ def parse_swf(
                 raise TraceParseError(
                     source, lineno, f"non-numeric SWF field: {exc}"
                 ) from None
+            for name, value in (
+                ("submit", submit), ("runtime", runtime), ("requested", requested)
+            ):
+                if not math.isfinite(value):
+                    raise TraceParseError(
+                        source, lineno, f"SWF field {name} must be finite, got {value}"
+                    )
             if runtime <= 0.0:
                 stats.skip("non-positive runtime")
                 continue

@@ -1,12 +1,21 @@
 """The clairvoyant baseline."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.instance import QBSSInstance
+from repro.core.job import Job
 from repro.core.qjob import QJob
-from repro.qbss.clairvoyant import clairvoyant, optimal_energy, optimal_max_speed
+from repro.qbss.clairvoyant import (
+    clairvoyant,
+    clairvoyant_values,
+    optimal_energy,
+    optimal_max_speed,
+)
+from repro.speed_scaling.multi.optimal import convex_optimal_energy
 from repro.speed_scaling.yds import optimal_energy as yds_energy
 
 
@@ -61,3 +70,51 @@ def test_multi_machine_exact_provides_witness_schedule(common_window_qinstance):
 def test_helpers(common_window_qinstance):
     assert optimal_energy(common_window_qinstance, 3.0) > 0
     assert optimal_max_speed(common_window_qinstance) > 0
+
+
+# -- an oracle independent of YDS -----------------------------------------------------
+
+
+def _periodic_qinstance(seed: int) -> QBSSInstance:
+    """Two or three runs of one or two QBSS jobs, idle gaps apart, so at
+    most six jobs in two to six busy periods."""
+    rng = np.random.default_rng(seed)
+    jobs, start = [], 0.0
+    for _ in range(int(rng.integers(2, 4))):
+        end = start
+        for _ in range(int(rng.integers(1, 3))):
+            r = start + float(rng.uniform(0.0, 1.0))
+            d = r + float(rng.uniform(0.5, 2.0))
+            w = float(rng.uniform(0.5, 3.0))
+            c = w * float(rng.uniform(0.05, 0.9))
+            jobs.append(QJob(r, d, c, w, w * float(rng.uniform(0.0, 1.0)), f"q{len(jobs)}"))
+            end = max(end, d)
+        start = end + float(rng.uniform(0.25, 1.5))
+    return QBSSInstance(jobs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_brute_force_over_query_subsets_equals_clairvoyant(seed):
+    """Sec. 3's reduction, checked without YDS: the QBSS optimum is the
+    cheapest over every query subset S of the convex optimum with loads
+    ``c + w*`` for jobs in S and ``w`` otherwise."""
+    qi = _periodic_qinstance(seed)
+    alpha = (2.0, 2.5, 3.0)[seed % 3]
+    best = min(
+        convex_optimal_energy(
+            [
+                Job(
+                    j.release,
+                    j.deadline,
+                    j.query_cost + j.work_true if queried else j.work_upper,
+                    j.id,
+                )
+                for j, queried in zip(qi.jobs, subset)
+            ],
+            1,
+            alpha,
+        )
+        for subset in itertools.product((False, True), repeat=len(qi.jobs))
+    )
+    value = clairvoyant_values(qi, alpha=alpha).energy_value
+    assert math.isclose(best, value, rel_tol=1e-4)

@@ -7,16 +7,21 @@ partition without loss and be invariant to how the stream was chunked.
 """
 
 import math
+import tempfile
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.qjob import QJob
 from repro.traces import (
     NOISE_MODELS,
+    ParseStats,
+    TraceParseError,
     TraceRecord,
     get_noise_model,
     iter_shards,
+    parse_swf,
     synthesize_job,
     synthesize_jobs,
 )
@@ -144,3 +149,44 @@ def test_synthesis_invariant_under_chunking(records, seed, split):
     front = list(synthesize_jobs(iter(records[:split]), seed=seed))
     back = list(synthesize_jobs(iter(records[split:]), seed=seed))
     assert front + back == whole
+
+
+# -- SWF parser: untrusted lines fail closed ------------------------------------------
+
+#: One SWF field: numbers, non-finite spellings, overflow, or junk.
+SWF_TOKENS = st.sampled_from(
+    ["0", "1", "-1", "3.5", "nan", "NaN", "inf", "-inf", "Infinity", "1e999", "x"]
+) | st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Zs", "Cc", "Zl", "Zp")),
+    min_size=1,
+    max_size=6,
+)
+
+
+#: Data lines only: a line whose first field starts with ``;`` is a comment.
+SWF_DATA_LINES = st.lists(SWF_TOKENS, min_size=1, max_size=20).filter(
+    lambda fields: not fields[0].startswith(";")
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SWF_DATA_LINES)
+@example(["1", "nan"] + ["1"] * 16)
+@example(["1", "0", "-1", "inf"] + ["1"] * 14)
+@example(["1", "0", "-1", "10", "1", "1", "1", "1", "-inf"] + ["1"] * 9)
+def test_swf_line_fails_closed_or_is_finite(fields):
+    """Any data line raises a located TraceParseError, is skipped, or
+    yields a record with a finite release and runtime."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.swf"
+        path.write_text("; header\n" + " ".join(fields) + "\n", encoding="utf-8")
+        stats = ParseStats()
+        try:
+            records = list(parse_swf(path, stats))
+        except TraceParseError as exc:
+            assert f"{path}:2" in str(exc)
+            return
+    assert len(records) + stats.skipped == 1
+    for record in records:
+        assert math.isfinite(record.release) and math.isfinite(record.runtime)
+        assert record.requested is None or math.isfinite(record.requested)

@@ -7,10 +7,13 @@ before tearing down — the same lifecycle the CLI drives on SIGTERM.
 """
 
 import json
+import math
 import socket
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import ExecutionSession, FaultPlan, FaultSpec, RetryPolicy
 from repro.obs.metrics import parse_prometheus_text
@@ -37,6 +40,17 @@ from repro.serve.protocol import (
 from repro.traces.replay import replay_trace
 
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.001, backoff_cap=0.01)
+
+#: Arbitrary JSON-like values, NaN, infinities and huge integers included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=5,
+)
+REQUEST_KEYS = st.sampled_from(
+    ["id", "release", "runtime", "deadline", "requested", "query_cost"]
+) | st.text(max_size=4)
 
 
 def job_lines(n, *, window=40.0, spacing=2.0):
@@ -116,6 +130,16 @@ class TestProtocol:
             ('{"release": 0, "runtime": true}', "must be a number"),
             ('{"release": 0, "runtime": 1, "bogus": 1}', "unknown field"),
             ("[1, 2]", "must be an object"),
+            pytest.param(
+                '{"release": 0, "runtime": ' + "1" * 5000 + "}", "invalid JSON",
+                id="5000-digit-int",
+            ),
+            pytest.param(
+                "[" * 100_000 + "]" * 100_000, "invalid JSON", id="deep-array"
+            ),
+            pytest.param(
+                '{"release": ' + "[" * 100_000, "invalid JSON", id="deep-field"
+            ),
         ],
     )
     def test_malformed_requests_are_located(self, body, fragment):
@@ -123,6 +147,35 @@ class TestProtocol:
             parse_jobs_payload(body, source="client:test")
         assert fragment in str(excinfo.value)
         assert "client:test" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '{"release": NaN, "runtime": 1}',
+            '{"release": 0, "runtime": Infinity}',
+            '{"release": 0, "runtime": 1, "deadline": Infinity}',
+            '{"release": 0, "runtime": 1, "requested": -Infinity}',
+            '{"release": 1e999, "runtime": 1}',
+        ],
+    )
+    def test_non_finite_numbers_are_invalid_requests(self, body):
+        """NaN and infinities fail closed as a 400, never reach admission."""
+        with pytest.raises(ProtocolError, match="must be finite"):
+            parse_jobs_payload(body, source="client:test")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(REQUEST_KEYS, JSON_VALUES, max_size=7))
+    @example({"release": math.nan, "runtime": 1})
+    @example({"release": 0, "runtime": math.inf})
+    @example({"release": 0, "runtime": 1, "deadline": math.inf})
+    @example({"release": 0, "runtime": 10**400})
+    def test_from_dict_fails_closed_or_is_finite(self, data):
+        try:
+            req = JobRequest.from_dict(data)
+        except ProtocolError:
+            return
+        numbers = [req.release, req.runtime, req.deadline, req.requested, req.query_cost]
+        assert all(math.isfinite(x) for x in numbers if x is not None)
 
     def test_unsorted_releases_rejected(self):
         body = (

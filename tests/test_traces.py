@@ -9,7 +9,10 @@ serialize byte-identically.
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -513,3 +516,28 @@ def test_percentile_math():
     with pytest.raises(ValueError):
         _percentile([], 50.0)
     assert not math.isnan(_percentile(values, 33.0))
+
+
+def test_entry_points_and_shard_evaluation_load_no_scipy_or_networkx():
+    """Replay, qbss-serve and qbss-worker never solve a convex program or
+    build a flow network, so neither heavy import may ride along: not at
+    import time, and not when a shard is evaluated."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    program = (
+        "import sys, repro.cli, repro.serve.cli, repro.engine.backends.worker\n"
+        "from repro.traces import iter_shards, parse_swf, synthesize_jobs\n"
+        "from repro.traces.replay import DEFAULT_ALGORITHMS, _evaluate_shard, _shard_doc\n"
+        f"records = parse_swf({str(SAMPLE_SWF)!r})\n"
+        "shard = next(iter_shards(synthesize_jobs(records), 100.0))\n"
+        "assert _evaluate_shard(_shard_doc(shard), DEFAULT_ALGORITHMS, 3.0)['status'] == 'ok'\n"
+        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
