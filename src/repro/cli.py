@@ -25,11 +25,11 @@ trace-driven evaluation CLI of :mod:`repro.traces`::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
 from . import __version__ as PACKAGE_VERSION
-from .analysis.experiments import REGISTRY, experiment_params, resolve_kwargs
 
 
 def _add_version_argument(parser: argparse.ArgumentParser) -> None:
@@ -41,6 +41,8 @@ def _add_version_argument(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .analysis.experiments import REGISTRY
+
     parser = argparse.ArgumentParser(
         prog="qbss-report",
         description=(
@@ -308,6 +310,8 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
 def _list_experiments() -> str:
     """One line per registry entry: name, defaults, docstring summary."""
+    from .analysis.experiments import REGISTRY, experiment_params
+
     lines = []
     for name in sorted(REGISTRY):
         doc = (REGISTRY[name].__doc__ or "").strip().splitlines()
@@ -339,6 +343,24 @@ def _resolve_jobs_arg(parser: argparse.ArgumentParser, value) -> int:
         return resolve_jobs(value)
     except ValueError as exc:
         parser.error(str(exc))
+
+
+def _check_evaluation_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """The synthesis and evaluation parameters of ``qbss-replay`` and
+    ``qbss-serve``: a bad one is a usage error (exit 2) up front, not a
+    failure of every shard or submission later."""
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    for flag, value in (
+        ("--deadline-slack", args.deadline_slack),
+        ("--shard-window", args.shard_window),
+    ):
+        if not (math.isfinite(value) and value > 0):
+            parser.error(f"{flag} must be a finite number > 0, got {value}")
+    if not (math.isfinite(args.alpha) and args.alpha > 1):
+        parser.error(f"--alpha must be a finite number > 1, got {args.alpha}")
 
 
 def _backend_arg(
@@ -402,6 +424,8 @@ def _main(argv: list[str] | None = None) -> int:
         claims = verify_reproduction(alpha=args.alpha or 3.0, n=args.n or 12)
         print(render_claims(claims))
         return 0 if all_ok(claims) else 1
+
+    from .analysis.experiments import REGISTRY, resolve_kwargs
 
     names = sorted(REGISTRY) if args.experiment == "all" else [args.experiment]
     cli_overrides = _overrides_from_args(args)
@@ -637,8 +661,7 @@ def _replay_main(argv: list[str] | None = None) -> int:
     parser = build_replay_parser()
     args = parser.parse_args(argv)
     jobs = _resolve_jobs_arg(parser, args.jobs)
-    if args.shard_window <= 0:
-        parser.error("--shard-window must be > 0")
+    _check_evaluation_args(parser, args)
     if args.limit is not None and args.limit < 1:
         parser.error("--limit must be >= 1")
     if args.resume and args.checkpoint is None:

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Sequence
 from typing import TYPE_CHECKING, Any
 
-from ..analysis.experiments import REGISTRY, ExperimentReport, resolve_kwargs
 from .backends.base import Backend, BackendBroken
 from .cache import cache_key
 from .faults import (
@@ -46,6 +45,7 @@ from .faults import (
 )
 
 if TYPE_CHECKING:
+    from ..analysis.experiments import ExperimentReport
     from .session import ExecutionSession
 
 
@@ -660,6 +660,8 @@ def _execute(
 
     Must stay a module-level function (pickled by name into pool workers).
     """
+    from ..analysis.experiments import REGISTRY
+
     return run_guarded(
         task if task is not None else name,
         attempt,
@@ -728,6 +730,8 @@ def run_experiments(
     optional, cost nothing when omitted, and never touch report payloads —
     outputs are byte-identical with observability on or off.
     """
+    from ..analysis.experiments import REGISTRY, ExperimentReport, resolve_kwargs
+
     if session is None:
         from .session import ExecutionSession
 

@@ -21,7 +21,12 @@ import sys
 import threading
 
 from .. import __version__ as PACKAGE_VERSION
-from ..cli import _add_robustness_arguments, _backend_arg, _retry_policy
+from ..cli import (
+    _add_robustness_arguments,
+    _backend_arg,
+    _check_evaluation_args,
+    _retry_policy,
+)
 from ..engine.backends.worker import parse_bind, write_port_file
 from ..engine.runner import resolve_jobs
 from .server import QbssServer, ServeConfig
@@ -190,8 +195,7 @@ def _config_from_args(
         get_noise_model(args.noise_model)
     except (KeyError, ValueError) as exc:
         parser.error(str(exc.args[0] if exc.args else exc))
-    if args.shard_window <= 0:
-        parser.error("--shard-window must be > 0")
+    _check_evaluation_args(parser, args)
     if args.queue_limit < 1:
         parser.error("--queue-limit must be >= 1")
     if args.rate is not None and args.rate <= 0:

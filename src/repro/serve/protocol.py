@@ -307,7 +307,7 @@ def parse_response_lines(text: str) -> Iterator[dict]:
             continue
         try:
             envelope = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except _JSON_ERRORS as exc:
             raise ProtocolError("<response>", lineno, f"invalid JSON: {exc}") from exc
         if not isinstance(envelope, dict) or "kind" not in envelope:
             raise ProtocolError(

@@ -22,16 +22,23 @@ to ``(0, w]``, the model constraint); otherwise the noise model draws
 ``c = U[0.05, 1.0] * w``, mirroring
 :class:`repro.workloads.generators.UncertaintyModel`.
 
-Determinism: each record gets its own ``numpy`` generator seeded by
-``(seed, record.index)``, so the draw for job *i* does not depend on how
-the stream was chunked, sharded or parallelised — the property the
-replayer's serial == parallel guarantee rests on.
+Determinism: each record draws from the state numpy's
+``PCG64(SeedSequence((seed, record.index)))`` starts in, so the draw for
+job *i* does not depend on how the stream was chunked, sharded or
+parallelised — the property the replayer's serial == parallel guarantee
+rests on.  Building that generator per record (``SeedSequence`` hashing
+plus PCG64 seeding) was most of the synthesis time, so
+:func:`_pcg64_states` computes the states of a whole chunk of records in
+one vectorized pass of the same 32/64-bit integer arithmetic, and one
+reused ``Generator`` makes every draw.  ``tests/_reference_kernels.py``
+keeps the per-record generator as the bit-for-bit oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -42,6 +49,15 @@ from .records import TraceRecord
 #: Range of the query-cost fraction draw when the trace has no explicit c.
 QUERY_FRAC_LOW = 0.05
 QUERY_FRAC_HIGH = 1.0
+
+#: Records :func:`synthesize_jobs` reads ahead and seeds in one kernel call.
+#: The kernel costs about 0.1 ms a call plus 1 us a record, so 256 keeps
+#: the per-call share small; 1024 was no faster end to end but raised a
+#: cold replay's peak RSS by about 0.8 MB (the read-ahead records and states).
+SEED_CHUNK = 256
+
+#: The smallest positive float: the floor of ``c`` in ``(0, w]``.
+_TINY = 5e-324
 
 
 @dataclass(frozen=True)
@@ -112,32 +128,200 @@ def get_noise_model(name: str) -> NoiseModel:
         ) from None
 
 
-def _record_rng(seed: int, index: int) -> np.random.Generator:
-    """Per-record generator — chunking/sharding cannot change the draws."""
-    return np.random.default_rng((seed, index))
+# -- numpy's SeedSequence and PCG64 seeding, one numpy pass per chunk ----------------
+#
+# ``PCG64(SeedSequence((seed, index)))`` hashes the entropy words of seed and index
+# into a 4-word pool (``SeedSequence.mix_entropy``), draws four uint64 words
+# from it (``generate_state``) and seeds PCG64 with them.  All of it is
+# 32/64-bit integer arithmetic, so it vectorizes over the records of a chunk:
+# arrays below are word-major, one column per record.
+
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = np.uint32(0xCA01F9DD)
+_MIX_MULT_R = np.uint32(0x4973F715)
+_XSHIFT = 16
+_PCG_MULT_HI = 2549297995355413924
+_PCG_MULT_LO = 4865540595714422341
+_OTHERS = [[d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE)]
 
 
-def synthesize_job(
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    """The multipliers a hash walks through: ``init * mult**k`` mod 2**32,
+    as a column so it broadcasts over records."""
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)[:, None]
+
+
+#: ``generate_state(4, uint64)`` hashes 8 output words with this chain.
+_STATE_CHAIN = _hash_chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+
+def _entropy_chain(n_words: int) -> np.ndarray:
+    """``mix_entropy``'s chain for ``n_words`` entropy words: 4 pool fills,
+    12 mixing steps and 4 per word beyond the pool."""
+    steps = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, n_words - _POOL_SIZE)
+    return _hash_chain(_INIT_A, _MULT_A, steps)
+
+
+def _words(value: int) -> list[int]:
+    """numpy's ``_int_to_uint32_array``: little-endian 32-bit words, 0 -> [0]."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hashmix(values: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """One ``hashmix`` per row of ``chain[:-1]``: step k xors with the k-th
+    multiplier and multiplies by the next."""
+    out = values ^ chain[:-1]
+    out *= chain[1:]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L - y * _MIX_MULT_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix_entropy(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence.mix_entropy`` over ``entropy`` (words x records,
+    zero-padded to at least the pool size) -> the pool (4 x records)."""
+    chain = _entropy_chain(n_words)
+    pool = _hashmix(entropy[:_POOL_SIZE], chain[: _POOL_SIZE + 1])
+    k = _POOL_SIZE
+    # Mixing round src updates every other pool word from the same source
+    # word, so its three steps are one array operation.
+    for src, dst in enumerate(_OTHERS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[k : k + len(dst) + 1]))
+        k += len(dst)
+    for src in range(_POOL_SIZE, n_words):
+        pool = _mix(pool, _hashmix(entropy[src], chain[k : k + _POOL_SIZE + 1]))
+        k += _POOL_SIZE
+    return pool
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of ``a * b`` (uint64 array times a constant), in
+    32-bit limbs."""
+    a0, a1 = a & np.uint64(_MASK32), a >> np.uint64(32)
+    b0, b1 = np.uint64(b & _MASK32), np.uint64(b >> 32)
+    low = a0 * b0
+    mid1 = a1 * b0 + (low >> np.uint64(32))
+    mid2 = a0 * b1 + (mid1 & np.uint64(_MASK32))
+    return a1 * b1 + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
+
+
+def _pcg64_seed(pool: np.ndarray) -> tuple[list[int], list[int]]:
+    """``generate_state(4, uint64)`` from each pool, then PCG64's seeding:
+    ``inc = (initseq << 1) | 1`` and ``state = (inc + seed) * M + inc``
+    mod 2**128.  Returns the states and increments as Python ints."""
+    words = _hashmix(np.concatenate((pool, pool)), _STATE_CHAIN)
+    words = words.astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << np.uint64(32))
+    inc_hi = (seq_hi << np.uint64(1)) | (seq_lo >> np.uint64(63))
+    inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    # (hi, lo) * M mod 2**128: only lo * M_lo needs its full 128 bits.
+    state_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * np.uint64(_PCG_MULT_LO)
+    state_hi += lo * np.uint64(_PCG_MULT_HI)
+    state_lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
+    state_hi += inc_hi + (state_lo < inc_lo)
+    return (
+        [h << 64 | l for h, l in zip(state_hi.tolist(), state_lo.tolist())],
+        [h << 64 | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())],
+    )
+
+
+def _by_width(indices: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
+    """Group positions by how many 32-bit words their index takes (the
+    hash chain depends on the entropy length)."""
+    if indices and min(indices) >= 0 and max(indices) <= _MASK32:
+        # The usual case; splitting each index into words would cost about
+        # 40 % of the kernel's time.
+        return [(1, list(range(len(indices))))]
+    groups: dict[int, list[int]] = {}
+    for pos, index in enumerate(indices):
+        groups.setdefault(len(_words(index)), []).append(pos)
+    return groups.items()
+
+
+def _pcg64_states(seed: int, indices: Sequence[int]) -> list[dict]:
+    """For each index, the ``state`` of a fresh
+    ``PCG64(SeedSequence((seed, index)))``, in one numpy pass.
+
+    Raises ``ValueError("expected non-negative integer")`` for a negative
+    seed or index, as numpy does.
+    """
+    seed_words = _words(seed)
+    states: list = [None] * len(indices)
+    for width, positions in _by_width(indices):
+        group = [indices[p] for p in positions]
+        n_words = len(seed_words) + width
+        entropy = np.zeros((max(n_words, _POOL_SIZE), len(group)), np.uint32)
+        entropy[: len(seed_words)] = np.array(seed_words, np.uint32)[:, None]
+        entropy[len(seed_words) : n_words] = (
+            np.array(group, np.uint32)
+            if width == 1
+            else np.array([_words(i) for i in group], np.uint32).T
+        )
+        pool = _mix_entropy(entropy, n_words)
+        for pos, state, inc in zip(positions, *_pcg64_seed(pool)):
+            states[pos] = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+    return states
+
+
+# -- synthesis -------------------------------------------------------------------------
+
+
+def _synthesize(
+    records: Iterable[TraceRecord],
+    model: NoiseModel,
+    seed: int,
+    deadline_slack: float,
+) -> Iterator[QJob]:
+    # One generator per call, re-stated before each record's draws: a
+    # shared one would let two interleaved streams overwrite each other.
+    rng = np.random.Generator(np.random.PCG64(0))
+    stream = iter(records)
+    while chunk := list(islice(stream, SEED_CHUNK)):
+        states = _pcg64_states(seed, [record.index for record in chunk])
+        for record, state in zip(chunk, states):
+            yield _job(record, model, rng, state, deadline_slack)
+
+
+def _job(
     record: TraceRecord,
     model: NoiseModel,
-    *,
-    seed: int = 0,
-    deadline_slack: float = 2.0,
+    rng: np.random.Generator,
+    state: dict,
+    deadline_slack: float,
 ) -> QJob:
-    """Turn one observed record into a QBSS job ``(r, d, c, w, w*)``.
-
-    Invariants guaranteed (and property-tested): ``0 < c <= w``,
-    ``w* <= w`` and ``r < d``.  For SWF records (no explicit deadline) the
-    window is ``deadline_slack`` times the user's requested time (falling
-    back to the runtime): the slack a deadline-feasibility evaluation
-    grants the scheduler, as in the Abousamra-Bunde-Pruhs comparison.
-    """
     if record.runtime <= 0.0:
         raise ValueError(f"record {record.id}: runtime must be > 0")
     if deadline_slack <= 0.0:
         raise ValueError(f"deadline_slack must be > 0, got {deadline_slack}")
     w_star = record.runtime
-    rng = _record_rng(seed, record.index)
+    rng.bit_generator.state = state
     w = float(model.draw_upper(rng, w_star))
     w = max(w, w_star)  # defensive: the contract, even for custom models
 
@@ -147,7 +331,7 @@ def synthesize_job(
         c = max(w_star, 1.0) / PHI
     else:
         c = float(rng.uniform(QUERY_FRAC_LOW, QUERY_FRAC_HIGH)) * w
-    c = float(np.clip(c, np.nextafter(0.0, 1.0), w))
+    c = min(max(c, _TINY), w)
 
     if record.deadline is not None:
         d = record.deadline
@@ -173,6 +357,24 @@ def synthesize_job(
     )
 
 
+def synthesize_job(
+    record: TraceRecord,
+    model: NoiseModel,
+    *,
+    seed: int = 0,
+    deadline_slack: float = 2.0,
+) -> QJob:
+    """Turn one observed record into a QBSS job ``(r, d, c, w, w*)``.
+
+    Invariants guaranteed (and property-tested): ``0 < c <= w``,
+    ``w* <= w`` and ``r < d``.  For SWF records (no explicit deadline) the
+    window is ``deadline_slack`` times the user's requested time (falling
+    back to the runtime): the slack a deadline-feasibility evaluation
+    grants the scheduler, as in the Abousamra-Bunde-Pruhs comparison.
+    """
+    return next(_synthesize((record,), model, seed, deadline_slack))
+
+
 def synthesize_jobs(
     records: Iterable[TraceRecord],
     *,
@@ -180,9 +382,11 @@ def synthesize_jobs(
     seed: int = 0,
     deadline_slack: float = 2.0,
 ) -> Iterator[QJob]:
-    """Lazily map a record stream through :func:`synthesize_job`."""
-    noise = get_noise_model(model)
-    for record in records:
-        yield synthesize_job(
-            record, noise, seed=seed, deadline_slack=deadline_slack
-        )
+    """Lazily map a record stream through :func:`synthesize_job`.
+
+    Reads up to :data:`SEED_CHUNK` records ahead of the job it yields, to
+    seed them in one kernel call; so a parse error in the record stream
+    can surface up to one chunk earlier than the jobs before it are
+    consumed.  Validation errors are raised at their own record.
+    """
+    yield from _synthesize(records, get_noise_model(model), seed, deadline_slack)

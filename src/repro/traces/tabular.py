@@ -43,7 +43,7 @@ def _validated_record(
     def number(key: str) -> float:
         try:
             value = float(row[key])  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise TraceParseError(
                 source, lineno, f"column {key!r} is not a number: {row[key]!r}"
             ) from None
@@ -146,7 +146,9 @@ def parse_jsonl(
                 continue
             try:
                 row = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
+                # ValueError also covers an integer over the digit limit;
+                # RecursionError is nesting too deep to decode.
                 raise TraceParseError(
                     source, lineno, f"invalid JSON: {exc}"
                 ) from None

@@ -1,4 +1,5 @@
-"""The pre-histogram EDF, BKP and YDS kernels: test oracles for the live ones.
+"""The pre-histogram EDF, BKP and YDS kernels and the per-record synthesizer:
+test oracles for the live ones.
 
 Before the window-sum kernel (:func:`repro.core.profile_kernel.window_work`),
 BKP and YDS rebuilt a ``starts x jobs x ends`` matmul at every step, YDS ran
@@ -11,6 +12,12 @@ arithmetic unchanged:
 * :func:`bkp_profile` and :func:`yds_profile` must agree with the live code
   to rounding only (the histogram sums in a different order than BLAS).
 
+Before the vectorized seeding kernel
+(:func:`repro.traces.synthesize._pcg64_states`), the synthesizer built one
+``default_rng((seed, index))`` per record; :func:`synthesize_job` keeps that
+path, ``np.clip`` included, and the live ``synthesize_jobs`` must equal it
+bit for bit.
+
 Test use only.
 """
 
@@ -21,10 +28,11 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.core import profile_kernel as _pk
-from repro.core.constants import E_CONST, EPS
+from repro.core.constants import E_CONST, EPS, PHI
 from repro.core.edf import EDFResult
 from repro.core.job import Job
 from repro.core.profile import Segment, SpeedProfile
+from repro.core.qjob import QJob
 from repro.core.schedule import Schedule
 from repro.core.timeline import dedupe_times
 from repro.speed_scaling.yds import (
@@ -33,6 +41,8 @@ from repro.speed_scaling.yds import (
     _DiscoveryStep,
     _step_critical,
 )
+from repro.traces.records import TraceRecord
+from repro.traces.synthesize import QUERY_FRAC_HIGH, QUERY_FRAC_LOW, NoiseModel
 
 # -- EDF: candidate scan and linear breakpoint search ---------------------------------
 
@@ -214,3 +224,59 @@ def yds_criticals(jobs: Sequence[Job]):
 
 def yds_profile(jobs: Sequence[Job]) -> SpeedProfile:
     return _criticals_profile(yds_criticals(jobs))
+
+
+# -- synthesis: one default_rng per record ---------------------------------------------
+
+
+def record_rng(seed: int, index: int) -> np.random.Generator:
+    """Per-record generator — chunking/sharding cannot change the draws."""
+    return np.random.default_rng((seed, index))
+
+
+def synthesize_job(
+    record: TraceRecord,
+    model: NoiseModel,
+    *,
+    seed: int = 0,
+    deadline_slack: float = 2.0,
+) -> QJob:
+    if record.runtime <= 0.0:
+        raise ValueError(f"record {record.id}: runtime must be > 0")
+    if deadline_slack <= 0.0:
+        raise ValueError(f"deadline_slack must be > 0, got {deadline_slack}")
+    w_star = record.runtime
+    rng = record_rng(seed, record.index)
+    w = float(model.draw_upper(rng, w_star))
+    w = max(w, w_star)  # defensive: the contract, even for custom models
+
+    if record.query_cost is not None:
+        c = min(record.query_cost, w)
+    elif model.name == "adversarial":
+        c = max(w_star, 1.0) / PHI
+    else:
+        c = float(rng.uniform(QUERY_FRAC_LOW, QUERY_FRAC_HIGH)) * w
+    c = float(np.clip(c, np.nextafter(0.0, 1.0), w))
+
+    if record.deadline is not None:
+        d = record.deadline
+    else:
+        base = (
+            record.requested
+            if record.requested is not None and record.requested > 0
+            else w_star
+        )
+        d = record.release + deadline_slack * base
+    if d <= record.release:
+        raise ValueError(
+            f"record {record.id}: derived deadline {d} does not exceed "
+            f"release {record.release}"
+        )
+    return QJob(
+        release=record.release,
+        deadline=d,
+        query_cost=c,
+        work_upper=w,
+        work_true=w_star,
+        id=record.id,
+    )

@@ -16,6 +16,10 @@ implementation:
   their shape (``k = 3`` would make CRP2D refuse the instance);
 - *permutation* -- the order in which jobs are listed changes nothing.
 
+Separately, the reported energy is checked against an independent
+integral of the executed schedule: the sum of ``duration x speed^alpha``
+over its slices.
+
 Translation in time is left out: the absolute ``EPS`` tolerance makes
 results depend on the time origin past 2^24 s (``perfbench/README.md``,
 "Known defect kept visible").
@@ -30,6 +34,8 @@ import pytest
 from repro.analysis.ratios import measure
 from repro.core.constants import DEFAULT_ALPHA
 from repro.core.instance import QBSSInstance
+from repro.core.power import PowerFunction
+from repro.qbss import run_algorithm
 from repro.workloads.generators import (
     common_deadline_instance,
     common_release_instance,
@@ -114,3 +120,29 @@ def test_permutation(algorithm):
         moved = measure(algorithm, shuffled, alpha=DEFAULT_ALPHA)
         assert_close(moved.energy, base.energy, "energy")
         assert_close(moved.max_speed, base.max_speed, "max speed")
+
+
+#: BKPQ reports the energy of its speed profile, ``e`` times the BKP
+#: intensity at every instant, but EDF finishes the work early and the
+#: schedule idles for the rest: on ``online_instance(8, seed=0)`` the
+#: reported energy is 62.91 and the slices integrate to 21.27.
+BKPQ_CHARGES_IDLE_SPEED = pytest.mark.xfail(
+    strict=True, reason="BKPQ's profile energy exceeds its executed schedule's"
+)
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        pytest.param(name, marks=BKPQ_CHARGES_IDLE_SPEED) if name == "bkpq" else name
+        for name in SETTINGS
+    ],
+)
+def test_energy_is_the_integral_of_the_executed_slices(algorithm):
+    power = PowerFunction(DEFAULT_ALPHA)
+    for qi in instances(algorithm):
+        result = run_algorithm(algorithm, qi)
+        integral = math.fsum(
+            (s.end - s.start) * s.speed**DEFAULT_ALPHA for s in result.schedule.slices()
+        )
+        assert_close(result.energy(power), integral, "energy")

@@ -6,6 +6,7 @@ seed, and any explicit query cost the trace supplies.  Sharding must
 partition without loss and be invariant to how the stream was chunked.
 """
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -21,6 +22,7 @@ from repro.traces import (
     TraceRecord,
     get_noise_model,
     iter_shards,
+    parse_jsonl,
     parse_swf,
     synthesize_job,
     synthesize_jobs,
@@ -190,3 +192,56 @@ def test_swf_line_fails_closed_or_is_finite(fields):
     for record in records:
         assert math.isfinite(record.release) and math.isfinite(record.runtime)
         assert record.requested is None or math.isfinite(record.requested)
+
+
+# -- JSONL parser: untrusted lines fail closed ----------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**300, 10**400)  # too large for a float
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+TRACE_KEYS = st.sampled_from(["release", "deadline", "runtime", "query_cost", "id"])
+#: One JSONL line: an object over the schema's keys (and strays), any JSON
+#: value, junk text without line breaks, or hostile nesting and digits.
+JSONL_LINES = (
+    st.dictionaries(TRACE_KEYS | st.text(max_size=3), JSON_VALUES, max_size=6).map(
+        json.dumps
+    )
+    | JSON_VALUES.map(json.dumps)
+    | st.text(
+        alphabet=st.characters(
+            blacklist_categories=("Cs",), blacklist_characters="\r\n"
+        ),
+        max_size=12,
+    )
+    | st.sampled_from(["[" * 100_000, "{" * 3000, '{"release": ' + "9" * 5000 + "}"])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSONL_LINES)
+@example("[" * 100_000)
+@example('{"release": 1' + "0" * 400 + ', "deadline": 2, "runtime": 1}')
+@example('{"release": 0, "deadline": 2, "runtime": 1, "query_cost": NaN}')
+def test_jsonl_line_fails_closed_or_is_finite(line):
+    """Any line raises a located TraceParseError, is blank, or yields one
+    record whose numbers are all finite."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            records = list(parse_jsonl(path))
+        except TraceParseError as exc:
+            assert f"{path}:1:" in str(exc)
+            return
+    assert len(records) == (1 if line.strip() else 0)
+    for record in records:
+        numbers = (record.release, record.deadline, record.runtime, record.query_cost)
+        assert all(math.isfinite(x) for x in numbers if x is not None)

@@ -1,7 +1,8 @@
-"""The live EDF, BKP and YDS kernels against their pre-histogram oracles.
+"""The live EDF, BKP, YDS and synthesis kernels against their oracles.
 
-``tests/_reference_kernels.py`` keeps the scanning EDF, the matmul BKP and
-the single-timeline matmul YDS.  EDF must match it bit for bit; BKP and YDS
+``tests/_reference_kernels.py`` keeps the scanning EDF, the matmul BKP,
+the single-timeline matmul YDS and the per-record ``default_rng``
+synthesizer.  EDF and synthesis must match it bit for bit; BKP and YDS
 sum their windows in a different order, so they must match to 1e-9
 relative, with the same critical job sets wherever YDS's intensities are
 distinct.
@@ -28,6 +29,8 @@ from repro.core.power import PowerFunction
 from repro.speed_scaling.avr import avr_profile
 from repro.speed_scaling.bkp import bkp_intensity_at, bkp_profile
 from repro.speed_scaling.yds import _discover, yds, yds_profile
+from repro.traces import NOISE_MODELS, TraceRecord, get_noise_model, synthesize_jobs
+from repro.traces.synthesize import SEED_CHUNK, _pcg64_states
 
 REL = 1e-9
 
@@ -236,3 +239,143 @@ def test_yds_periods_split_only_past_eps(gap):
     compressors = [step.compressor for step in _discover(jobs)]
     assert len({id(c) for c in compressors}) == (2 if gap > EPS else 1)
     _same_profile_values(yds_profile(jobs), ref.yds_profile(jobs))
+
+
+# -- synthesis: vectorized seeding -------------------------------------------------
+
+#: Seeds of one to five 32-bit words, including each word-count boundary.
+SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**100 + 7]) | st.integers(
+    0, 2**130
+)
+#: Indices within a few of 0, 2**32 and 2**64: one, two and three words.
+INDICES = st.lists(
+    st.sampled_from([0, 2**32, 2**64]).flatmap(
+        lambda base: st.integers(max(0, base - 3), base + 3)
+    ),
+    max_size=12,
+)
+STRADDLES_2_32 = [2**32 - 2, 2**32 - 1, 2**32, 0, 2**32 + 1, 7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(SEEDS, INDICES)
+@example(0, STRADDLES_2_32)
+@example(2**32, STRADDLES_2_32)
+@example(2**100 + 7, [2**64 - 1, 2**64, 3])
+def test_pcg64_states_equal_default_rng(seed, indices):
+    assert _pcg64_states(seed, indices) == [
+        np.random.default_rng((seed, i)).bit_generator.state for i in indices
+    ]
+
+
+def test_negative_seed_or_index_raises_like_numpy():
+    for seed, index in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            _pcg64_states(seed, [index])
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            ref.record_rng(seed, index)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        next(synthesize_jobs([TraceRecord(0, "a", 0.0, 1.0)], seed=-1))
+
+
+def _varied_record(i: int) -> TraceRecord:
+    """Cycles through every combination of explicit query_cost, deadline
+    and requested, with one query cost above any drawn upper bound."""
+    runtime = 1.0 + (i * 0.37) % 50.0
+    return TraceRecord(
+        index=i,
+        id=f"r{i}",
+        release=float(i // 3),
+        runtime=runtime,
+        deadline=float(i // 3) + 3.0 * runtime if i % 2 else None,
+        requested=runtime * 1.5 if i % 4 >= 2 else None,
+        query_cost=(0.5 if i % 16 < 8 else 1e9) if i % 8 >= 4 else None,
+    )
+
+
+def _bits(job) -> tuple:
+    return (
+        job.id,
+        *(
+            float.hex(x)
+            for x in (
+                job.release, job.deadline, job.query_cost, job.work_upper, job.work_true
+            )
+        ),
+    )
+
+
+def _assert_equal_to_oracle(records, model, seed):
+    live = list(synthesize_jobs(iter(records), model=model, seed=seed))
+    noise = get_noise_model(model)
+    oracle = [ref.synthesize_job(r, noise, seed=seed) for r in records]
+    assert [_bits(j) for j in live] == [_bits(j) for j in oracle]
+
+
+@pytest.mark.parametrize("model", sorted(NOISE_MODELS))
+@pytest.mark.parametrize(
+    "length", [0, 1, SEED_CHUNK - 1, SEED_CHUNK, SEED_CHUNK + 1, 2 * SEED_CHUNK + 3]
+)
+def test_synthesize_jobs_equals_per_record_oracle_at_chunk_boundaries(model, length):
+    _assert_equal_to_oracle([_varied_record(i) for i in range(length)], model, seed=7)
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def records(draw):
+    out = []
+    for index in draw(INDICES):
+        release = draw(st.floats(0.0, 1e6, **finite))
+        runtime = draw(st.floats(1e-6, 1e5, **finite))
+        out.append(
+            TraceRecord(
+                index=index,
+                id=f"h{len(out)}",
+                release=release,
+                runtime=runtime,
+                deadline=draw(
+                    st.none()
+                    | st.floats(1e-6, 1e6, **finite).map(lambda s: release + s)
+                ),
+                requested=draw(st.none() | st.floats(1e-6, 1e6, **finite)),
+                query_cost=draw(st.none() | st.floats(1e-9, 1e9, **finite)),
+            )
+        )
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(records(), st.sampled_from(sorted(NOISE_MODELS)), SEEDS)
+def test_synthesize_jobs_equals_per_record_oracle(recs, model, seed):
+    _assert_equal_to_oracle(recs, model, seed)
+
+
+def test_validation_errors_surface_at_their_own_record():
+    """Chunked seeding reads ahead, but a bad record still raises only
+    after every job before it was yielded."""
+    bad = SEED_CHUNK + 5
+    recs = [_varied_record(i) for i in range(2 * SEED_CHUNK)]
+    recs[bad] = TraceRecord(bad, "zero", float(bad), 0.0)
+    stream = synthesize_jobs(iter(recs), seed=3)
+    got = [next(stream) for _ in range(bad)]
+    with pytest.raises(ValueError, match="runtime must be > 0"):
+        next(stream)
+    assert [_bits(j) for j in got] == [
+        _bits(ref.synthesize_job(r, get_noise_model("multiplicative"), seed=3))
+        for r in recs[:bad]
+    ]
+
+
+def test_interleaved_streams_do_not_share_a_generator():
+    recs = [_varied_record(i) for i in range(40)]
+    a = synthesize_jobs(iter(recs), seed=1)
+    b = synthesize_jobs(iter(recs), seed=2)
+    mixed = [(next(a), next(b)) for _ in recs]
+    assert [_bits(x) for x, _ in mixed] == [
+        _bits(j) for j in synthesize_jobs(iter(recs), seed=1)
+    ]
+    assert [_bits(y) for _, y in mixed] == [
+        _bits(j) for j in synthesize_jobs(iter(recs), seed=2)
+    ]

@@ -150,6 +150,13 @@ def test_replay_cli_cache_prune_flag(tmp_path, capsys):
         ["--algorithms", "nope"],
         ["--noise-model", "gaussian"],
         ["--cache-prune", "wat"],
+        ["--seed", "-1"],
+        ["--deadline-slack", "0"],
+        ["--deadline-slack", "nan"],
+        ["--shard-window", "nan"],
+        ["--shard-window", "inf"],
+        ["--alpha", "1"],
+        ["--alpha", "nan"],
     ],
 )
 def test_replay_cli_usage_errors(tmp_path, argv_tail):

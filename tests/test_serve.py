@@ -51,6 +51,16 @@ JSON_VALUES = st.recursive(
 REQUEST_KEYS = st.sampled_from(
     ["id", "release", "runtime", "deadline", "requested", "query_cost"]
 ) | st.text(max_size=4)
+#: One line of a response stream: JSON text, junk, or hostile nesting and
+#: digit counts.
+RESPONSE_LINES = (
+    st.dictionaries(
+        st.sampled_from(["kind", "version"]) | st.text(max_size=3), JSON_VALUES
+    ).map(json.dumps)
+    | JSON_VALUES.map(json.dumps)
+    | st.text(max_size=8)
+    | st.sampled_from(["[" * 100_000, '{"kind": ' + "9" * 5000 + "}", "{" * 3000])
+)
 
 
 def job_lines(n, *, window=40.0, spacing=2.0):
@@ -202,6 +212,28 @@ class TestProtocol:
     def test_response_without_kind_rejected(self):
         with pytest.raises(ProtocolError, match="kind"):
             list(parse_response_lines('{"version": 1}\n'))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param("[" * 100_000, id="deep-array"),
+            pytest.param('{"kind": ' + "9" * 5000 + "}", id="5000-digit-int"),
+        ],
+    )
+    def test_hostile_response_lines_are_located(self, line):
+        text = '{"kind": "summary"}\n' + line + "\n"
+        with pytest.raises(ProtocolError, match="invalid JSON") as excinfo:
+            list(parse_response_lines(text))
+        assert excinfo.value.line == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(RESPONSE_LINES, max_size=4))
+    def test_response_lines_fail_closed(self, lines):
+        try:
+            envelopes = list(parse_response_lines("\n".join(lines)))
+        except ProtocolError:
+            return
+        assert all(isinstance(e, dict) and "kind" in e for e in envelopes)
 
 
 # -- admission queue ----------------------------------------------------------------
@@ -878,6 +910,12 @@ class TestServeCli:
             ["--task-timeout", "0"],
             ["--rate", "1", "--burst", "-5"],
             ["--request-timeout", "0"],
+            ["--seed", "-1"],
+            ["--deadline-slack", "0"],
+            ["--deadline-slack", "nan"],
+            ["--shard-window", "nan"],
+            ["--alpha", "1"],
+            ["--alpha", "nan"],
         ],
     )
     def test_bad_arguments_are_usage_errors(self, argv):

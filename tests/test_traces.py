@@ -179,6 +179,28 @@ def test_jsonl_invalid_json_located(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        pytest.param("[" * 100_000, id="deep-array"),
+        pytest.param(
+            '{"release": ' + "9" * 5000 + ', "deadline": 2, "runtime": 1}',
+            id="5000-digit-int",
+        ),
+        pytest.param(
+            '{"release": 1' + "0" * 400 + ', "deadline": 2, "runtime": 1}',
+            id="int-too-large-for-a-float",
+        ),
+    ],
+)
+def test_jsonl_hostile_line_is_located(tmp_path, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"release": 0, "deadline": 2, "runtime": 1}\n' + line + "\n")
+    with pytest.raises(TraceParseError) as err:
+        list(parse_jsonl(bad))
+    assert err.value.line == 2
+
+
 def test_jsonl_non_object_rejected(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("[1, 2, 3]\n")
@@ -519,9 +541,10 @@ def test_percentile_math():
 
 
 def test_entry_points_and_shard_evaluation_load_no_scipy_or_networkx():
-    """Replay, qbss-serve and qbss-worker never solve a convex program or
-    build a flow network, so neither heavy import may ride along: not at
-    import time, and not when a shard is evaluated."""
+    """Replay, qbss-serve and qbss-worker never solve a convex program,
+    build a flow network or run a registered experiment, so none of those
+    heavy imports may ride along: not at import time, and not when a shard
+    is evaluated."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     program = (
         "import sys, repro.cli, repro.serve.cli, repro.engine.backends.worker\n"
@@ -530,7 +553,8 @@ def test_entry_points_and_shard_evaluation_load_no_scipy_or_networkx():
         f"records = parse_swf({str(SAMPLE_SWF)!r})\n"
         "shard = next(iter_shards(synthesize_jobs(records), 100.0))\n"
         "assert _evaluate_shard(_shard_doc(shard), DEFAULT_ALGORITHMS, 3.0)['status'] == 'ok'\n"
-        "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))\n"
+        "heavy = ('scipy', 'networkx', 'repro.analysis.experiments')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", program],
