@@ -331,18 +331,26 @@ class SpeedProfile:
         return bool(np.all(self.speeds_at(mids) >= other.speeds_at(mids) - tol))
 
 
-def sum_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
-    """Pointwise sum of many profiles (used by AVR: sum of densities)."""
+def _combine(
+    profiles: Sequence[SpeedProfile], pointwise_max: bool
+) -> SpeedProfile:
+    """Hand the kernel combinator each profile as one row."""
+    arrays = [p._get_arrays() for p in profiles] or [_pk.empty_arrays()]
+    starts, ends, speeds = (np.concatenate(column) for column in zip(*arrays))
+    rows = np.repeat(np.arange(len(arrays)), [a[0].size for a in arrays])
     return SpeedProfile._from_arrays(
-        _pk.sum_arrays([p._get_arrays() for p in profiles])
+        _pk.combine(starts, ends, speeds, rows, pointwise_max)
     )
+
+
+def sum_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
+    """Pointwise sum of many profiles."""
+    return _combine(profiles, pointwise_max=False)
 
 
 def max_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
     """Pointwise maximum of many profiles."""
-    return SpeedProfile._from_arrays(
-        _pk.max_arrays([p._get_arrays() for p in profiles])
-    )
+    return _combine(profiles, pointwise_max=True)
 
 
 def profiles_energy(

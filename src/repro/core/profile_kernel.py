@@ -13,7 +13,7 @@ is a handful of numpy array passes instead of a Python loop over
 **Determinism contract.**  Every kernel operation reproduces the
 pure-Python reference arithmetic *bit for bit*, so kernel-backed replay
 reports and cached engine entries are byte-identical to the pre-kernel
-ones (pinned by ``tests/test_profile_kernel.py``).  Three rules make that
+ones (pinned by ``tests/test_profile_kernel.py``).  Four rules make that
 possible:
 
 * sums use :func:`sequential_sum` (``np.cumsum`` is a left-to-right
@@ -22,7 +22,16 @@ possible:
 * power terms ``s**alpha`` are evaluated with Python's ``float.__pow__``
   per element (numpy's SIMD ``np.power`` differs from libm by ULPs);
 * elementwise ``+ - * max min`` and ``searchsorted``/``bisect`` are
-  exact, so broadcasting them is free.
+  exact, so broadcasting them is free;
+* sums down the profile axis of :func:`combine`'s (profiles x cells)
+  matrix accumulate and never reduce: ``np.cumsum`` adds each cell's
+  values in profile order, while ``np.sum`` and ``np.add.reduce``
+  pairwise-sum a one-cell column of 16 or more profiles.
+
+:func:`combine` processes its matrix in column blocks of at most
+:data:`_CELL_BUDGET` cells (2 MiB of float64), so summing thousands of
+profiles needs a few MiB, not profiles x cells x 8 bytes.  Blocking
+changes no cell's addition order.
 
 :func:`window_work`, the YDS and BKP window sums, is outside the
 contract: both paths share it, and its oracle, a dense matmul in
@@ -287,41 +296,67 @@ def shift(arrays: ProfileArrays, delta: float) -> ProfileArrays:
     return normalize(starts + delta, ends + delta, speeds.copy())
 
 
-def _combine(
-    arrays_list: Sequence[ProfileArrays], pointwise_max: bool
-) -> ProfileArrays:
-    """Shared sum/max combinator over the union breakpoint grid.
+#: Most cells one column block of :func:`combine`'s (profiles x cells)
+#: matrix holds (a block is one column wide at least).
+_CELL_BUDGET = 1 << 18
 
-    Accumulates profiles one at a time (vectorized over the grid) so the
-    per-interval addition order equals the reference's left-to-right
-    ``sum(p.speed_at(mid) for p in profiles)``.
+
+def combine(
+    starts: np.ndarray,
+    ends: np.ndarray,
+    speeds: np.ndarray,
+    rows: np.ndarray,
+    pointwise_max: bool = False,
+) -> ProfileArrays:
+    """Pointwise sum (or maximum) of many profiles, in one matrix pass.
+
+    The profiles arrive as one concatenated segment list: segment ``i``
+    belongs to profile ``rows[i]`` (non-decreasing), and each profile's
+    segments keep their own start order.  Every profile is one row of a
+    (profiles x grid cells) matrix, where each segment writes its speed
+    into the cells whose midpoints :func:`speeds_at` would give it: the
+    ones in ``[start, min(end, next start of its profile))``, so of two
+    equal or sub-EPS-overlapping starts the later segment wins.  Sums
+    accumulate down the profile axis with ``np.cumsum``, so every cell
+    adds the same values in the same order as the reference's
+    ``sum(p.speed_at(mid) for p in profiles)``; maxima take
+    ``np.maximum.reduce``.  The columns go in blocks of at most
+    :data:`_CELL_BUDGET` cells, which changes no cell's order.
     """
-    boundary_arrays = [a for arrs in arrays_list for a in (arrs[0], arrs[1])]
-    boundaries = (
-        np.concatenate(boundary_arrays)
-        if boundary_arrays
-        else np.empty(0, dtype=np.float64)
-    )
-    if boundaries.size == 0:
+    if starts.size == 0:
         return empty_arrays()
-    grid = collapse_times(boundaries)
+    grid = collapse_times(np.concatenate([starts, ends]))
     if grid.size < 2:
         return empty_arrays()
     mids = 0.5 * (grid[:-1] + grid[1:])
-    acc = np.zeros(mids.size, dtype=np.float64)
-    for starts, ends, speeds in arrays_list:
-        vals = speeds_at(starts, ends, speeds, mids)
-        acc = np.maximum(acc, vals) if pointwise_max else acc + vals
+    lo = np.searchsorted(mids, starts, side="left")
+    hi = np.searchsorted(mids, ends, side="left")
+    # A segment's cells stop where the next one of its profile starts.
+    follows = rows[1:] == rows[:-1]
+    hi[:-1][follows] = np.minimum(hi[:-1][follows], lo[1:][follows])
+    n_rows = int(rows[-1]) + 1
+    # Run-length layout of a block, row after row: zeros up to each
+    # segment, its speed over its cells, zeros to the next one.
+    values = np.zeros(2 * starts.size + 1, dtype=np.float64)
+    values[1::2] = speeds
+    bounds = np.zeros(values.size + 1, dtype=np.intp)
+    n_cells = mids.size
+    width = max(1, _CELL_BUDGET // n_rows)
+    acc = np.empty(n_cells, dtype=np.float64)
+    for c0 in range(0, n_cells, width):
+        w = min(width, n_cells - c0)
+        # Each segment's cells within the block (two ufuncs cost less
+        # than np.clip's wrapper on arrays this small).
+        a = np.minimum(np.maximum(lo - c0, 0), w)
+        b = np.minimum(np.maximum(hi - c0, 0), w)
+        base = rows * w
+        bounds[1:-1:2] = base + a
+        bounds[2:-1:2] = base + b
+        bounds[-1] = n_rows * w
+        block = np.repeat(values, np.diff(bounds)).reshape(n_rows, w)
+        if pointwise_max:
+            acc[c0:c0 + w] = np.maximum.reduce(block, axis=0)
+        else:
+            acc[c0:c0 + w] = np.cumsum(block, axis=0)[-1]
     keep = acc > 0.0
     return normalize(grid[:-1][keep], grid[1:][keep], acc[keep])
-
-
-def sum_arrays(arrays_list: Sequence[ProfileArrays]) -> ProfileArrays:
-    """Pointwise sum of many profiles (AVR's density stack)."""
-    return _combine(arrays_list, pointwise_max=False)
-
-
-def max_arrays(arrays_list: Sequence[ProfileArrays]) -> ProfileArrays:
-    """Pointwise maximum of many profiles."""
-    return _combine(arrays_list, pointwise_max=True)
-

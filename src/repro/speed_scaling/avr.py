@@ -15,9 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
+from ..core import profile_kernel as _pk
 from ..core.edf import EDFResult, run_edf
 from ..core.job import Job
-from ..core.profile import SpeedProfile, sum_profiles
+from ..core.profile import SpeedProfile
 
 
 @dataclass
@@ -37,13 +40,21 @@ class AVRResult:
 
 
 def avr_profile(jobs: Sequence[Job]) -> SpeedProfile:
-    """The AVR speed profile: pointwise sum of per-job density rectangles."""
-    return sum_profiles(
-        [
-            SpeedProfile.constant(j.release, j.deadline, j.density)
-            for j in jobs
-            if j.work > 0
-        ]
+    """The AVR speed profile: pointwise sum of per-job density rectangles.
+
+    Every job whose density is positive is one row of the kernel's sum.
+    The filter is on the density, not the work: a positive work can have
+    a density that underflows to 0.0, and such a job adds no breakpoint.
+    """
+    releases, deadlines, densities = _pk.as_float_array(
+        [(j.release, j.deadline, j.density) for j in jobs]
+    ).reshape(-1, 3).T
+    keep = densities > 0.0
+    return SpeedProfile._from_arrays(
+        _pk.combine(
+            releases[keep], deadlines[keep], densities[keep],
+            np.arange(np.count_nonzero(keep)),
+        )
     )
 
 

@@ -26,8 +26,12 @@ import json
 import math
 from pathlib import Path
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from .records import ParseStats, TraceParseError, TraceRecord
+
+if TYPE_CHECKING:
+    import _csv
 
 PathLike = str | Path
 
@@ -41,6 +45,10 @@ def _validated_record(
     """Build one validated TraceRecord from a parsed row dict."""
 
     def number(key: str) -> float:
+        if isinstance(row[key], bool):  # JSON true/false: float() takes them
+            raise TraceParseError(
+                source, lineno, f"column {key!r} is not a number: {row[key]!r}"
+            )
         try:
             value = float(row[key])  # type: ignore[arg-type]
         except (TypeError, ValueError, OverflowError):
@@ -89,6 +97,17 @@ def _validated_record(
     )
 
 
+def _csv_records(source: str, reader: _csv.Reader) -> Iterator[list[str]]:
+    """``reader``'s records, with its errors located (a cell over the csv
+    module's field size limit raises ``csv.Error``)."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise TraceParseError(
+            source, reader.line_num, f"malformed CSV: {exc}"
+        ) from None
+
+
 def parse_csv(
     path: PathLike, stats: ParseStats | None = None
 ) -> Iterator[TraceRecord]:
@@ -97,8 +116,9 @@ def parse_csv(
     stats = stats if stats is not None else ParseStats()
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
+        records = _csv_records(source, reader)
         try:
-            header = next(reader)
+            header = next(records)
         except StopIteration:
             raise TraceParseError(source, 1, "empty CSV trace") from None
         columns = [c.strip().lower() for c in header]
@@ -119,7 +139,9 @@ def parse_csv(
             raise TraceParseError(
                 source, 1, f"unknown columns {unknown} (strict schema)"
             )
-        for lineno, cells in enumerate(reader, start=2):
+        for cells in records:
+            # A quoted cell can span lines: name the line the record ends on.
+            lineno = reader.line_num
             if not cells or all(not c.strip() for c in cells):
                 continue
             if len(cells) != len(columns):

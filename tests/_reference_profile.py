@@ -22,11 +22,13 @@ import numpy as np
 from repro.core import profile as _profile
 from repro.core import profile_kernel as _pk
 from repro.core.constants import EPS
+from repro.core.job import Job
 from repro.core.power import PowerFunction
 from repro.core.profile import Segment, SpeedProfile
 from repro.core.schedule import Schedule
 from repro.core.timeline import dedupe_times
 from repro.qbss.clairvoyant import clairvoyant_values as _clairvoyant_values
+from repro.speed_scaling.avr import avr_profile as _avr_profile
 from repro.speed_scaling.yds import TimelineCompressor
 
 # -- SpeedProfile -------------------------------------------------------------------
@@ -181,6 +183,16 @@ def max_profiles(profiles: Sequence[SpeedProfile]) -> SpeedProfile:
     return SpeedProfile(segs)
 
 
+def avr_profile(jobs: Sequence[Job]) -> SpeedProfile:
+    return sum_profiles(
+        [
+            SpeedProfile.constant(j.release, j.deadline, j.density)
+            for j in jobs
+            if j.work > 0
+        ]
+    )
+
+
 # -- Schedule -----------------------------------------------------------------------
 
 
@@ -257,11 +269,13 @@ def _no_shared_baseline(*args: object, **kwargs: object) -> None:
 
 
 #: Module-level functions that other modules import by name
-#: (``from ..core.profile import sum_profiles`` in AVR and CRP2D, the
-#: ``repro.core`` re-exports, a bench script's globals), kernel first.
+#: (``from ..core.profile import sum_profiles`` in CRP2D, ``avr_profile``
+#: in AVRQ and AVRQ-NM, the package re-exports, a bench script's
+#: globals), kernel first.
 _FUNCTIONS: dict[str, tuple[object, object]] = {
     "sum_profiles": (_profile.sum_profiles, sum_profiles),
     "max_profiles": (_profile.max_profiles, max_profiles),
+    "avr_profile": (_avr_profile, avr_profile),
     "collapse_times": (_pk.collapse_times, collapse_times),
     "clairvoyant_values": (_clairvoyant_values, _no_shared_baseline),
 }
@@ -284,9 +298,9 @@ def reference_mode() -> Iterator[None]:
     """Run profiles, schedules and YDS on the pre-kernel loops.
 
     Patches the loops above over the kernel-backed methods, and rebinds
-    ``sum_profiles``/``max_profiles`` in *every* loaded module that holds
-    the kernel function, found by identity (patching
-    ``repro.core.profile`` alone would leave AVR's and CRP2D's imported
+    ``sum_profiles``/``max_profiles``/``avr_profile`` in *every* loaded
+    module that holds the kernel function, found by identity (patching
+    ``repro.core.profile`` alone would leave CRP2D's and AVRQ's imported
     names on the kernel).  ``clairvoyant_values`` returns ``None``, so
     trace replay computes one baseline per algorithm as it did before the
     kernel.  ``SpeedProfile._get_arrays``/``_from_arrays`` raise

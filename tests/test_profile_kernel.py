@@ -8,6 +8,9 @@ pin that:
 * hypothesis equality suite — every kernel-dispatched operation on random
   breakpoint profiles equals the pure-Python reference **bit for bit**
   (``struct.pack`` comparison, not ``isclose``);
+* the density stack — ``combine`` (``sum_profiles``, ``max_profiles``,
+  ``avr_profile``) equals the loops at cell budgets small enough to cross
+  every column block, and its memory stays bounded by the budget;
 * YDS — the vectorised compressed-timeline arithmetic and the
   discovery-only :func:`~repro.speed_scaling.yds.yds_profile` fast path
   reproduce the original schedules and profiles exactly;
@@ -21,15 +24,20 @@ The pure-Python reference is the pre-kernel loops kept in
 
 import importlib
 import json
+import random
 import struct
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_profile as oracle
 from _reference_profile import KernelPathReached, reference_mode
 from repro.core import profile_kernel as pk
+from repro.core.constants import EPS
 from repro.core.job import Job
 from repro.core.power import PowerFunction
 from repro.core.profile import (
@@ -41,7 +49,11 @@ from repro.core.profile import (
     sum_profiles,
 )
 from repro.core.qjob import QJob
+from repro.qbss.policies import AlwaysQuery, EqualWindowSplit
+from repro.qbss.transform import derive_online
+from repro.speed_scaling.avr import avr_profile
 from repro.speed_scaling.yds import TimelineCompressor, yds, yds_profile
+from repro.workloads.generators import online_instance
 
 
 def bits(x: float) -> bytes:
@@ -86,8 +98,56 @@ def breakpoint_profiles(draw, max_segments=8):
     return [s for s in segs if s is not None]
 
 
+@st.composite
+def admitted_segments(draw, max_segments=5):
+    """:func:`breakpoint_profiles` plus the sub-EPS corners the constructor
+    admits: durations, gaps and overlaps under EPS, and equal starts (a
+    segment may start where a sub-EPS one did)."""
+    n = draw(st.integers(min_value=0, max_value=max_segments))
+    start = draw(st.floats(min_value=-5.0, max_value=5.0))
+    segs = []
+    for _ in range(n):
+        dur = draw(
+            st.one_of(
+                st.floats(min_value=1e-3, max_value=4.0),
+                st.sampled_from([3e-10, 1.0]),
+            )
+        )
+        speed = draw(
+            st.one_of(
+                st.floats(min_value=0.0, max_value=8.0),
+                st.sampled_from([0.0, 1.0, 2.0]),
+            )
+        )
+        if speed > 0:
+            segs.append(Segment(start, start + dur, speed))
+        if dur < EPS and draw(st.booleans()):
+            continue  # the next segment starts where this one did
+        gaps = [0.0, 0.3, 1.7, 4e-10] + ([-4e-10] if dur > EPS else [])
+        start = start + dur + draw(st.sampled_from(gaps))
+    return segs
+
+
 alphas = st.sampled_from([1.5, 2.0, 2.5, 3.0, 3.7])
 queries = st.floats(min_value=-6.0, max_value=40.0, allow_nan=False)
+
+
+def sum_and_max_bits(segment_lists):
+    profiles = [SpeedProfile(segs) for segs in segment_lists]
+    return (
+        profile_bits(sum_profiles(profiles)),
+        profile_bits(max_profiles(profiles)),
+    )
+
+
+def assert_stack_matches_reference(segment_lists):
+    """Kernel sum and max equal the loops bit for bit, at the default cell
+    budget and at budgets small enough to cross every block boundary."""
+    with reference_mode():
+        expected = sum_and_max_bits(segment_lists)
+    for budget in (1, 3, 7, pk._CELL_BUDGET):
+        with mock.patch.object(pk, "_CELL_BUDGET", budget):
+            assert sum_and_max_bits(segment_lists) == expected, budget
 
 
 def both_modes(segs, fn):
@@ -147,18 +207,18 @@ class TestKernelEqualsReference:
         k, r = both_modes(segs, lambda p: profile_bits(p.shift(delta)))
         assert k == r
 
-    @given(many=st.lists(breakpoint_profiles(max_segments=5), max_size=5))
+    @given(many=st.lists(admitted_segments(), max_size=40))
     @settings(max_examples=100, deadline=None)
+    @example(  # subnormal and tiny densities, as the synthesizer's floor gives
+        many=[
+            [Segment(0.0, 1.0, 5e-324)],
+            [Segment(0.5, 2.0, 1e-310), Segment(2.0, 3.0, 1e-4)],
+            [Segment(0.25, 3.0, 2.0)],
+            [Segment(0.75, 1.5, 5e-324)],
+        ]
+    )
     def test_sum_and_max_profiles(self, many):
-        ks = [SpeedProfile(s) for s in many]
-        k_sum = profile_bits(sum_profiles(ks))
-        k_max = profile_bits(max_profiles(ks))
-        with reference_mode():
-            rs = [SpeedProfile(s) for s in many]
-            r_sum = profile_bits(sum_profiles(rs))
-            r_max = profile_bits(max_profiles(rs))
-        assert k_sum == r_sum
-        assert k_max == r_max
+        assert_stack_matches_reference(many)
 
     @given(segs=breakpoint_profiles(), other=breakpoint_profiles())
     @settings(max_examples=80, deadline=None)
@@ -182,6 +242,90 @@ class TestKernelEqualsReference:
             r_e, r_s = profiles_energy(rs, power), profiles_max_speed(rs)
         assert same_number(k_e, r_e)
         assert same_number(k_s, r_s)
+
+
+# -- the density stack: combine() -------------------------------------------------
+
+
+def avrq_derived_jobs(n, seed=0):
+    """The classical jobs AVRQ hands AVR: a query and a revealed job each."""
+    qi = online_instance(n, seed=seed)
+    return derive_online(qi, AlwaysQuery(), EqualWindowSplit()).jobs
+
+
+class TestCombine:
+    def test_one_cell_grid_adds_in_profile_order(self):
+        """40 rectangles over one cell: a pairwise sum of these speeds
+        differs from the sequential one, so only accumulation passes."""
+        rng = random.Random(1)
+        speeds = [rng.uniform(0.1, 3.0) for _ in range(40)]
+        sequential = 0.0
+        for v in speeds:
+            sequential += v
+        assert bits(np.array(speeds)[:, None].sum(axis=0)[0]) != bits(sequential)
+        stack = [[Segment(0.0, 1.0, v)] for v in speeds]
+        assert profile_bits(sum_profiles([SpeedProfile(s) for s in stack])) == [
+            (bits(0.0), bits(1.0), bits(sequential))
+        ]
+        assert_stack_matches_reference(stack)
+
+    def test_equal_starts_later_segment_wins(self):
+        # The middle profile holds two segments starting at 1 + 3e-10; the
+        # first is sub-EPS long, and the outer profiles put a grid
+        # midpoint (1 + 5.5e-10) inside both of them.
+        tied = [Segment(1.0 + 3e-10, 1.0 + 8e-10, 2.0), Segment(1.0 + 3e-10, 3.0, 1.0)]
+        assert len(SpeedProfile(tied)) == 2
+        assert_stack_matches_reference(
+            [[Segment(0.0, 1.0, 1.0)], tied, [Segment(1.0 + 1.1e-9, 5.0, 0.5)]]
+        )
+
+    def test_sub_eps_overlap_later_segment_wins(self):
+        overlapping = [Segment(0.5, 1.0 + 8e-10, 2.0), Segment(1.0 + 3e-10, 3.0, 1.0)]
+        assert len(SpeedProfile(overlapping)) == 2
+        assert_stack_matches_reference(
+            [[Segment(0.0, 1.0, 1.0)], overlapping, [Segment(1.0 + 1.1e-9, 5.0, 0.5)]]
+        )
+
+    def test_empty_inputs(self):
+        for profiles in ([], [SpeedProfile()], [SpeedProfile(), SpeedProfile()]):
+            assert sum_profiles(profiles).is_empty
+            assert max_profiles(profiles).is_empty
+        assert avr_profile([]).is_empty
+        assert avr_profile([Job(0.0, 1.0, 0.0)]).is_empty
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 20, 60, 150])
+    def test_avr_equals_reference_on_avrq_jobs(self, n):
+        jobs = avrq_derived_jobs(n, seed=n)
+        with reference_mode():
+            expected = profile_bits(oracle.avr_profile(jobs))
+        assert profile_bits(avr_profile(jobs)) == expected
+        with mock.patch.object(pk, "_CELL_BUDGET", 7):
+            assert profile_bits(avr_profile(jobs)) == expected
+
+    def test_avr_filters_on_density_not_work(self):
+        """A positive work whose density underflows to 0.0 adds no
+        rectangle, so its release (sub-EPS below 3.0) never enters the
+        grid and cannot pull the breakpoint at 3.0 away."""
+        jobs = [Job(0, 10, 5), Job(3 - 4e-10, 1003, 5e-324), Job(3, 8, 2)]
+        assert jobs[1].work > 0 and jobs[1].density == 0.0
+        with reference_mode():
+            expected = profile_bits(oracle.avr_profile(jobs))
+        profile = avr_profile(jobs)
+        assert profile_bits(profile) == expected
+        assert profile.segments[0].end == 3.0
+
+    def test_memory_is_bounded_by_the_cell_budget(self):
+        """4,000 rectangles over 5,999 cells would be a 192 MB matrix; one
+        block and its running sums hold 2 x _CELL_BUDGET float64 cells."""
+        jobs = avrq_derived_jobs(2000)
+        assert len(jobs) == 4000
+        tracemalloc.start()
+        try:
+            avr_profile(jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * pk._CELL_BUDGET + 2 * 2**20
 
 
 # -- batched queries -----------------------------------------------------------------
@@ -337,14 +481,23 @@ class TestReferenceMode:
 
     def test_names_imported_elsewhere_are_rebound(self):
         # The packages re-export functions named like these modules.
-        avr = importlib.import_module("repro.speed_scaling.avr")
         crp2d = importlib.import_module("repro.qbss.crp2d")
-        kernel_sum = avr.sum_profiles
+        avr_users = [
+            importlib.import_module(name)
+            for name in (
+                "repro.speed_scaling.avr",
+                "repro.qbss.avrq",
+                "repro.qbss.nonmigratory",
+            )
+        ]
+        kernel_sum, kernel_avr = crp2d.sum_profiles, avr_profile
         with reference_mode():
-            assert avr.sum_profiles is oracle.sum_profiles
             assert crp2d.sum_profiles is oracle.sum_profiles
-        assert avr.sum_profiles is kernel_sum
+            for module in avr_users:
+                assert module.avr_profile is oracle.avr_profile, module
         assert crp2d.sum_profiles is kernel_sum
+        for module in avr_users:
+            assert module.avr_profile is kernel_avr
 
 
 # -- replay byte-identity ------------------------------------------------------------

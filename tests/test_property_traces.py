@@ -6,6 +6,8 @@ seed, and any explicit query cost the trace supplies.  Sharding must
 partition without loss and be invariant to how the stream was chunked.
 """
 
+import csv
+import io
 import json
 import math
 import tempfile
@@ -22,6 +24,7 @@ from repro.traces import (
     TraceRecord,
     get_noise_model,
     iter_shards,
+    parse_csv,
     parse_jsonl,
     parse_swf,
     synthesize_job,
@@ -225,14 +228,30 @@ JSONL_LINES = (
 )
 
 
+NUMERIC_KEYS = ("release", "deadline", "runtime", "query_cost")
+
+
+def holds_a_boolean(line: str) -> bool:
+    """Whether ``line`` decodes to an object with a JSON boolean under a
+    numeric key (``float(True)`` is 1.0, so only a type check stops it)."""
+    try:
+        row = json.loads(line)
+    except (ValueError, RecursionError):
+        return False
+    return isinstance(row, dict) and any(
+        isinstance(row.get(key), bool) for key in NUMERIC_KEYS
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(JSONL_LINES)
 @example("[" * 100_000)
 @example('{"release": 1' + "0" * 400 + ', "deadline": 2, "runtime": 1}')
 @example('{"release": 0, "deadline": 2, "runtime": 1, "query_cost": NaN}')
+@example('{"release": 0, "deadline": 2, "runtime": true}')
 def test_jsonl_line_fails_closed_or_is_finite(line):
     """Any line raises a located TraceParseError, is blank, or yields one
-    record whose numbers are all finite."""
+    record whose numbers are all finite; a boolean number always raises."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
@@ -241,7 +260,58 @@ def test_jsonl_line_fails_closed_or_is_finite(line):
         except TraceParseError as exc:
             assert f"{path}:1:" in str(exc)
             return
+    assert not holds_a_boolean(line)
     assert len(records) == (1 if line.strip() else 0)
+    for record in records:
+        numbers = (record.release, record.deadline, record.runtime, record.query_cost)
+        assert all(math.isfinite(x) for x in numbers if x is not None)
+
+
+# -- CSV parser: untrusted rows fail closed -------------------------------------------
+
+CSV_HEADER = ["release", "deadline", "runtime", "query_cost", "id"]
+#: Cell text, commas, quotes and line feeds included (csv.writer quotes them).
+CSV_TEXT = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\r"),
+    max_size=6,
+)
+CSV_CELLS = st.sampled_from(
+    ["0", "1", "-1", "2.5", "nan", "inf", "1e999", "", " ", "x", "true"]
+) | CSV_TEXT
+
+
+@st.composite
+def valid_csv_rows(draw):
+    """A record that parses; its id may hold a line feed, so it can span lines."""
+    release = draw(st.floats(min_value=0.0, max_value=100.0, **finite))
+    span = draw(st.floats(min_value=0.5, max_value=10.0, **finite))
+    runtime = draw(st.floats(min_value=0.1, max_value=5.0, **finite))
+    return [repr(release), repr(release + span), repr(runtime), "", draw(CSV_TEXT)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prefix=st.lists(valid_csv_rows(), max_size=3),
+    last=st.lists(CSV_CELLS, max_size=7),
+)
+@example(prefix=[], last=["0", "2", "1", "", "x" * 131_073])
+@example(prefix=[["0", "2", "1", "", "a\nb"]], last=["x", "2", "1", "", "c"])
+def test_csv_line_fails_closed_or_is_finite(prefix, last):
+    """After valid records, any last row raises a TraceParseError located
+    at the file's last line, is blank, or yields one more record whose
+    numbers are all finite."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([CSV_HEADER, *prefix, last])
+    text = buffer.getvalue()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_text(text, encoding="utf-8")
+        try:
+            records = list(parse_csv(path))
+        except TraceParseError as exc:
+            assert f"{path}:{text.count(chr(10))}:" in str(exc)
+            return
+    assert len(records) in (len(prefix), len(prefix) + 1)
     for record in records:
         numbers = (record.release, record.deadline, record.runtime, record.query_cost)
         assert all(math.isfinite(x) for x in numbers if x is not None)
