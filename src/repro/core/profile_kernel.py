@@ -13,7 +13,7 @@ is a handful of numpy array passes instead of a Python loop over
 **Determinism contract.**  Every kernel operation reproduces the
 pure-Python reference arithmetic *bit for bit*, so kernel-backed replay
 reports and cached engine entries are byte-identical to the pre-kernel
-ones (pinned by ``tests/test_profile_kernel.py``).  Four rules make that
+ones (pinned by ``tests/test_profile_kernel.py``).  Five rules make that
 possible:
 
 * sums use :func:`sequential_sum` (``np.cumsum`` is a left-to-right
@@ -26,22 +26,32 @@ possible:
 * sums down the profile axis of :func:`combine`'s (profiles x cells)
   matrix accumulate and never reduce: ``np.cumsum`` adds each cell's
   values in profile order, while ``np.sum`` and ``np.add.reduce``
-  pairwise-sum a one-cell column of 16 or more profiles.
+  pairwise-sum a one-cell column of 16 or more profiles;
+* a batch of independent problems shares one tensor only when padding
+  sits at the high end of every scan axis and padded cells are masked:
+  :func:`window_work`'s scans then meet a padded cell only after an
+  item's real ones, or add ``+0.0`` before them (``0.0 + x == x`` for
+  the non-negative sums there), and its callers give padded windows a
+  span of ``-inf`` so that no padded cell can win a maximum.
 
 :func:`combine` processes its matrix in column blocks of at most
 :data:`_CELL_BUDGET` cells (2 MiB of float64), so summing thousands of
 profiles needs a few MiB, not profiles x cells x 8 bytes.  Blocking
-changes no cell's addition order.
+changes no cell's addition order.  A YDS or BKP batch holds at most a
+quarter of that budget, and ends where its padding would pass
+:data:`_PAD_FACTOR` times its real cells (:func:`batches`).
 
-:func:`window_work`, the YDS and BKP window sums, is outside the
-contract: both paths share it, and its oracle, a dense matmul in
-``tests/_reference_kernels.py``, matches it to rounding only.
+:func:`window_work` sums YDS's and BKP's windows for a whole batch of
+busy periods or midpoints at once; each item's sums equal those of a
+lone call over that item's jobs, in the same order.
 
 The pure-Python reference is the original segment-loop implementation,
 kept as the test oracle ``tests/_reference_profile.py``: its
 ``reference_mode()`` patches the loops back in, and the equality suite,
 the replay byte-identity test and the perf trajectory's ``before`` arms
-run against it.
+run against it.  The per-period YDS discovery and the per-midpoint BKP
+sweep that the batches replaced live on in ``tests/_reference_kernels.py``,
+and ``reference_mode()`` rebinds them too.
 """
 
 from __future__ import annotations
@@ -142,52 +152,113 @@ def collapse_times(values: np.ndarray) -> np.ndarray:
     Matches the reference ``sorted(set(...))`` + tolerance-collapse loop.
     """
     uniq = np.unique(values)
-    if uniq.size <= 1 or bool(np.all(np.diff(uniq) > EPS)):
-        return uniq
-    vals = uniq.tolist()
-    kept = [vals[0]]
-    for t in vals[1:]:
-        if t - kept[-1] > EPS:
-            kept.append(t)
-    return as_float_array(kept)
+    keep = np.ones(uniq.size, dtype=bool)
+    return uniq[chain(keep, np.diff(uniq) <= EPS, np.zeros(uniq.size), uniq)]
+
+
+def collapse_keys(keys: np.ndarray) -> np.ndarray:
+    """:func:`collapse_times` within each group of :func:`keyed` keys.
+
+    Returns the kept keys, sorted by group, then time: each group's
+    distinct times, less those within EPS of the last kept time of their
+    group, so each sub-EPS chain keeps its first time.
+    """
+    keys = keys.copy()
+    keys.sort()
+    step = keys[1:] - keys[:-1]  # exact: zero only between equal keys
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(step, 0, out=keep[1:])
+    close = keep[1:] & (step.real == 0) & (step.imag <= EPS)
+    return keys[chain(keep, close, keys.real, keys.imag)]
+
+
+def chain(
+    keep: np.ndarray, close: np.ndarray, groups: np.ndarray, times: np.ndarray
+) -> np.ndarray:
+    """Finish a sub-EPS chain collapse in place, and return ``keep``.
+
+    ``(groups, times)`` are sorted by group, then time; ``keep`` marks the
+    distinct pairs, and ``close[i]`` that pair ``i + 1`` is distinct from
+    and within EPS of pair ``i`` of its group.  The chain runs in Python
+    only for the groups that hold such a pair: a time within EPS of the
+    last kept time of its group is dropped.
+    """
+    if not close.any():
+        return keep
+    values = times.tolist()
+    for g in np.unique(groups[1:][close]).tolist():
+        lo, hi = np.searchsorted(groups, (g, g + 1)).tolist()
+        last = values[lo]
+        for i in range(lo + 1, hi):
+            if not keep[i]:
+                continue
+            if values[i] - last > EPS:
+                last = values[i]
+            else:
+                keep[i] = False
+    return keep
 
 
 # -- window sums --------------------------------------------------------------------
 
 
-def window_work(
-    releases: np.ndarray,
-    deadlines: np.ndarray,
-    works: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-) -> np.ndarray:
-    """``out[i, k]``: total work of jobs inside ``[starts[i], ends[k]]``.
+def keyed(groups: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Complex keys that numpy orders by ``groups``, then by ``times``.
 
-    A job is inside when ``release >= starts[i] - EPS`` and ``deadline <=
-    ends[k] + EPS``; ``starts`` and ``ends`` must be sorted.  Each job
-    lands in one cell of a (start rank, end rank) histogram, and the two
-    cumulative sums spread it over every window that contains it: O(n +
-    starts * ends) without the ``starts x jobs x ends`` product.
-
-    Only non-negative works are ever added, so a window holding no job
-    reads exactly ``0.0`` (prefix-sum differences would cancel to
-    ``±1e-17`` and fool the callers' ``<= 0`` tests).  The sums run in
-    histogram order, so they match a dense matmul over the same windows to
-    rounding, not bit for bit.
+    numpy sorts and searches complex numbers lexicographically (real part
+    first), so one ``np.sort`` or ``np.searchsorted`` over these keys
+    treats every group as its own sorted list.  The parts are assigned,
+    never computed, so every time keeps its bits.
     """
-    n_ends = ends.size
-    rows = np.searchsorted(starts - EPS, releases, side="right")
-    cols = np.searchsorted(ends + EPS, deadlines, side="left")
+    keys = np.empty(times.size, dtype=np.complex128)
+    keys.real = groups
+    keys.imag = times
+    return keys
+
+
+def window_work(
+    items: np.ndarray,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    works: np.ndarray,
+    shape: tuple[int, int, int],
+) -> np.ndarray:
+    """``out[i, s, e]``: total work of item ``i``'s jobs inside its window
+    ``[starts[s], ends[e]]``, for ``shape = (items, starts, ends)``.
+
+    Each job belongs to one item (a YDS busy period, a BKP midpoint) and
+    arrives as its item's sorted ``starts``/``ends`` ranks: ``rows`` counts
+    the starts with ``start - EPS <= release`` and ``cols`` the ends with
+    ``end + EPS < deadline``, so the job is inside every window ``[s, e]``
+    with ``s < rows`` and ``e >= cols``.  One ``np.bincount`` lays the jobs
+    into an (items x starts+1 x ends+1) histogram, and two cumulative sums
+    spread each over the windows that contain it: O(n + cells) without a
+    ``starts x jobs x ends`` product.
+
+    Items with fewer starts or ends than ``shape`` are padded at the high
+    end of both axes.  The end scan reaches padding only after an item's
+    real cells, and the reversed start scan adds ``+0.0`` before them, so
+    every real cell adds the same values in the same order as a batch of
+    that one item: jobs in input order within a cell, then the scans.
+    Padded rows read ``0.0``; a padded column repeats its row's total, so
+    callers must give it a span that no maximum can pick.  Only
+    non-negative works are added, so a window holding no job reads exactly
+    ``0.0``.
+    """
+    n_items, n_starts, n_ends = shape
     hist = np.bincount(
-        rows * (n_ends + 1) + cols,
+        (items * (n_starts + 1) + rows) * (n_ends + 1) + cols,
         weights=works,
-        minlength=(starts.size + 1) * (n_ends + 1),
-    ).reshape(starts.size + 1, n_ends + 1)
+        minlength=n_items * (n_starts + 1) * (n_ends + 1),
+    ).reshape(n_items, n_starts + 1, n_ends + 1)
     # Row r holds jobs inside windows [starts[i], ...] for every i < r;
-    # column c holds jobs inside [..., ends[k]] for every k >= c.
-    acc = np.cumsum(np.cumsum(hist, axis=1)[::-1], axis=0)[::-1]
-    return acc[1:, :n_ends]
+    # column c holds jobs inside [..., ends[k]] for every k >= c.  Both
+    # scans run in place: on a large batch, faulting in a fresh array per
+    # scan took longer than the scan.
+    np.add.accumulate(hist, axis=2, out=hist)
+    np.add.accumulate(hist[:, ::-1], axis=1, out=hist[:, ::-1])
+    return hist[:, 1:, :n_ends]
 
 
 # -- aggregates ---------------------------------------------------------------------
@@ -297,8 +368,45 @@ def shift(arrays: ProfileArrays, delta: float) -> ProfileArrays:
 
 
 #: Most cells one column block of :func:`combine`'s (profiles x cells)
-#: matrix holds (a block is one column wide at least).
+#: matrix, or one YDS or BKP batch, holds (a block is one column, one
+#: busy period or one midpoint wide at least).
 _CELL_BUDGET = 1 << 18
+
+#: A YDS or BKP batch ends where its padded cells would pass this many
+#: times its real ones.
+_PAD_FACTOR = 2
+
+
+def batches(
+    n_starts: Sequence[int], n_ends: Sequence[int], n_jobs: Sequence[int]
+) -> list[tuple[int, int]]:
+    """Split items ``0 .. n-1`` into consecutive :func:`window_work` batches.
+
+    Item ``i`` has ``n_starts[i]`` starts, ``n_ends[i]`` ends and
+    ``n_jobs[i]`` jobs; a batch pads each of its items to its largest
+    start and end counts.  A batch ``[lo, hi)`` ends before the item that
+    would take its padded cells past :data:`_PAD_FACTOR` times its real
+    ones, or its padded cells or its jobs past a quarter of
+    :data:`_CELL_BUDGET`: a batch's window sums, spans and ratios are
+    several cell-sized arrays at a time.  A batch holds one item at least.
+    """
+    cap = _CELL_BUDGET // 4
+    out: list[tuple[int, int]] = []
+    lo = top_s = top_e = real = jobs = 0
+    for i, (s, e, n) in enumerate(zip(n_starts, n_ends, n_jobs)):
+        cells = (s + 1) * (e + 1)
+        pad_s, pad_e = max(top_s, s), max(top_e, e)
+        padded = (i + 1 - lo) * (pad_s + 1) * (pad_e + 1)
+        if i > lo and (
+            padded > _PAD_FACTOR * (real + cells)
+            or max(padded, jobs + n) > cap
+        ):
+            out.append((lo, i))
+            lo, pad_s, pad_e, real, jobs = i, s, e, 0, 0
+        top_s, top_e, real, jobs = pad_s, pad_e, real + cells, jobs + n
+    if lo < len(n_starts):
+        out.append((lo, len(n_starts)))
+    return out
 
 
 def combine(

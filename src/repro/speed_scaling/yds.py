@@ -13,6 +13,15 @@ system (:class:`TimelineCompressor`): each iteration works in compressed
 coordinates, and scheduled slices are mapped back to original time, where a
 later critical interval may interleave *around* earlier ones.
 
+Busy periods (runs of jobs separated by idle gaps over EPS) never interact,
+so each keeps its own timeline, and the search goes in rounds: round *r*
+finds the *r*-th critical interval of every period that still has jobs in
+one batched pass of the window-sum kernel.  Each period gets exactly the
+arithmetic of a search over that period alone.  A discovered step carries
+a snapshot of its period's timeline (origin and cuts) as it stood before
+the step's own cut, which is what maps the step's slices back to original
+time.
+
 This is the workhorse of the whole library: the clairvoyant baseline of
 every QBSS experiment is YDS on the jobs ``(r_j, d_j, p*_j)`` (paper Sec. 3),
 and CRP2D calls YDS as a subroutine (Algorithm 2, line 6).
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -32,6 +41,33 @@ from ..core.job import Job
 from ..core.profile import Segment, SpeedProfile
 from ..core.schedule import Schedule
 from ..core import profile_kernel as _pk
+
+
+def _expand(
+    origin: float, cuts: Sequence[tuple[float, float]], c1: float, c2: float
+) -> list[tuple[float, float]]:
+    """:meth:`TimelineCompressor.expand_interval` of a timeline given as its
+    ``origin`` and its sorted, merged ``cuts``."""
+    if c2 <= c1:
+        return []
+    out: list[tuple[float, float]] = []
+    pos = 0.0  # compressed time at cursor
+    cursor = origin  # original time
+    remaining_start = c1
+    for a, b in (*cuts, (float("inf"), float("inf"))):
+        gap = a - cursor  # length of un-cut original time before next cut
+        if gap > 0:
+            lo = max(remaining_start, pos)
+            hi = min(c2, pos + gap)
+            o1, o2 = cursor + (lo - pos), cursor + (hi - pos)
+            # guard against zero-length intervals born of float rounding
+            if hi > lo and o2 > o1 + EPS * max(1.0, abs(o1)) * 1e-3:
+                out.append((o1, o2))
+            pos += gap
+            if pos >= c2 - EPS:
+                break
+        cursor = b
+    return out
 
 
 class TimelineCompressor:
@@ -91,26 +127,7 @@ class TimelineCompressor:
 
         The image is a union of intervals, one per maximal gap between cuts.
         """
-        if c2 <= c1:
-            return []
-        out: list[tuple[float, float]] = []
-        pos = 0.0  # compressed time at cursor
-        cursor = self.origin  # original time
-        remaining_start = c1
-        for a, b in self._cuts + [(float("inf"), float("inf"))]:
-            gap = a - cursor  # length of un-cut original time before next cut
-            if gap > 0:
-                lo = max(remaining_start, pos)
-                hi = min(c2, pos + gap)
-                o1, o2 = cursor + (lo - pos), cursor + (hi - pos)
-                # guard against zero-length intervals born of float rounding
-                if hi > lo and o2 > o1 + EPS * max(1.0, abs(o1)) * 1e-3:
-                    out.append((o1, o2))
-                pos += gap
-                if pos >= c2 - EPS:
-                    break
-            cursor = b
-        return out
+        return _expand(self.origin, self._cuts, c1, c2)
 
     def cut(self, intervals: Sequence[tuple[float, float]]) -> None:
         """Excise original-time ``intervals`` (merging with existing cuts)."""
@@ -148,54 +165,13 @@ class YDSResult:
     critical_intervals: list[CriticalInterval]
 
 
-def _max_intensity(
-    releases: np.ndarray,
-    deadlines: np.ndarray,
-    works: np.ndarray,
-    compressor: TimelineCompressor,
-) -> tuple[float, float, float, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Find the compressed interval of maximum intensity.
-
-    Returns ``(intensity, c_start, c_end, inside, comp_r, comp_d)`` —
-    ``inside`` masks the critical jobs, ``comp_r``/``comp_d`` are every
-    job's compressed release and deadline — or ``None`` when no
-    positive-work interval exists.  Vectorised over all candidate
-    (release, deadline) pairs through :func:`~repro.core.profile_kernel.window_work`;
-    the coordinate mapping runs through
-    :meth:`TimelineCompressor.compress_many` in one pass.
-    """
-    n = releases.size
-    comp_all = compressor.compress_many(np.concatenate([releases, deadlines]))
-    comp_r, comp_d = comp_all[:n], comp_all[n:]
-    # collapse_times == dedupe_times on floats (sub-EPS chain collapse
-    # keeping the first of each group), minus the Python sort.
-    starts = _pk.collapse_times(comp_r)
-    ends = _pk.collapse_times(comp_d)
-    # work_matrix[i, k] = total work of jobs inside [starts[i], ends[k]]
-    work_matrix = _pk.window_work(comp_r, comp_d, works, starts, ends)
-
-    lengths = ends[None, :] - starts[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        intensity = np.where(lengths > EPS, work_matrix / lengths, -np.inf)
-    intensity[work_matrix <= 0] = -np.inf
-
-    flat = int(np.argmax(intensity))
-    i, k = divmod(flat, intensity.shape[1])
-    if not np.isfinite(intensity[i, k]):
-        return None
-    a, b = float(starts[i]), float(ends[k])
-    inside = (comp_r >= a - EPS) & (comp_d <= b + EPS)
-    return (float(intensity[i, k]), a, b, inside, comp_r, comp_d)
-
-
 @dataclass(frozen=True)
 class _DiscoveryStep:
     """One critical interval as discovered, before timeline excision.
 
-    ``compressor`` is the live compressor of the step's busy period in its
-    *pre-cut* state — valid only until the generator is advanced, which is
-    exactly the window a consumer needs to map compressed slices back to
-    original time.
+    ``origin`` and ``cuts`` snapshot the step's busy-period timeline in its
+    *pre-cut* state: what maps the step's compressed slices back to
+    original time (:func:`_expand`).
     """
 
     speed: float
@@ -204,7 +180,8 @@ class _DiscoveryStep:
     jobs: list[Job]
     comp_windows: list[tuple[float, float]]
     original_cover: list[tuple[float, float]]
-    compressor: TimelineCompressor = field(repr=False)
+    origin: float
+    cuts: tuple[tuple[float, float], ...] = field(repr=False)
 
 
 def _busy_periods(pending: Sequence[Job]) -> list[list[Job]]:
@@ -223,36 +200,116 @@ def _busy_periods(pending: Sequence[Job]) -> list[list[Job]]:
     return periods
 
 
-def _period_steps(jobs: Sequence[Job]) -> Iterator[_DiscoveryStep]:
-    """YDS on one busy period, in its own compressed timeline."""
-    compressor = TimelineCompressor(jobs[0].release)
-    releases = np.array([j.release for j in jobs])
-    deadlines = np.array([j.deadline for j in jobs])
-    works = np.array([j.work for j in jobs])
-    left = np.arange(len(jobs))  # indices of unscheduled jobs
-    while left.size:
-        found = _max_intensity(
-            releases[left], deadlines[left], works[left], compressor
-        )
-        if found is None:
-            break
-        speed, c1, c2, inside, comp_r, comp_d = found
-        original_cover = compressor.expand_interval(c1, c2)
-        yield _DiscoveryStep(
-            speed,
-            c1,
-            c2,
-            [jobs[i] for i in left[inside].tolist()],
-            list(zip(comp_r[inside].tolist(), comp_d[inside].tolist())),
-            original_cover,
-            compressor,
-        )
-        compressor.cut(original_cover)
-        left = left[~inside]
+def _compress(
+    timelines: Sequence[TimelineCompressor],
+    item: np.ndarray,
+    times: np.ndarray,
+    base: np.ndarray,
+) -> np.ndarray:
+    """:meth:`TimelineCompressor.compress_many` of many times in one pass:
+    ``times[j]`` maps through ``timelines[item[j]]``, and ``base[j]`` is
+    its ``time - origin``.
+
+    The timelines' cuts are concatenated, each timeline's running cut
+    lengths behind a leading 0.0, and one complex-keyed search ranks every
+    time among its own timeline's cuts.  The rest is compress_many's
+    arithmetic elementwise (a timeline without cuts subtracts 0.0), so
+    every time maps to the same bits.
+    """
+    a: list[float] = []
+    b: list[float] = []
+    owner: list[int] = []
+    cum: list[float] = []  # per timeline: 0.0, then its running cut lengths
+    top: list[int] = []  # cuts of timelines 0..k
+    for k, timeline in enumerate(timelines):
+        total = 0.0
+        cum.append(total)
+        for lo, hi in timeline._cuts:
+            a.append(lo)
+            b.append(hi)
+            owner.append(k)
+            total += hi - lo  # np.cumsum's sequential order
+            cum.append(total)
+        top.append(len(a))
+    if not a:
+        return base
+    cut_a = np.array(a)
+    rank = _pk.keyed(np.array(owner), np.array(b)).searchsorted(
+        _pk.keyed(item, times), side="right"
+    )
+    removed = np.array(cum)[rank + item]
+    ak = cut_a[np.minimum(rank, cut_a.size - 1)]
+    straddles = (rank < np.array(top)[item]) & (ak < times)
+    removed = np.where(straddles, removed + (times - ak), removed)
+    return base - removed
 
 
-def _discover(jobs: Sequence[Job]) -> Iterator[_DiscoveryStep]:
-    """Yield the critical-interval decomposition step by step.
+def _critical(
+    item: np.ndarray, first_job: np.ndarray, comp: np.ndarray, works: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every item's compressed interval of maximum intensity, in batches.
+
+    ``comp`` holds the jobs' compressed releases, then their compressed
+    deadlines; ``item`` (non-decreasing) is each job's item, and item
+    ``k``'s jobs are ``first_job[k]:first_job[k + 1]``.  Returns per item
+    ``(intensity, c_start, c_end, found)``; an item is not found when no
+    positive-work interval exists.  Per item this is the lone computation
+    exactly: its collapsed starts and ends, its window sums through
+    :func:`~repro.core.profile_kernel.window_work`, ``work / length``
+    where ``length > EPS`` and ``work > 0`` (``-inf`` elsewhere), and the
+    first maximum in row-major order.  Padded starts are ``+inf`` and
+    padded ends ``-inf``, so every padded cell's length is ``-inf`` and its
+    intensity ``-inf``: a padded column, which repeats its row's work,
+    cannot beat an item whose real cells are all ``-inf``.
+    """
+    n, n_items = item.size, first_job.size - 1
+    # One sort collapses both: item k's starts are group k, its ends
+    # group n_items + k.
+    keys = _pk.keyed(np.concatenate((item, item + n_items)), comp)
+    kept = _pk.collapse_keys(keys)
+    group = kept.real.astype(np.intp)
+    first = group.searchsorted(np.arange(2 * n_items + 1))
+    at = np.arange(kept.size) - first[group]  # position within its group
+    rows = (kept - 1j * EPS).searchsorted(keys[:n], side="right") - first[item]
+    cols = (kept + 1j * EPS).searchsorted(keys[n:]) - first[n_items + item]
+    bounds = first.tolist()
+    counts = [b - a for a, b in zip(bounds, bounds[1:])]
+    job_bounds = first_job.tolist()
+    best, c1, c2 = np.empty((3, n_items))
+    for lo, hi in _pk.batches(
+        counts[:n_items],
+        counts[n_items:],
+        [b - a for a, b in zip(job_bounds, job_bounds[1:])],
+    ):
+        size = hi - lo
+        n_s, n_e = max(counts[lo:hi]), max(counts[n_items + lo:n_items + hi])
+        jobs = slice(job_bounds[lo], job_bounds[hi])
+        work = _pk.window_work(
+            item[jobs] - lo, rows[jobs], cols[jobs], works[jobs], (size, n_s, n_e)
+        )
+        vals = []
+        for g0, width, pad in ((lo, n_s, np.inf), (n_items + lo, n_e, -np.inf)):
+            span = slice(bounds[g0], bounds[g0 + size])
+            padded = np.empty((size, width))
+            padded.fill(pad)
+            padded.ravel()[(group[span] - g0) * width + at[span]] = kept.imag[span]
+            vals.append(padded)
+        s_vals, e_vals = vals
+        lengths = e_vals[:, None, :] - s_vals[:, :, None]
+        valid = (lengths > EPS) & (work > 0)
+        intensity = np.empty((size, n_s * n_e))
+        intensity.fill(-np.inf)
+        np.divide(work, lengths, out=intensity.reshape(lengths.shape), where=valid)
+        flat = intensity.argmax(axis=1)
+        every = np.arange(size)
+        best[lo:hi] = intensity[every, flat]
+        c1[lo:hi] = s_vals[every, flat // n_e]
+        c2[lo:hi] = e_vals[every, flat % n_e]
+    return best, c1, c2, np.isfinite(best)
+
+
+def _discover(jobs: Sequence[Job]) -> list[_DiscoveryStep]:
+    """The critical-interval decomposition, step by step.
 
     This is the schedule-free core of YDS: both :func:`yds` (which
     additionally realises EDF inside each step) and :func:`yds_profile`
@@ -262,16 +319,79 @@ def _discover(jobs: Sequence[Job]) -> Iterator[_DiscoveryStep]:
     EPS, and each period runs YDS on its own timeline.  That is exact: an
     interval spanning a gap is strictly less intense than one of its two
     sides, both of which are candidates, so no critical interval (and no
-    cut) ever reaches a gap and the periods never interact.  Their step
-    streams, each non-increasing in speed, are merged by speed, ties to
-    the earlier period.  ``heapq.merge`` advances a stream, which cuts its
-    timeline, only when asked for the item after that stream's last one.
+    cut) ever reaches a gap and the periods never interact.  So the
+    periods go in rounds: round *r* finds the *r*-th critical interval of
+    every period that still has jobs, in one batched pass (:func:`_critical`
+    on :func:`_compress`'s times), and then cuts each period's timeline.
+    Each period's steps, non-increasing in speed, are merged by speed,
+    ties to the earlier period.
     """
     pending = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
-    yield from heapq.merge(
-        *(_period_steps(period) for period in _busy_periods(pending)),
-        key=lambda step: -step.speed,
-    )
+    periods = _busy_periods(pending)
+    if not periods:
+        return []
+    # Smallest periods first, so that a round's batches pad little.
+    layout = sorted(range(len(periods)), key=lambda q: len(periods[q]))
+    flat = [j for q in layout for j in periods[q]]
+    period = np.repeat(layout, [len(periods[q]) for q in layout])
+    timelines = [TimelineCompressor(p[0].release) for p in periods]
+    # Each job's release (row 0) and deadline (row 1), and both less its
+    # period's origin.
+    times = np.array([[j.release for j in flat], [j.deadline for j in flat]])
+    base = times - np.array([t.origin for t in timelines])[period]
+    works = np.array([j.work for j in flat])
+    steps: list[list[_DiscoveryStep]] = [[] for _ in periods]
+    alive = np.arange(len(flat))  # unscheduled jobs, period after period
+    while alive.size:
+        owner = period[alive]
+        head = np.empty(alive.size + 1, dtype=bool)
+        head[0] = head[-1] = True
+        np.not_equal(owner[1:], owner[:-1], out=head[1:-1])
+        first_job = head.nonzero()[0]
+        item = np.arange(first_job.size - 1).repeat(first_job[1:] - first_job[:-1])
+        active = owner[first_job[:-1]].tolist()
+        comp = _compress(  # compressed releases, then compressed deadlines
+            [timelines[q] for q in active],
+            np.concatenate((item, item)),
+            times[:, alive].ravel(),
+            base[:, alive].ravel(),
+        )
+        comp_r, comp_d = comp[: alive.size], comp[alive.size:]
+        speed, c1, c2, found = _critical(item, first_job, comp, works[alive])
+        # A period without a critical interval drops all its jobs.
+        lo_t = np.where(found, c1 - EPS, -np.inf)
+        hi_t = np.where(found, c2 + EPS, np.inf)
+        inside = (comp_r >= lo_t[item]) & (comp_d <= hi_t[item])
+        picked = inside.nonzero()[0]
+        members: list[list[Job]] = [[] for _ in active]
+        windows: list[list[tuple[float, float]]] = [[] for _ in active]
+        for k, g, r, d in zip(
+            item[picked].tolist(),
+            alive[picked].tolist(),
+            comp_r[picked].tolist(),
+            comp_d[picked].tolist(),
+        ):
+            members[k].append(flat[g])
+            windows[k].append((r, d))
+        for k in found.nonzero()[0].tolist():
+            timeline = timelines[active[k]]
+            lo, hi = float(c1[k]), float(c2[k])
+            cover = timeline.expand_interval(lo, hi)
+            steps[active[k]].append(
+                _DiscoveryStep(
+                    float(speed[k]),
+                    lo,
+                    hi,
+                    members[k],
+                    windows[k],
+                    cover,
+                    timeline.origin,
+                    tuple(timeline._cuts),
+                )
+            )
+            timeline.cut(cover)
+        alive = alive[~inside]
+    return list(heapq.merge(*steps, key=lambda step: -step.speed))
 
 
 def _step_critical(step: _DiscoveryStep) -> CriticalInterval:
@@ -317,7 +437,7 @@ def yds(jobs: Sequence[Job]) -> YDSResult:
 
         # Map compressed slices back to (possibly split) original time.
         for s in result.schedule.slices(0):
-            for (o1, o2) in step.compressor.expand_interval(s.start, s.end):
+            for (o1, o2) in _expand(step.origin, step.cuts, s.start, s.end):
                 schedule.add(o1, o2, step.speed, s.job_id)
 
         criticals.append(_step_critical(step))

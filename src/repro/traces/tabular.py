@@ -9,6 +9,7 @@ Validation is strict and per-line — every violation raises
 :class:`~repro.traces.records.TraceParseError` with the file and 1-based
 line number:
 
+* every line is UTF-8 (a byte that is not names its own line);
 * ``release >= 0`` and finite;
 * ``runtime > 0`` and finite (it becomes the exact load ``w*``);
 * ``deadline > release`` (the window must be non-empty);
@@ -24,8 +25,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from .records import ParseStats, TraceParseError, TraceRecord
@@ -37,6 +39,29 @@ PathLike = str | Path
 
 REQUIRED_COLUMNS = ("release", "deadline", "runtime")
 OPTIONAL_COLUMNS = ("query_cost", "id")
+
+#: What ``errors="surrogateescape"`` decodes a byte that is not UTF-8 to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def _utf8_lines(source: str, lines: Iterable[str]) -> Iterator[str]:
+    """The lines of a trace opened with ``errors="surrogateescape"``.
+
+    Decoding strictly would raise ``UnicodeDecodeError`` from the text
+    decoder, which reads ahead in 8 KiB chunks, so no line number could be
+    put on it.  Escaped, every line decodes, and a byte that is not UTF-8
+    raises here, with the line it is on.
+    """
+    for lineno, line in enumerate(lines, start=1):
+        bad = _ESCAPED_BYTE.search(line)
+        if bad:
+            raise TraceParseError(
+                source,
+                lineno,
+                f"invalid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                f"at character {bad.start() + 1}",
+            )
+        yield line
 
 
 def _validated_record(
@@ -114,8 +139,8 @@ def parse_csv(
     """Lazily yield records from a CSV trace (header row required)."""
     source = str(path)
     stats = stats if stats is not None else ParseStats()
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = csv.reader(_utf8_lines(source, handle))
         records = _csv_records(source, reader)
         try:
             header = next(records)
@@ -161,8 +186,8 @@ def parse_jsonl(
     """Lazily yield records from a JSONL trace (one object per line)."""
     source = str(path)
     stats = stats if stats is not None else ParseStats()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(_utf8_lines(source, handle), start=1):
             line = raw.strip()
             if not line:
                 continue

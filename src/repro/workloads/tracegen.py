@@ -21,6 +21,15 @@ import numpy as np
 
 PathLike = str | Path
 
+#: One SWF record from (job number, submit time, run time, requested time).
+#: Fields: 1 job number, 2 submit time, 3 wait time, 4 run time, 5 allocated
+#: processors, 6 average CPU time, 7 used memory, 8 requested processors,
+#: 9 requested time, 10 requested memory, 11 status, 12 user id, 13 group
+#: id, 14 executable number, 15 queue number, 16 partition number, 17
+#: preceding job, 18 think time.  The ones the parser ignores carry the
+#: conventional ``-1`` placeholders.
+_SWF_ROW = "%d %.3f -1 %.3f 1 -1 -1 1 %.3f -1 1 -1 -1 -1 1 -1 -1 -1\n"
+
 
 def _draw_jobs(n: int, seed: int, arrival_rate: float, runtime_sigma: float):
     rng = np.random.default_rng(seed)
@@ -53,28 +62,12 @@ def write_synthetic_swf(
         handle.write("; Synthetic SWF trace (repro.workloads.tracegen)\n")
         handle.write(f"; MaxJobs: {n}\n")
         handle.write(f"; Note: seed={seed} arrival_rate={arrival_rate}\n")
-        for i in range(n):
-            fields = [
-                str(i + 1),                    # 1 job number
-                f"{releases[i]:.3f}",          # 2 submit time
-                "-1",                          # 3 wait time
-                f"{runtimes[i]:.3f}",          # 4 run time
-                "1",                           # 5 allocated processors
-                "-1",                          # 6 average CPU time
-                "-1",                          # 7 used memory
-                "1",                           # 8 requested processors
-                f"{requested[i]:.3f}",         # 9 requested time
-                "-1",                          # 10 requested memory
-                "1",                           # 11 status
-                "-1",                          # 12 user id
-                "-1",                          # 13 group id
-                "-1",                          # 14 executable number
-                "1",                           # 15 queue number
-                "-1",                          # 16 partition number
-                "-1",                          # 17 preceding job
-                "-1",                          # 18 think time
-            ]
-            handle.write(" ".join(fields) + "\n")
+        handle.writelines(
+            _SWF_ROW % row
+            for row in zip(
+                range(1, n + 1), releases.tolist(), runtimes.tolist(), requested.tolist()
+            )
+        )
     return path
 
 

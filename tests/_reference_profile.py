@@ -4,10 +4,12 @@ Before the numpy kernel, :class:`~repro.core.profile.SpeedProfile`,
 :class:`~repro.core.schedule.Schedule` and YDS's compressed-timeline step
 were plain loops over segments and slices.  They live on here, with their
 arithmetic unchanged, as the reference the kernel must reproduce bit for
-bit.  :func:`reference_mode` patches them back over the kernel-backed code
-so a whole pipeline (YDS, a replay) runs exactly as it did before the
-kernel.  Test and bench use only: the patches are process-wide, so it is
-not thread safe.
+bit.  :func:`reference_mode` patches them back over the kernel-backed code,
+together with the per-period YDS discovery and the per-midpoint BKP sweep
+of ``tests/_reference_kernels.py``, so a whole pipeline (YDS, a replay)
+runs exactly as it did before the kernel and the batched window sums.
+Test and bench use only: the patches are process-wide, so it is not
+thread safe.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from unittest import mock
 
 import numpy as np
 
+import _reference_kernels as _kernels
 from repro.core import profile as _profile
 from repro.core import profile_kernel as _pk
 from repro.core.constants import EPS
@@ -29,7 +32,9 @@ from repro.core.schedule import Schedule
 from repro.core.timeline import dedupe_times
 from repro.qbss.clairvoyant import clairvoyant_values as _clairvoyant_values
 from repro.speed_scaling.avr import avr_profile as _avr_profile
+from repro.speed_scaling.bkp import bkp_profile as _bkp_profile
 from repro.speed_scaling.yds import TimelineCompressor
+from repro.speed_scaling.yds import _discover as _yds_discover
 
 # -- SpeedProfile -------------------------------------------------------------------
 
@@ -270,12 +275,15 @@ def _no_shared_baseline(*args: object, **kwargs: object) -> None:
 
 #: Module-level functions that other modules import by name
 #: (``from ..core.profile import sum_profiles`` in CRP2D, ``avr_profile``
-#: in AVRQ and AVRQ-NM, the package re-exports, a bench script's
-#: globals), kernel first.
+#: in AVRQ and AVRQ-NM, ``bkp_profile`` in BKPQ, the package re-exports,
+#: a bench script's globals), kernel first.  YDS's ``_discover`` is what
+#: both ``yds`` and ``yds_profile`` drive.
 _FUNCTIONS: dict[str, tuple[object, object]] = {
     "sum_profiles": (_profile.sum_profiles, sum_profiles),
     "max_profiles": (_profile.max_profiles, max_profiles),
     "avr_profile": (_avr_profile, avr_profile),
+    "bkp_profile": (_bkp_profile, _kernels.bkp_profile_sweep),
+    "_discover": (_yds_discover, _kernels.period_discover),
     "collapse_times": (_pk.collapse_times, collapse_times),
     "clairvoyant_values": (_clairvoyant_values, _no_shared_baseline),
 }
@@ -298,10 +306,10 @@ def reference_mode() -> Iterator[None]:
     """Run profiles, schedules and YDS on the pre-kernel loops.
 
     Patches the loops above over the kernel-backed methods, and rebinds
-    ``sum_profiles``/``max_profiles``/``avr_profile`` in *every* loaded
-    module that holds the kernel function, found by identity (patching
-    ``repro.core.profile`` alone would leave CRP2D's and AVRQ's imported
-    names on the kernel).  ``clairvoyant_values`` returns ``None``, so
+    ``sum_profiles``/``max_profiles``/``avr_profile``/``bkp_profile`` and
+    YDS's ``_discover`` in *every* loaded module that holds the kernel
+    function, found by identity (patching ``repro.core.profile`` alone
+    would leave CRP2D's, AVRQ's and BKPQ's imported names on the kernel).  ``clairvoyant_values`` returns ``None``, so
     trace replay computes one baseline per algorithm as it did before the
     kernel.  ``SpeedProfile._get_arrays``/``_from_arrays`` raise
     :class:`KernelPathReached`, so a kernel path that escapes the patches

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference_kernels as kernels
 import _reference_profile as oracle
 from _reference_profile import KernelPathReached, reference_mode
 from repro.core import profile_kernel as pk
@@ -52,6 +53,7 @@ from repro.core.qjob import QJob
 from repro.qbss.policies import AlwaysQuery, EqualWindowSplit
 from repro.qbss.transform import derive_online
 from repro.speed_scaling.avr import avr_profile
+from repro.speed_scaling.bkp import bkp_profile
 from repro.speed_scaling.yds import TimelineCompressor, yds, yds_profile
 from repro.workloads.generators import online_instance
 
@@ -490,14 +492,26 @@ class TestReferenceMode:
                 "repro.qbss.nonmigratory",
             )
         ]
+        bkp_users = [
+            importlib.import_module(name)
+            for name in ("repro.speed_scaling.bkp", "repro.qbss.bkpq")
+        ]
+        yds_module = importlib.import_module("repro.speed_scaling.yds")
         kernel_sum, kernel_avr = crp2d.sum_profiles, avr_profile
+        kernel_bkp, kernel_discover = bkp_profile, yds_module._discover
         with reference_mode():
             assert crp2d.sum_profiles is oracle.sum_profiles
             for module in avr_users:
                 assert module.avr_profile is oracle.avr_profile, module
+            for module in bkp_users:
+                assert module.bkp_profile is kernels.bkp_profile_sweep, module
+            assert yds_module._discover is kernels.period_discover
         assert crp2d.sum_profiles is kernel_sum
         for module in avr_users:
             assert module.avr_profile is kernel_avr
+        for module in bkp_users:
+            assert module.bkp_profile is kernel_bkp
+        assert yds_module._discover is kernel_discover
 
 
 # -- replay byte-identity ------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -225,17 +226,21 @@ JSONL_LINES = (
         max_size=12,
     )
     | st.sampled_from(["[" * 100_000, "{" * 3000, '{"release": ' + "9" * 5000 + "}"])
+).map(str.encode)
+#: Arbitrary bytes on one line: UTF-8 or not.
+RAW_LINE = st.binary(max_size=12).map(
+    lambda b: b.replace(b"\n", b"").replace(b"\r", b"")
 )
 
 
 NUMERIC_KEYS = ("release", "deadline", "runtime", "query_cost")
 
 
-def holds_a_boolean(line: str) -> bool:
+def holds_a_boolean(line: bytes) -> bool:
     """Whether ``line`` decodes to an object with a JSON boolean under a
     numeric key (``float(True)`` is 1.0, so only a type check stops it)."""
     try:
-        row = json.loads(line)
+        row = json.loads(line.decode("utf-8"))
     except (ValueError, RecursionError):
         return False
     return isinstance(row, dict) and any(
@@ -244,17 +249,19 @@ def holds_a_boolean(line: str) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(JSONL_LINES)
-@example("[" * 100_000)
-@example('{"release": 1' + "0" * 400 + ', "deadline": 2, "runtime": 1}')
-@example('{"release": 0, "deadline": 2, "runtime": 1, "query_cost": NaN}')
-@example('{"release": 0, "deadline": 2, "runtime": true}')
+@given(JSONL_LINES | RAW_LINE)
+@example(b"[" * 100_000)
+@example(b'{"release": 1' + b"0" * 400 + b', "deadline": 2, "runtime": 1}')
+@example(b'{"release": 0, "deadline": 2, "runtime": 1, "query_cost": NaN}')
+@example(b'{"release": 0, "deadline": 2, "runtime": true}')
+@example(b'{"release": 0, "deadline": 2, "runtime": 1, "id": "\xff"}')
 def test_jsonl_line_fails_closed_or_is_finite(line):
-    """Any line raises a located TraceParseError, is blank, or yields one
-    record whose numbers are all finite; a boolean number always raises."""
+    """Any line, UTF-8 or not, raises a located TraceParseError, is blank,
+    or yields one record whose numbers are all finite; a boolean number
+    always raises."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.jsonl"
-        path.write_text(line + "\n", encoding="utf-8")
+        path.write_bytes(line + b"\n")
         try:
             records = list(parse_jsonl(path))
         except TraceParseError as exc:
@@ -265,6 +272,41 @@ def test_jsonl_line_fails_closed_or_is_finite(line):
     for record in records:
         numbers = (record.release, record.deadline, record.runtime, record.query_cost)
         assert all(math.isfinite(x) for x in numbers if x is not None)
+
+
+# -- bytes that are not UTF-8 name their line ----------------------------------------
+
+NEWLINE = b"\n"
+CSV_OK = b"release,deadline,runtime,id\n0,2,1,a\n1,3,1,b\n"
+JSONL_OK = b'{"release": 0, "deadline": 2, "runtime": 1}\n'
+
+
+@pytest.mark.parametrize(
+    "name, data, line, before",
+    [
+        ("header.csv", b"release,dead\xffline,runtime\n0,2,1\n", 1, 0),
+        ("cell.csv", CSV_OK + b"2,4,1,\xe9t\xe9\n3,5,1,d\n", 4, 2),
+        ("multiline.csv", CSV_OK + b'2,4,1,"first\nsec\xc3ond\nthird"\n', 5, 2),
+        ("last.csv", CSV_OK + b"2,4,1,\x80", 4, 2),
+        ("first.jsonl", b'{"release": 0, "\xff": 2}\n' + JSONL_OK, 1, 0),
+        ("value.jsonl", JSONL_OK * 2 + b'{"id": "\xe9", "release": 1}\n', 3, 2),
+        ("blank.jsonl", JSONL_OK + b"\n  \xa0\n" + JSONL_OK, 3, 1),
+        ("last.jsonl", JSONL_OK + b'{"id": "\xfe"}', 2, 1),
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, name, data, line, before):
+    """The records before it are yielded, then a TraceParseError names the
+    file and the line holding the byte (in a quoted multi-line cell, the
+    cell's own line)."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    parse = parse_csv if name.endswith(".csv") else parse_jsonl
+    got = []
+    with pytest.raises(TraceParseError, match="invalid UTF-8") as raised:
+        for record in parse(path):
+            got.append(record)
+    assert str(raised.value).startswith(f"{path}:{line}:")
+    assert len(got) == before
 
 
 # -- CSV parser: untrusted rows fail closed -------------------------------------------
@@ -293,23 +335,25 @@ def valid_csv_rows(draw):
 @given(
     prefix=st.lists(valid_csv_rows(), max_size=3),
     last=st.lists(CSV_CELLS, max_size=7),
+    junk=RAW_LINE,
 )
-@example(prefix=[], last=["0", "2", "1", "", "x" * 131_073])
-@example(prefix=[["0", "2", "1", "", "a\nb"]], last=["x", "2", "1", "", "c"])
-def test_csv_line_fails_closed_or_is_finite(prefix, last):
-    """After valid records, any last row raises a TraceParseError located
-    at the file's last line, is blank, or yields one more record whose
-    numbers are all finite."""
+@example(prefix=[], last=["0", "2", "1", "", "x" * 131_073], junk=b"")
+@example(prefix=[["0", "2", "1", "", "a\nb"]], last=["x", "2", "1", "", "c"], junk=b"")
+@example(prefix=[["0", "2", "1", "", "a\nb"]], last=["0", "2", "1", "", "c"], junk=b"\xff")
+def test_csv_line_fails_closed_or_is_finite(prefix, last, junk):
+    """After valid records, any last row, with arbitrary bytes at its end,
+    raises a TraceParseError located at the file's last line, is blank, or
+    yields one more record whose numbers are all finite."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows([CSV_HEADER, *prefix, last])
-    text = buffer.getvalue()
+    data = buffer.getvalue().encode("utf-8")[:-1] + junk + b"\n"
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.csv"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(data)
         try:
             records = list(parse_csv(path))
         except TraceParseError as exc:
-            assert f"{path}:{text.count(chr(10))}:" in str(exc)
+            assert f"{path}:{data.count(NEWLINE)}:" in str(exc)
             return
     assert len(records) in (len(prefix), len(prefix) + 1)
     for record in records:

@@ -1,11 +1,12 @@
 """The live EDF, BKP, YDS and synthesis kernels against their oracles.
 
 ``tests/_reference_kernels.py`` keeps the scanning EDF, the matmul BKP,
-the single-timeline matmul YDS and the per-record ``default_rng``
-synthesizer.  EDF and synthesis must match it bit for bit; BKP and YDS
-sum their windows in a different order, so they must match to 1e-9
-relative, with the same critical job sets wherever YDS's intensities are
-distinct.
+the single-timeline matmul YDS, the per-call window sums (YDS one busy
+period and BKP one midpoint at a time) and the per-record ``default_rng``
+synthesizer.  EDF, synthesis and the batched window sums must match it bit
+for bit; the matmul BKP and YDS sum their windows in a different order, so
+they must match to 1e-9 relative, with the same critical job sets wherever
+YDS's intensities are distinct.
 
 The generators aim at the cases that separate the implementations: busy
 periods separated by gaps just over and just under EPS, equal releases and
@@ -13,7 +14,10 @@ deadlines, and jobs that arrived and expired while a later job is still
 pending.
 """
 
+import importlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -121,11 +125,39 @@ def test_window_work_matches_the_matmul(jobs):
     matmul = ((r[None, :] >= starts[:, None] - EPS) * w[None, :]) @ (
         d[None, :] <= ends[:, None] + EPS
     ).T.astype(float)
-    hist = _pk.window_work(r, d, w, starts, ends)
+    hist = ref.window_work(r, d, w, starts, ends)
     assert hist.shape == matmul.shape
     np.testing.assert_allclose(hist, matmul, rtol=1e-12, atol=0.0)
     # Empty windows read exactly zero: only non-negative works are added.
     assert np.all(hist[matmul == 0.0] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(periodic_jobs(max_periods=1, max_per_period=6), min_size=1, max_size=5))
+def test_batched_window_work_equals_lone_calls(items):
+    """Each item of a padded batch adds the same values in the same order
+    as a lone call over its own jobs."""
+    lone, cells = [], []
+    for i, jobs in enumerate(items):
+        r = np.array([j.release for j in jobs])
+        d = np.array([j.deadline for j in jobs])
+        w = np.array([j.work for j in jobs])
+        starts, ends = _pk.collapse_times(r), _pk.collapse_times(d)
+        lone.append(ref.window_work(r, d, w, starts, ends))
+        rows = np.searchsorted(starts - EPS, r, side="right")
+        cols = np.searchsorted(ends + EPS, d, side="left")
+        cells.append((np.full(r.size, i), rows, cols, w))
+    shape = (
+        len(items), max(x.shape[0] for x in lone), max(x.shape[1] for x in lone)
+    )
+    item, rows, cols, w = (np.concatenate(c) for c in zip(*cells))
+    batch = _pk.window_work(item, rows, cols, w, shape)
+    for i, x in enumerate(lone):
+        got = batch[i, : x.shape[0], : x.shape[1]]
+        assert [v.hex() for v in got.ravel().tolist()] == [
+            v.hex() for v in x.ravel().tolist()
+        ]
+        assert not batch[i, x.shape[0]:].any()  # padded rows read 0.0
 
 
 # -- EDF ----------------------------------------------------------------------------
@@ -234,11 +266,207 @@ def test_yds_near_eps_times_agree_to_eps_scale(jobs):
 @pytest.mark.parametrize("gap", [EPS * 1.01, EPS * 0.99])
 def test_yds_periods_split_only_past_eps(gap):
     """Just over EPS the two runs are separate periods, each with its own
-    compressed timeline; just under they share one.  The values agree."""
+    compressed timeline (origin: its first release); just under they share
+    one.  The values agree."""
     jobs = _gapped(gap)
-    compressors = [step.compressor for step in _discover(jobs)]
-    assert len({id(c) for c in compressors}) == (2 if gap > EPS else 1)
+    origins = {step.origin for step in _discover(jobs)}
+    assert len(origins) == (2 if gap > EPS else 1)
     _same_profile_values(yds_profile(jobs), ref.yds_profile(jobs))
+
+
+# -- the batched window sums against the per-call loops, bit for bit ----------------
+
+_yds = importlib.import_module("repro.speed_scaling.yds")
+
+#: Two deadlines 0.5 EPS apart, each within EPS of a third: BKP's end
+#: candidates at a midpoint chain-collapse from the first arrived one, so
+#: the kept ends depend on which deadlines have arrived.
+SUB_EPS_DEADLINES = [
+    Job(0.0, 2.0, 1.0, "a"),
+    Job(0.25, 2.0 + 0.6e-9, 2.0, "b"),
+    Job(0.5, 2.0 + 1.2e-9, 1.5, "c"),
+    Job(1.0, 2.0 + 1.8e-9, 0.5, "d"),
+    Job(1.5, 3.0, 1.0, "e"),
+]
+#: A kept start candidate sits exactly on a midpoint (``b``'s release is
+#: the midpoint of the events 1 and ``c``'s release, and collapses into
+#: the event at 1 but not into the start at 0): there ``b`` has arrived
+#: but its release is not yet a start.
+_R3 = 1.0 + 1.8e-9
+START_AT_MIDPOINT = [
+    Job(0.0, 1.0, 1.0, "a"),
+    Job(0.5 * (1.0 + _R3), 2.0, 5.0, "b"),
+    Job(_R3, 3.0, 1.0, "c"),
+]
+#: A period whose only window is under EPS long has no critical interval;
+#: batched with a larger period, its padded end columns must not give it
+#: one.
+SUB_EPS_WINDOW = [
+    Job(0.0, 0.5e-9, 1.0, "tiny"),
+    Job(10.0, 12.0, 1.0, "a"),
+    Job(10.5, 11.0, 2.0, "b"),
+]
+#: Three jobs in one window cell whose sum depends on the order they are
+#: added in: (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1.
+SHARED_CELL = [Job(0.0, 1.0, 0.1, "a"), Job(0.0, 1.0, 0.2, "b"), Job(0.0, 1.0, 0.3, "c")]
+ZERO_WORK = [
+    Job(0.0, 1.0, 0.0, "z0"),
+    Job(0.0, 2.0, 1.0, "a"),
+    Job(0.5, 1.5, 0.0, "z1"),
+    Job(3.0, 4.0, 2.0, "b"),
+]
+#: Cell budgets small enough that every batch holds one item, a few, and
+#: the default.
+BUDGETS = (1, 3, 7, 40, 300, _pk._CELL_BUDGET)
+
+
+def _hex(x: float) -> str:
+    return float(x).hex()
+
+
+def _profile_hex(profile) -> list:
+    return [(_hex(s.start), _hex(s.end), _hex(s.speed)) for s in profile.segments]
+
+
+def _criticals_hex(criticals) -> list:
+    return [
+        (
+            _hex(ci.speed),
+            tuple(_hex(c) for c in ci.compressed),
+            tuple((_hex(a), _hex(b)) for a, b in ci.original_intervals),
+            ci.job_ids,
+        )
+        for ci in criticals
+    ]
+
+
+def _slices_hex(schedule) -> list:
+    return [
+        (_hex(s.start), _hex(s.end), _hex(s.speed), s.job_id)
+        for s in schedule.slices()
+    ]
+
+
+def _steps_hex(steps) -> list:
+    return [
+        (
+            _hex(s.speed), _hex(s.c1), _hex(s.c2), [j.id for j in s.jobs],
+            [(_hex(a), _hex(b)) for a, b in s.comp_windows],
+            [(_hex(a), _hex(b)) for a, b in s.original_cover],
+            _hex(s.origin), [(_hex(a), _hex(b)) for a, b in s.cuts],
+        )
+        for s in steps
+    ]
+
+
+def assert_batches_equal_the_loops(jobs):
+    """YDS's steps, profile, critical intervals and schedule, and BKP's
+    profile, equal the per-call loops bit for bit at every budget."""
+    with mock.patch.object(_yds, "_discover", ref.period_discover):
+        old = yds(jobs)
+    old_steps = _steps_hex(ref.period_discover(jobs))
+    old_bkp = _profile_hex(ref.bkp_profile_sweep(jobs))
+    for budget in BUDGETS:
+        with mock.patch.object(_pk, "_CELL_BUDGET", budget):
+            assert _steps_hex(_discover(jobs)) == old_steps, budget
+            new = yds(jobs)
+            assert _profile_hex(yds_profile(jobs)) == _profile_hex(old.profile)
+            assert _profile_hex(new.profile) == _profile_hex(old.profile)
+            assert _criticals_hex(new.critical_intervals) == _criticals_hex(
+                old.critical_intervals
+            )
+            assert _slices_hex(new.schedule) == _slices_hex(old.schedule)
+            assert _profile_hex(bkp_profile(jobs)) == old_bkp, budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_jobs(max_periods=6, max_per_period=5))
+@example(EXPIRED_BEHIND_LATER)
+@example(EQUAL_TIMES)
+@example(RELEASE_AT_MIDPOINT)
+@example(START_AT_MIDPOINT)
+@example(SUB_EPS_WINDOW)
+@example(SHARED_CELL)
+@example(ZERO_WORK)
+@example(SUB_EPS_DEADLINES)
+@example(NEAR_EPS_EXAMPLE)
+@example(_gapped(EPS * 1.01))
+@example(_gapped(EPS * 0.99))
+def test_batches_equal_the_per_call_loops(jobs):
+    assert_batches_equal_the_loops(jobs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_eps_jobs())
+def test_batches_equal_the_per_call_loops_near_eps(jobs):
+    assert_batches_equal_the_loops(jobs)
+
+
+def test_sub_eps_deadlines_chain_per_midpoint():
+    """The example's kept ends differ between midpoints, so a global
+    collapse would differ from the loop; the batch must not."""
+    assert_batches_equal_the_loops(SUB_EPS_DEADLINES)
+    ends = sorted({j.deadline for j in SUB_EPS_DEADLINES})
+    assert any(0 < b - a <= EPS for a, b in zip(ends, ends[1:]))
+
+
+def _trace_shards(tmp_path):
+    from repro.io import qbss_instance_from_dict
+    from repro.qbss.policies import EqualWindowSplit, golden_ratio_policy
+    from repro.qbss.transform import derive_online
+    from repro.traces.replay import _shard_doc, iter_shards
+    from repro.traces.swf import parse_swf
+    from repro.workloads.tracegen import write_synthetic_swf
+
+    path = write_synthetic_swf(tmp_path / "t.swf", 400, seed=5)
+    for shard in iter_shards(synthesize_jobs(parse_swf(path), seed=5), 3600.0):
+        qi = qbss_instance_from_dict(_shard_doc(shard)["instance"])
+        yield list(qi.clairvoyant_instance().jobs)
+        yield derive_online(qi, golden_ratio_policy(), EqualWindowSplit()).jobs
+
+
+def test_batches_equal_the_loops_on_every_trace_shard(tmp_path):
+    """The clairvoyant and BKPQ inputs of every shard of a small trace."""
+    count = 0
+    for jobs in _trace_shards(tmp_path):
+        assert_batches_equal_the_loops(jobs)
+        count += 1
+    assert count >= 8
+
+
+def test_bkp_memory_is_bounded_by_the_cell_budget():
+    """BKPQ's derived jobs of a dense instance: 1,045 midpoints whose
+    window tensors together hold 30.5 million cells (244 MB of float64).
+    A batch holds a quarter of the budget's cells, and the peak stays
+    within a few batches."""
+    from repro.qbss.policies import EqualWindowSplit, golden_ratio_policy
+    from repro.qbss.transform import derive_online
+    from repro.workloads.generators import online_instance
+
+    jobs = derive_online(
+        online_instance(400, seed=0), golden_ratio_policy(), EqualWindowSplit()
+    ).jobs
+    tracemalloc.start()
+    try:
+        bkp_profile(jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * _pk._CELL_BUDGET + 2 * 2**20
+
+
+# -- trace files: the SWF writer -------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, seed, rate", [(0, 1, 0.02), (1, 2, 0.02), (257, 3, 0.5), (10_000, 7, 0.02)]
+)
+def test_swf_writer_writes_the_oracles_bytes(tmp_path, n, seed, rate):
+    from repro.workloads.tracegen import write_synthetic_swf
+
+    new = write_synthetic_swf(tmp_path / "new.swf", n, seed=seed, arrival_rate=rate)
+    old = ref.write_synthetic_swf(tmp_path / "old.swf", n, seed=seed, arrival_rate=rate)
+    assert new.read_bytes() == old.read_bytes()
 
 
 # -- synthesis: vectorized seeding -------------------------------------------------
