@@ -15,7 +15,6 @@ used by property-based tests.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 from heapq import heappop, heappush
@@ -23,7 +22,7 @@ from heapq import heappop, heappush
 from .constants import EPS
 from .job import Job
 from .profile import SpeedProfile
-from .schedule import Schedule
+from .schedule import Columns, Schedule
 from .timeline import dedupe_times
 
 
@@ -81,22 +80,39 @@ def run_edf(
     # decreases, so a job leaves it for good once finished or once its
     # deadline is within tolerance of t (popped lazily, at the top only).
     arrivals = sorted((by_id[jid] for jid in remaining), key=lambda j: j.release)
+    arrival_times = [j.release for j in arrivals]
+    n_arrivals = len(arrivals)
     arrived = 0
     ready: list[tuple[float, str]] = []
+    # t never decreases, and so neither does the midpoint of [t, next
+    # event]: two monotone pointers give bisect_right's index into the
+    # events and speed_at's segment.
+    seg_starts, seg_ends, seg_speeds = profile.columns()
+    n_events, n_segs = len(events), len(seg_starts)
+    after = 0  # events[:after] <= t
+    seg = 0  # seg_starts[:seg] <= mid
+    columns: Columns = ([], [], [], [])
+    starts, ends, speeds, ids = columns
 
     t = events[0]
     while t < horizon - tol and remaining:
         # next structural breakpoint strictly after t (a breakpoint within
         # tolerance of t is handled by the sliver-crediting branch below,
         # which keeps the profile lookup inside the correct segment)
-        i = bisect_right(events, t)
-        nxt = events[i] if i < len(events) else horizon
-        speed = profile.speed_at(0.5 * (t + nxt))
+        while after < n_events and events[after] <= t:
+            after += 1
+        nxt = events[after] if after < n_events else horizon
+        mid = 0.5 * (t + nxt)
+        while seg < n_segs and seg_starts[seg] <= mid:
+            seg += 1
+        speed = seg_speeds[seg - 1] if seg and mid < seg_ends[seg - 1] else 0.0
         # candidates: released, unfinished, deadline not passed
-        while arrived < len(arrivals) and arrivals[arrived].release <= t + tol:
-            heappush(ready, (arrivals[arrived].deadline, arrivals[arrived].id))
+        reach = t + tol
+        while arrived < n_arrivals and arrival_times[arrived] <= reach:
+            job = arrivals[arrived]
+            heappush(ready, (job.deadline, job.id))
             arrived += 1
-        while ready and (ready[0][1] not in remaining or ready[0][0] <= t + tol):
+        while ready and (ready[0][1] not in remaining or ready[0][0] <= reach):
             heappop(ready)
         # only exact zero speed means idle: sub-tolerance speeds must still
         # execute sub-tolerance jobs (thresholds would otherwise disagree
@@ -104,11 +120,11 @@ def run_edf(
         if not ready or speed <= 0.0:
             t = nxt
             continue
-        job = by_id[ready[0][1]]
-        rem = remaining[job.id]
+        deadline, job_id = ready[0]
+        rem = remaining[job_id]
         finish_in = rem / speed
-        run_until = min(nxt, t + finish_in, job.deadline)
-        if run_until <= t + tol:
+        run_until = min(nxt, t + finish_in, deadline)
+        if run_until <= reach:
             # The schedulable span is below tolerance.  Either the job
             # completes inside it (finish_in <= tol: forgive the residual and
             # re-plan from the same instant), or the next event is within
@@ -116,24 +132,30 @@ def run_edf(
             # silently dropping it.  Both under-report at most speed * tol of
             # executed work, absorbed by the checker tolerances.
             if rem <= speed * tol * (1 + 1e-6):
-                del remaining[job.id]
+                del remaining[job_id]
                 continue
             credited = speed * max(nxt - t, 0.0)
             rem -= credited
             if rem <= tol:
-                del remaining[job.id]
+                del remaining[job_id]
             else:
-                remaining[job.id] = rem
+                remaining[job_id] = rem
             t = nxt
             continue
         executed = speed * (run_until - t)
-        schedule.add(t, run_until, speed, job.id, machine)
+        # run_until > t + tol and speed > 0: a valid slice, as add() checks
+        starts.append(t)
+        ends.append(run_until)
+        speeds.append(speed)
+        ids.append(job_id)
         if executed >= rem - tol * max(1.0, rem):
-            del remaining[job.id]
+            del remaining[job_id]
         else:
-            remaining[job.id] = rem - executed
+            remaining[job_id] = rem - executed
         t = run_until
 
+    if ids:
+        schedule._extend_columns(machine, columns)
     # Anything left over is unfinished work (deadline misses).  Each event
     # boundary can strand at most tol * speed of work in a sub-tolerance
     # sliver, so residuals below that aggregate are float dust, not misses.

@@ -20,7 +20,7 @@ from collections.abc import Sequence
 
 from .instance import Instance
 from .job import Job
-from .schedule import Schedule, Slice
+from .schedule import Schedule
 
 
 @dataclass
@@ -43,14 +43,12 @@ class InfeasibleScheduleError(RuntimeError):
     """Raised by :meth:`FeasibilityReport.raise_if_infeasible`."""
 
 
-def _overlaps(slices: Sequence[Slice], tol: float) -> list[tuple[Slice, Slice]]:
-    """Pairs of overlapping slices in a start-sorted sequence."""
-    bad = []
-    ordered = sorted(slices, key=lambda s: s.start)
-    for a, b in zip(ordered, ordered[1:]):
-        if b.start < a.end - tol:
-            bad.append((a, b))
-    return bad
+def _overlaps(
+    rows: Sequence[tuple[float, float, str]], tol: float
+) -> list[tuple[tuple[float, float, str], tuple[float, float, str]]]:
+    """Pairs of overlapping ``(start, end, job_id)`` rows in a start-sorted
+    sequence."""
+    return [(a, b) for a, b in zip(rows, rows[1:]) if b[0] < a[1] - tol]
 
 
 def check_feasible(
@@ -63,6 +61,10 @@ def check_feasible(
 
     ``require_all_work=False`` relaxes condition 4 to "no job receives more
     than its work", useful for validating prefixes of online runs.
+
+    The checks read the schedule's columns, each machine's slices in start
+    order (a stable sort of the order they were added), and build no
+    :class:`~repro.core.schedule.Slice`.
     """
     violations: list[str] = []
     jobs: dict[str, Job] = {j.id: j for j in instance.jobs}
@@ -73,43 +75,49 @@ def check_feasible(
             f"{instance.machines}"
         )
 
+    by_machine: list[list[tuple[float, float, str]]] = []
+    for m in range(schedule.machines):
+        starts, ends, _, ids = schedule.columns(m)
+        rows = list(zip(starts, ends, ids))
+        rows.sort(key=lambda row: row[0])
+        by_machine.append(rows)
+
     # 1. window containment + unknown jobs
-    for m, per in enumerate(schedule.machine_slices()):
-        for s in per:
-            job = jobs.get(s.job_id)
+    for m, rows in enumerate(by_machine):
+        for start, end, job_id in rows:
+            job = jobs.get(job_id)
             if job is None:
-                violations.append(f"slice of unknown job {s.job_id!r} on machine {m}")
+                violations.append(f"slice of unknown job {job_id!r} on machine {m}")
                 continue
-            if s.start < job.release - tol or s.end > job.deadline + tol:
+            if start < job.release - tol or end > job.deadline + tol:
                 violations.append(
-                    f"job {s.job_id} slice [{s.start}, {s.end}) outside window "
+                    f"job {job_id} slice [{start}, {end}) outside window "
                     f"({job.release}, {job.deadline}]"
                 )
 
     # 2. machine capacity
-    for m, per in enumerate(schedule.machine_slices()):
-        for a, b in _overlaps(per, tol):
+    for m, rows in enumerate(by_machine):
+        for a, b in _overlaps(rows, tol):
             violations.append(
-                f"machine {m} overlap: {a.job_id} [{a.start},{a.end}) with "
-                f"{b.job_id} [{b.start},{b.end})"
+                f"machine {m} overlap: {a[2]} [{a[0]},{a[1]}) with "
+                f"{b[2]} [{b[0]},{b[1]})"
             )
 
     # 3. no self-parallelism across machines
     if schedule.machines > 1:
-        per_job: dict[str, list[Slice]] = {}
-        for per in schedule.machine_slices():
-            for s in per:
-                per_job.setdefault(s.job_id, []).append(s)
-        for job_id, slices in per_job.items():
-            for a, b in _overlaps(slices, tol):
-                # Overlap within one machine is already reported by check 2;
-                # report here only when the job genuinely runs in parallel
-                # with itself, i.e. the overlapping slices are distinct.
-                if a is not b:
-                    violations.append(
-                        f"job {job_id} self-parallel: [{a.start},{a.end}) and "
-                        f"[{b.start},{b.end})"
-                    )
+        per_job: dict[str, list[tuple[float, float, str]]] = {}
+        for rows in by_machine:
+            for row in rows:
+                per_job.setdefault(row[2], []).append(row)
+        for job_id, rows in per_job.items():
+            rows.sort(key=lambda row: row[0])
+            # Two slices of one job overlapping on one machine are also
+            # reported by check 2.
+            for a, b in _overlaps(rows, tol):
+                violations.append(
+                    f"job {job_id} self-parallel: [{a[0]},{a[1]}) and "
+                    f"[{b[0]},{b[1]})"
+                )
 
     # 4. work completion
     executed = schedule.work_by_job()

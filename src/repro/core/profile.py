@@ -77,7 +77,7 @@ class SpeedProfile:
     2.0
     """
 
-    __slots__ = ("_segments", "_starts", "_arrays")
+    __slots__ = ("_segs", "_lists", "_arrays")
 
     def __init__(self, segments: Iterable[Segment] = ()) -> None:
         cleaned: list[Segment] = [s for s in segments if s.speed > 0.0]
@@ -101,20 +101,20 @@ class SpeedProfile:
                 merged[-1] = Segment(merged[-1].start, seg.end, merged[-1].speed)
             else:
                 merged.append(seg)
-        self._segments: tuple[Segment, ...] = tuple(merged)
-        self._starts: list[float] = [s.start for s in merged]
+        self._segs: tuple[Segment, ...] | None = tuple(merged)
+        self._lists: tuple[list[float], list[float], list[float]] | None = None
         self._arrays: _pk.ProfileArrays | None = None
 
     @classmethod
     def _from_arrays(cls, arrays: _pk.ProfileArrays) -> SpeedProfile:
-        """Trusted constructor from already-normalized kernel arrays."""
-        starts, ends, speeds = arrays
+        """Trusted constructor from already-normalized kernel arrays.
+
+        Builds no :class:`Segment`: :attr:`segments` and :meth:`columns`
+        are derived from the arrays when first asked for.
+        """
         prof = cls.__new__(cls)
-        prof._segments = tuple(
-            Segment(a, b, v)
-            for a, b, v in zip(starts.tolist(), ends.tolist(), speeds.tolist())
-        )
-        prof._starts = starts.tolist()
+        prof._segs = None
+        prof._lists = None
         prof._arrays = arrays
         return prof
 
@@ -122,14 +122,41 @@ class SpeedProfile:
         """The profile as parallel ``(starts, ends, speeds)`` float64 arrays."""
         arrays = self._arrays
         if arrays is None:
-            segs = self._segments
+            starts, ends, speeds = self.columns()
             arrays = (
-                _pk.as_float_array([s.start for s in segs]),
-                _pk.as_float_array([s.end for s in segs]),
-                _pk.as_float_array([s.speed for s in segs]),
+                _pk.as_float_array(starts),
+                _pk.as_float_array(ends),
+                _pk.as_float_array(speeds),
             )
             self._arrays = arrays
         return arrays
+
+    def columns(self) -> tuple[list[float], list[float], list[float]]:
+        """The segments as parallel ``(starts, ends, speeds)`` lists
+        (cached; read-only).  What EDF walks: it needs no segment objects,
+        and a profile built from segments serves it without the kernel."""
+        lists = self._lists
+        if lists is None:
+            segs = self._segs
+            if segs is None:
+                starts, ends, speeds = self._arrays  # type: ignore[misc]
+                lists = (starts.tolist(), ends.tolist(), speeds.tolist())
+            else:
+                lists = (
+                    [s.start for s in segs],
+                    [s.end for s in segs],
+                    [s.speed for s in segs],
+                )
+            self._lists = lists
+        return lists
+
+    @property
+    def _segments(self) -> tuple[Segment, ...]:
+        segs = self._segs
+        if segs is None:
+            segs = tuple(Segment(*row) for row in zip(*self.columns()))
+            self._segs = segs
+        return segs
 
     # -- constructors ---------------------------------------------------------
 
@@ -217,7 +244,7 @@ class SpeedProfile:
         return iter(self._segments)
 
     def __len__(self) -> int:
-        return len(self._segments)
+        return len(self.columns()[0])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SpeedProfile):
@@ -239,25 +266,26 @@ class SpeedProfile:
 
     @property
     def is_empty(self) -> bool:
-        return not self._segments
+        return not self.columns()[0]
 
     @property
     def start(self) -> float:
         """Earliest positive-speed time (0.0 for the empty profile)."""
-        return self._segments[0].start if self._segments else 0.0
+        starts = self.columns()[0]
+        return starts[0] if starts else 0.0
 
     @property
     def end(self) -> float:
         """Latest positive-speed time (0.0 for the empty profile)."""
-        return self._segments[-1].end if self._segments else 0.0
+        ends = self.columns()[1]
+        return ends[-1] if ends else 0.0
 
     def speed_at(self, t: float) -> float:
         """Speed at time ``t`` (segments are closed-left, open-right)."""
-        i = bisect.bisect_right(self._starts, t) - 1
-        if i >= 0:
-            seg = self._segments[i]
-            if seg.start <= t < seg.end:
-                return seg.speed
+        starts, ends, speeds = self.columns()
+        i = bisect.bisect_right(starts, t) - 1
+        if i >= 0 and starts[i] <= t < ends[i]:
+            return speeds[i]
         return 0.0
 
     def speeds_at(self, times: Sequence[float] | np.ndarray) -> np.ndarray:

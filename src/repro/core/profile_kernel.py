@@ -125,11 +125,25 @@ def normalize(
     # Screen: chain merging can only begin at a pair that touches with
     # near-equal speeds; when no pair qualifies, nothing merges at all.
     touch = np.abs(starts[1:] - ends[:-1]) <= EPS
-    close = np.abs(speeds[1:] - speeds[:-1]) <= EPS * np.minimum(
-        1.0, np.maximum(speeds[1:], speeds[:-1])
-    )
-    if not bool(np.any(touch & close)):
+    # Two infinite speeds differ by NaN, which is close to nothing, as in
+    # the constructor's Python arithmetic.
+    with np.errstate(invalid="ignore"):
+        close = np.abs(speeds[1:] - speeds[:-1]) <= EPS * np.minimum(
+            1.0, np.maximum(speeds[1:], speeds[:-1])
+        )
+    merges = touch & close
+    if not bool(np.any(merges)):
         return (starts, ends, speeds)
+    if not bool(np.any(merges & (speeds[1:] != speeds[:-1]))):
+        # Every candidate pair has equal speeds, so each run's first speed
+        # is every member's: a run continues exactly through the candidate
+        # pairs.
+        head = np.empty(k, dtype=bool)
+        head[0] = True
+        np.logical_not(merges, out=head[1:])
+        first = np.flatnonzero(head)
+        last = np.append(first[1:], k) - 1
+        return (starts[first], ends[last], speeds[first])
     s_list, e_list, v_list = starts.tolist(), ends.tolist(), speeds.tolist()
     ms: list[float] = [s_list[0]]
     me: list[float] = [e_list[0]]
@@ -373,8 +387,12 @@ def shift(arrays: ProfileArrays, delta: float) -> ProfileArrays:
 _CELL_BUDGET = 1 << 18
 
 #: A YDS or BKP batch ends where its padded cells would pass this many
-#: times its real ones.
+#: times its real ones ...
 _PAD_FACTOR = 2
+
+#: ... and this many cells: below it, the calls a new batch costs outweigh
+#: the padding it saves (a pruned BKP midpoint holds a handful of cells).
+_PAD_FLOOR = 1 << 12
 
 
 def batches(
@@ -385,21 +403,25 @@ def batches(
     Item ``i`` has ``n_starts[i]`` starts, ``n_ends[i]`` ends and
     ``n_jobs[i]`` jobs; a batch pads each of its items to its largest
     start and end counts.  A batch ``[lo, hi)`` ends before the item that
-    would take its padded cells past :data:`_PAD_FACTOR` times its real
-    ones, or its padded cells or its jobs past a quarter of
-    :data:`_CELL_BUDGET`: a batch's window sums, spans and ratios are
-    several cell-sized arrays at a time.  A batch holds one item at least.
+    would take its padded cells past both :data:`_PAD_FACTOR` times its
+    real ones and :data:`_PAD_FLOOR`, or its padded cells or its jobs past
+    a quarter of :data:`_CELL_BUDGET`: a batch's window sums, spans and
+    ratios are several cell-sized arrays at a time.  A batch holds one item
+    at least.
     """
     cap = _CELL_BUDGET // 4
     out: list[tuple[int, int]] = []
     lo = top_s = top_e = real = jobs = 0
     for i, (s, e, n) in enumerate(zip(n_starts, n_ends, n_jobs)):
         cells = (s + 1) * (e + 1)
-        pad_s, pad_e = max(top_s, s), max(top_e, e)
+        pad_s = s if s > top_s else top_s
+        pad_e = e if e > top_e else top_e
         padded = (i + 1 - lo) * (pad_s + 1) * (pad_e + 1)
         if i > lo and (
             padded > _PAD_FACTOR * (real + cells)
-            or max(padded, jobs + n) > cap
+            and padded > _PAD_FLOOR
+            or padded > cap
+            or jobs + n > cap
         ):
             out.append((lo, i))
             lo, pad_s, pad_e, real, jobs = i, s, e, 0, 0

@@ -1,7 +1,8 @@
 """Executed schedules: which job runs on which machine, when, at what speed.
 
 A :class:`Schedule` is the concrete output of an algorithm run: per machine,
-a list of :class:`Slice` entries ``(start, end, speed, job_id)``.  Preemption
+the slices ``(start, end, speed, job_id)`` it executed, stored as columns
+and handed out as :class:`Slice` entries on request.  Preemption
 appears as multiple slices of one job; migration as slices of one job on
 different machines.  :mod:`repro.core.feasibility` validates schedules
 against instances; this module only stores and aggregates.
@@ -11,11 +12,15 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from . import profile_kernel as _pk
 from .power import PowerFunction
 from .profile import Segment, SpeedProfile
+
+
+#: One machine's slices as parallel lists: starts, ends, speeds, job ids.
+Columns = tuple[list[float], list[float], list[float], list[str]]
 
 
 @dataclass(frozen=True)
@@ -43,15 +48,26 @@ class Slice:
 
 
 class Schedule:
-    """A complete executed schedule over ``machines`` identical machines."""
+    """A complete executed schedule over ``machines`` identical machines.
+
+    Each machine's slices are kept as four parallel columns (starts, ends,
+    speeds, job ids) in the order they were added; :class:`Slice` objects
+    are built only by :meth:`slices` and :meth:`machine_slices`.  Every
+    aggregate walks the columns in that order, so its sums add the same
+    values in the same order as a walk over the slices would.
+    """
 
     def __init__(self, machines: int = 1) -> None:
         if machines < 1:
             raise ValueError(f"machines must be >= 1, got {machines}")
         self.machines = machines
-        self._slices: list[list[Slice]] = [[] for _ in range(machines)]
+        self._columns: list[Columns] = [([], [], [], []) for _ in range(machines)]
 
     # -- construction -----------------------------------------------------------
+
+    def _check_machine(self, machine: int) -> None:
+        if not 0 <= machine < self.machines:
+            raise ValueError(f"machine {machine} out of range 0..{self.machines - 1}")
 
     def add(
         self,
@@ -62,11 +78,23 @@ class Schedule:
         machine: int = 0,
     ) -> None:
         """Append a slice on ``machine`` (slices may be added in any order)."""
-        if not 0 <= machine < self.machines:
-            raise ValueError(f"machine {machine} out of range 0..{self.machines - 1}")
+        self._check_machine(machine)
         if speed <= 0:
             return  # zero-speed slices carry no work and no energy
-        self._slices[machine].append(Slice(start, end, speed, job_id))
+        if not end > start:
+            raise ValueError(f"slice end {end} must exceed start {start}")
+        starts, ends, speeds, ids = self._columns[machine]
+        starts.append(start)
+        ends.append(end)
+        speeds.append(speed)
+        ids.append(job_id)
+
+    def _extend_columns(self, machine: int, columns: Columns) -> None:
+        """Append already-valid slices (``end > start``, ``speed > 0``) as
+        columns: EDF's path, which builds no :class:`Slice` per step."""
+        self._check_machine(machine)
+        for mine, more in zip(self._columns[machine], columns):
+            mine.extend(more)
 
     def extend(self, slices: Iterable[Slice], machine: int = 0) -> None:
         for s in slices:
@@ -74,33 +102,48 @@ class Schedule:
 
     # -- access -----------------------------------------------------------------
 
+    def columns(self, machine: int) -> Columns:
+        """``machine``'s slices as parallel ``(starts, ends, speeds, job_ids)``
+        lists, in the order they were added (read-only views)."""
+        return self._columns[machine]
+
+    def _machine_slices(self, machine: int) -> list[Slice]:
+        return [Slice(*row) for row in zip(*self._columns[machine])]
+
     def slices(self, machine: int | None = None) -> list[Slice]:
         """Slices of one machine, or all machines, sorted by start time."""
         if machine is None:
-            out = [s for per in self._slices for s in per]
+            out = [s for m in range(self.machines) for s in self._machine_slices(m)]
         else:
-            out = list(self._slices[machine])
+            out = self._machine_slices(machine)
         return sorted(out, key=lambda s: (s.start, s.end, s.job_id))
 
     def machine_slices(self) -> list[list[Slice]]:
-        return [sorted(per, key=lambda s: s.start) for per in self._slices]
+        return [
+            sorted(self._machine_slices(m), key=lambda s: s.start)
+            for m in range(self.machines)
+        ]
 
     def job_ids(self) -> list[str]:
-        return sorted({s.job_id for per in self._slices for s in per})
+        return sorted({j for _, _, _, ids in self._columns for j in ids})
+
+    def _rows(self) -> Iterator[tuple[float, float, float, str]]:
+        """Every slice as ``(start, end, speed, job_id)``, machine by machine,
+        in the order added."""
+        for columns in self._columns:
+            yield from zip(*columns)
 
     # -- aggregates --------------------------------------------------------------
 
     def work_of(self, job_id: str) -> float:
         """Total work executed for ``job_id`` across all machines."""
-        return sum(
-            s.work for per in self._slices for s in per if s.job_id == job_id
-        )
+        return sum(v * (b - a) for a, b, v, j in self._rows() if j == job_id)
 
     def work_by_job(self) -> dict[str, float]:
         acc: dict[str, float] = defaultdict(float)
-        for per in self._slices:
-            for s in per:
-                acc[s.job_id] += s.work
+        for starts, ends, speeds, ids in self._columns:
+            for a, b, v, j in zip(starts, ends, speeds, ids):
+                acc[j] += v * (b - a)
         return dict(acc)
 
     def completion_time(self, job_id: str) -> float:
@@ -110,43 +153,40 @@ class Schedule:
     def completion_times(self) -> dict[str, float]:
         """:meth:`completion_time` of every scheduled job, in one pass."""
         done: dict[str, float] = {}
-        for per in self._slices:
-            for s in per:
-                if s.end > done.get(s.job_id, float("-inf")):
-                    done[s.job_id] = s.end
+        for _, ends, _, ids in self._columns:
+            for b, j in zip(ends, ids):
+                if b > done.get(j, float("-inf")):
+                    done[j] = b
         return done
 
     def machine_profile(self, machine: int) -> SpeedProfile:
         """The speed profile of one machine."""
-        return SpeedProfile(
-            Segment(s.start, s.end, s.speed) for s in self._slices[machine]
-        )
+        starts, ends, speeds, _ = self._columns[machine]
+        return SpeedProfile(Segment(*row) for row in zip(starts, ends, speeds))
 
     def energy(self, power: PowerFunction) -> float:
         """Total energy over all machines."""
-        speeds = _pk.as_float_array([s.speed for per in self._slices for s in per])
-        durations = _pk.as_float_array(
-            [s.duration for per in self._slices for s in per]
-        )
+        speeds = _pk.as_float_array([v for _, _, v, _ in self._rows()])
+        durations = _pk.as_float_array([b - a for a, b, _, _ in self._rows()])
         return _pk.sequential_sum(_pk.powers(speeds, power.alpha) * durations)
 
     def max_speed(self) -> float:
         """Peak speed over all machines and times."""
         return _pk.max_speed(
-            _pk.as_float_array([s.speed for per in self._slices for s in per])
+            _pk.as_float_array([v for _, _, speeds, _ in self._columns for v in speeds])
         )
 
     def span(self) -> tuple[float, float]:
-        allslices = [s for per in self._slices for s in per]
-        if not allslices:
+        starts = [a for s, _, _, _ in self._columns for a in s]
+        if not starts:
             return (0.0, 0.0)
-        return (min(s.start for s in allslices), max(s.end for s in allslices))
+        return (min(starts), max(b for _, e, _, _ in self._columns for b in e))
 
     def busy_time(self, machine: int) -> float:
         """Total time ``machine`` spends executing (sum of slice durations)."""
-        if not 0 <= machine < self.machines:
-            raise ValueError(f"machine {machine} out of range 0..{self.machines - 1}")
-        return sum(s.duration for s in self._slices[machine])
+        self._check_machine(machine)
+        starts, ends, _, _ = self._columns[machine]
+        return sum(b - a for a, b in zip(starts, ends))
 
     def utilization(self, machine: int, horizon: tuple[float, float] | None = None) -> float:
         """Fraction of the horizon ``machine`` is busy (horizon = span default)."""
@@ -156,7 +196,7 @@ class Schedule:
         return self.busy_time(machine) / (hi - lo)
 
     def __repr__(self) -> str:
-        n = sum(len(per) for per in self._slices)
+        n = sum(len(ids) for _, _, _, ids in self._columns)
         return f"Schedule(machines={self.machines}, slices={n})"
 
 

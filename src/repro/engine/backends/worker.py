@@ -123,11 +123,12 @@ def resolve_task_fn(spec: str) -> Callable[..., Any]:
 
 def _publish_outcome(
     store: ResultCache, publish: dict[str, Any], outcome: dict[str, Any]
-) -> None:
-    """Best-effort cache publication of one successful outcome."""
+) -> bool:
+    """Best-effort cache publication of one successful outcome; whether
+    the entry was written."""
     payload = outcome.get("payload")
     if not isinstance(payload, dict):
-        return
+        return False
     try:
         store.put(
             str(publish["key"]),
@@ -141,6 +142,8 @@ def _publish_outcome(
         # The reply still carries the payload; the driver's own cache
         # write (or the next recompute) covers for a failed publication.
         _log(f"cache publish failed for {publish.get('key')!r}: {exc}")
+        return False
+    return True
 
 
 def _run_task(frame: dict[str, Any], store: ResultCache | None) -> dict[str, Any]:
@@ -160,8 +163,14 @@ def _run_task(frame: dict[str, Any], store: ResultCache | None) -> dict[str, Any
             traceback.format_exc(limit=8), time.perf_counter() - start
         )
     publish = frame.get("publish")
-    if outcome.get("ok") and isinstance(publish, dict) and store is not None:
-        _publish_outcome(store, publish, outcome)
+    if (
+        outcome.get("ok")
+        and isinstance(publish, dict)
+        and store is not None
+        and _publish_outcome(store, publish, outcome)
+    ):
+        # The driver skips its own write of an entry it finds published.
+        outcome["published"] = True
     return outcome
 
 

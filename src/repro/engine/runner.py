@@ -793,7 +793,10 @@ def run_experiments(
             payload = outcome["payload"]
             report = ExperimentReport.from_dict(payload)
             if task.publish is not None:
-                session.cache_put(task, payload, outcome["wall"])
+                session.cache_put(
+                    task, payload, outcome["wall"],
+                    published=bool(outcome.get("published")),
+                )
             metrics = RunMetrics(
                 experiment=task.name,
                 wall_time=sum(task.walls),

@@ -212,26 +212,56 @@ class ExecutionSession:
         }
 
     def cache_put(
-        self, task: HardenedTask, payload: dict[str, Any], wall: float
+        self,
+        task: HardenedTask,
+        payload: dict[str, Any],
+        wall: float,
+        *,
+        published: bool = False,
     ) -> None:
         """Write ``task``'s result into :attr:`store` under its
         :meth:`cache_entry` spec; a failed write never fails the run.
 
-        An :class:`OSError` is retried under :attr:`retry_policy`; once the
-        attempts are spent the write is skipped with a
-        :class:`RuntimeWarning` and the run continues uncached.  A written
-        entry then gets :attr:`active_fault_plan`'s ``corrupt-cache`` /
-        ``torn-write`` hooks at ``task``'s coordinates.  Only valid while
-        caching is on.
+        ``published`` says a remote ``qbss-worker`` already wrote the same
+        envelope from the same spec (its outcome's ``published`` mark):
+        when that entry is in :attr:`store` (a shared cache directory), it
+        is not written again.  Otherwise an :class:`OSError` is retried
+        under :attr:`retry_policy`; once the attempts are spent the write
+        is skipped with a :class:`RuntimeWarning` and the run continues
+        uncached.  The entry, whichever process wrote it, then gets
+        :attr:`active_fault_plan`'s ``corrupt-cache`` / ``torn-write``
+        hooks at ``task``'s coordinates.  Only valid while caching is on.
         """
         store = self.store
         spec = task.publish
         assert spec is not None, "cache_put needs the task's cache_entry spec"
+        path = store.path_for(spec["key"])
+        if not (published and path.is_file()):
+            path = self._write_entry(task, spec, payload, wall)
+            if path is None:
+                return
+        plan = self.active_fault_plan
+        if plan is not None:
+            if plan.wants_corrupt_cache(task.task_key, task.attempt):
+                corrupt_cache_entry(path)
+            if plan.wants_torn_write(task.task_key, task.attempt):
+                torn_write_entry(path)
+
+    def _write_entry(
+        self,
+        task: HardenedTask,
+        spec: dict[str, Any],
+        payload: dict[str, Any],
+        wall: float,
+    ) -> Path | None:
+        """:meth:`ResultCache.put` under :attr:`retry_policy`; ``None``
+        (after a :class:`RuntimeWarning`) once the attempts are spent."""
+        store = self.store
         retry = self.retry_policy
         attempt = 1
         while True:
             try:
-                path = store.put(
+                return store.put(
                     spec["key"],
                     spec["experiment"],
                     spec["params"],
@@ -239,26 +269,19 @@ class ExecutionSession:
                     wall,
                     spec["package_version"],
                 )
-                break
             except OSError as exc:
                 if attempt >= retry.max_attempts:
                     warnings.warn(
                         f"cache write for {task.task_key!r} failed after "
                         f"{attempt} attempt(s) ({exc}); continuing uncached",
                         RuntimeWarning,
-                        stacklevel=2,
+                        stacklevel=3,
                     )
-                    return
+                    return None
                 delay = retry.delay(f"{task.task_key}:cache-put", attempt)
                 if delay > 0:
                     time.sleep(delay)
                 attempt += 1
-        plan = self.active_fault_plan
-        if plan is not None:
-            if plan.wants_corrupt_cache(task.task_key, task.attempt):
-                corrupt_cache_entry(path)
-            if plan.wants_torn_write(task.task_key, task.attempt):
-                torn_write_entry(path)
 
     @contextmanager
     def batch(self, stats: ExecutionStats, **attrs: Any) -> Iterator[Any]:

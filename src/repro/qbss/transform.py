@@ -11,8 +11,9 @@ of recurring ways:
 * the *online derivation*: each queried job spawns a query job
   ``(r_j, tau_j, c_j)`` at time ``r_j`` and a revealed job
   ``(tau_j, d_j, w*_j)`` at time ``tau_j``; an unqueried job spawns
-  ``(r_j, d_j, w_j)``.  This is the input AVRQ/BKPQ/OAQ/AVRQ(m) feed to
-  their classical counterparts.
+  ``(r_j, d_j, w_j)``.  Each derived job arrives at its own release.
+  This is the input AVRQ/BKPQ/OAQ/AVRQ(m) feed to their classical
+  counterparts.
 
 Information discipline: the online derivation obtains ``w*`` through the
 :class:`~repro.core.qjob.QJobView` query protocol, stamping the revelation
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from ..core.events import Arrival, OnlineStream
+from ..core.events import OnlineStream
 from ..core.instance import Instance, QBSSInstance
 from ..core.job import Job
 from ..core.qjob import QJob, QJobView
@@ -88,21 +89,25 @@ class DerivedOnline:
 
     Attributes
     ----------
-    stream:
-        Arrivals of the derived classical jobs (query jobs at ``r_j``,
-        revealed jobs at ``tau_j``, unqueried jobs at ``r_j``).
     jobs:
-        The derived jobs in arrival order (convenience).
+        The derived jobs in arrival order: sorted by release, ties in
+        derivation order.  Every derived job arrives at its own release
+        (query jobs and unqueried jobs at ``r_j``, revealed jobs at
+        ``tau_j``).
     decisions:
         What was decided per original job.
     views:
         The views used, with their revelation audit trail.
     """
 
-    stream: OnlineStream
     jobs: list[Job]
     decisions: DecisionLog
     views: list[QJobView]
+
+    @property
+    def stream(self) -> OnlineStream:
+        """Arrivals of the derived classical jobs, each at its release."""
+        return OnlineStream.from_jobs(self.jobs)
 
     def instance(self, machines: int = 1) -> Instance:
         """The derived jobs as a classical instance (for feasibility checks)."""
@@ -114,7 +119,7 @@ def derive_online(
     query_policy: QueryPolicy,
     split_policy: SplitPolicy,
 ) -> DerivedOnline:
-    """Apply the policies to every job and build the derived arrival stream.
+    """Apply the policies to every job and derive the online classical jobs.
 
     The decision for a job is taken at its release from the *view* only.
     For queried jobs the exact load is obtained via ``view.reveal(tau)``,
@@ -122,25 +127,22 @@ def derive_online(
     structurally impossible.
     """
     log = DecisionLog()
-    arrivals: list[Arrival] = []
+    jobs: list[Job] = []
     views = qinstance.views()
     for view in views:
         if query_policy.should_query(view):
             x = split_policy.split_fraction(view)
             tau = view.split_point(x)
-            qjob = Job(view.release, tau, view.query_cost, view.id + ":query")
+            jobs.append(Job(view.release, tau, view.query_cost, view.id + ":query"))
             wstar = view.reveal(tau)
-            wjob = Job(tau, view.deadline, wstar, view.id + ":work")
-            arrivals.append(Arrival(view.release, qjob))
-            arrivals.append(Arrival(tau, wjob))
+            jobs.append(Job(tau, view.deadline, wstar, view.id + ":work"))
             log.record(view.id, QueryDecision(True, x))
         else:
-            full = view.as_upper_bound_job()
-            arrivals.append(Arrival(view.release, full))
+            jobs.append(view.as_upper_bound_job())
             log.record(view.id, QueryDecision(False))
-    stream = OnlineStream(arrivals)
-    jobs = [a.job for a in stream]
-    return DerivedOnline(stream, jobs, log, views)
+    # A stable sort: the arrival order an OnlineStream of the jobs keeps.
+    jobs.sort(key=lambda j: j.release)
+    return DerivedOnline(jobs, log, views)
 
 
 # -- helpers shared by the offline algorithms ---------------------------------------

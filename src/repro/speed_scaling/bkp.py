@@ -29,7 +29,7 @@ from ..core import profile_kernel as _pk
 from ..core.constants import E_CONST, EPS
 from ..core.edf import EDFResult, run_edf
 from ..core.job import Job
-from ..core.profile import Segment, SpeedProfile
+from ..core.profile import SpeedProfile
 from ..core.timeline import dedupe_times
 
 
@@ -73,6 +73,11 @@ def _job_arrays(jobs: Sequence[Job]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     )
 
 
+#: Units of roundoff per job that a midpoint's bound must clear before
+#: :func:`_max_ratios` searches only its own busy period.
+_MARGIN = 64 * 2.0**-53
+
+
 def _max_ratios(
     releases: np.ndarray,
     deadlines: np.ndarray,
@@ -86,13 +91,27 @@ def _max_ratios(
     the start candidates are the prefix ``< t`` of the chain-collapsed
     releases; and the end candidates are the arrived deadlines ``>= t``,
     chain-collapsed from the first of them.  A point with no start or no
-    end reads 0.0.  The others go in batches of consecutive points
-    (:func:`~repro.core.profile_kernel.batches`): each job of a batch is
-    one ``(point, job)`` entry, point-major and job-minor, so
-    :func:`~repro.core.profile_kernel.window_work` adds each cell's jobs in
-    job order, as a lone call per point would.  The ratio is ``work /
-    span`` where ``span > EPS`` and 0.0 elsewhere; padded ends are
-    ``-inf``, so padded cells read 0.0.
+    end reads 0.0.  The others go through :class:`_WindowSearch`.
+
+    Most points search only the starts of their own busy period, from
+    ``s_K``, the first start at or after the period's first release ``P0``
+    (a release more than EPS after every earlier deadline opens a period).
+    A window ``[s, e]`` with an earlier start holds the jobs ranked at most
+    ``K`` (work ``A(s)``, all released before ``s_K``) plus some of those
+    in the kept window ``[s_K, e]`` (work ``B(e)``), and
+    ``e - s = (s_K - s) + (e - s_K)``: its ratio is at most the mediant of
+    ``A(s) / (s_K - s) <= H`` and ``B(e) / (e - s_K) <= M``, with ``H`` the
+    past's largest such ratio (:func:`_past_ratios`) and ``M`` the kept
+    search's maximum.  With ``X = s_K - s_(K-1)`` and ``Y`` the span from
+    ``s_K`` to the last end, that mediant is below
+    ``M (1 - X / (X + Y) (1 - H / M))``.  The kept cells' sums are the full
+    search's bit for bit (dropping the lowest rows leaves every kept cell's
+    additions as they were), so where ``M > 0``, every end lies more than
+    EPS past ``s_K`` (every ``[s_K, e]`` counts towards ``M``) and
+    ``X / (X + Y) (1 - H / M)`` exceeds :data:`_MARGIN` per job (about
+    three times the roundoff of a window sum of ``n`` jobs, on both sides),
+    no dropped cell can beat ``M``.  Every other point gets the full
+    search.
     """
     arrived = np.searchsorted(releases, points, side="right")
     starts = _pk.collapse_times(releases)
@@ -103,42 +122,182 @@ def _max_ratios(
     ends, first = np.unique(deadlines, return_index=True)
     n_ends = np.searchsorted(np.sort(first), arrived) - np.searchsorted(ends, points)
     rows = np.searchsorted(starts - EPS, releases, side="right")
-    # A deadline's rank in ``ends``, and how many ends lie more than EPS
-    # below it.
-    rank = np.searchsorted(ends, deadlines)
-    below = np.searchsorted(ends + EPS, deadlines, side="left")
     out = np.zeros(points.size)
     busy = np.flatnonzero((n_starts > 0) & (n_ends > 0))
-    for lo, hi in _pk.batches(
-        n_starts[busy].tolist(), n_ends[busy].tolist(), arrived[busy].tolist()
-    ):
-        at = busy[lo:hi]
-        size = hi - lo
-        counts = arrived[at]
-        point = np.repeat(np.arange(size), counts)
-        job = np.arange(point.size) - np.repeat(counts.cumsum() - counts, counts)
-        # Each point's end candidates, its arrived deadlines >= t, as sorted
-        # keys point * |ends| + rank.
-        live = deadlines[job] >= points[at][point]
-        keys = np.unique(point[live] * ends.size + rank[job[live]])
-        group, time = keys // ends.size, ends[keys % ends.size]
-        close = (group[1:] == group[:-1]) & (time[1:] - time[:-1] <= EPS)
-        keep = _pk.chain(np.ones(keys.size, dtype=bool), close, group, time)
-        keys, group, time = keys[keep], group[keep], time[keep]
-        first_key = np.searchsorted(keys, np.arange(size + 1) * ends.size)
-        n_s, n_e = int(n_starts[at].max()), int(np.diff(first_key).max())
-        e_vals = np.full((size, n_e), -np.inf)
-        e_vals.ravel()[group * n_e + np.arange(keys.size) - first_key[group]] = time
-        # A job's end rank at its point: that point's ends more than EPS
-        # below its deadline.
-        col = np.searchsorted(keys, point * ends.size + below[job]) - first_key[point]
-        row = np.minimum(rows[job], n_starts[at][point])
-        work = _pk.window_work(point, row, col, works[job], (size, n_s, n_e))
-        span = e_vals[:, None, :] - starts[:n_s][None, :, None]
-        wide = span > EPS
-        ratio = np.divide(work, span, out=span, where=wide).reshape(size, -1)
-        out[at] = ratio.max(axis=1, initial=0.0, where=wide.reshape(size, -1))
+    if not busy.size:
+        return out
+    search = _WindowSearch(
+        deadlines, works, points, starts, rows, ends, arrived, n_starts, n_ends
+    )
+    t = points[busy]
+    opens = np.empty(releases.size, dtype=bool)
+    opens[0] = True
+    np.greater(releases[1:] - np.maximum.accumulate(deadlines[:-1]), EPS, out=opens[1:])
+    period_first = releases[opens]
+    cut = starts.searchsorted(period_first[period_first.searchsorted(t, "right") - 1])
+    # The dropped jobs, ranked at most K, are those released before P0:
+    # earlier periods', whose deadlines lie before P0 and so are no end
+    # candidates (the kept search sees the same ends).
+    first_job = rows.searchsorted(cut, side="right")
+    pruned = (cut > 0) & (n_starts[busy] > cut)
+    best, e_first, e_last = search(
+        busy, np.where(pruned, cut, 0), np.where(pruned, first_job, 0)
+    )
+    kept = np.flatnonzero(pruned)
+    k = cut[kept]
+    s_k = starts[k]
+    m = best[kept]
+    sure = (m > 0.0) & (e_first[kept] - s_k > EPS)
+    sure[sure] = _bound(
+        starts[k - 1][sure], s_k[sure], e_last[kept][sure],
+        _past_ratios(starts, rows, works, k[sure]), m[sure],
+    ) > _MARGIN * releases.size
+    out[busy] = best
+    again = busy[kept[~sure]]
+    if again.size:
+        zero = np.zeros(again.size, dtype=np.intp)
+        out[again] = search(again, zero, zero)[0]
     return out
+
+
+def _bound(
+    s_before: np.ndarray,
+    s_k: np.ndarray,
+    e_last: np.ndarray,
+    h: np.ndarray,
+    m: np.ndarray,
+) -> np.ndarray:
+    """``X / (X + Y) * (1 - H / M)`` (``M > 0``).
+
+    Infinite work makes it ``inf / inf``: NaN, which clears no margin, so
+    those points get the full search.
+    """
+    x = s_k - s_before
+    with np.errstate(invalid="ignore"):
+        return x / (x + (e_last - s_k)) * (1.0 - h / m)
+
+
+def _past_ratios(
+    starts: np.ndarray, rows: np.ndarray, works: np.ndarray, cuts: np.ndarray
+) -> np.ndarray:
+    """For each cut ``K > 0``: the largest ``A(s_i) / (s_K - s_i)`` over
+    ``i < K``, where ``A(s_i)`` is the work of the jobs ranked in
+    ``(i, K]`` (released at or after ``s_i - EPS`` and before
+    ``s_K - EPS``).  Sums of non-negative work and one division each, so
+    within a few roundoffs per job of the exact value.  Distinct cuts go
+    in blocks of at most a quarter of the kernel's cell budget.
+    """
+    # by_rank[i]: the work of the jobs of rank i + 1 (rank 0 holds none).
+    by_rank = np.bincount(rows, weights=works, minlength=starts.size + 1)[1:]
+    distinct, where = np.unique(cuts, return_inverse=True)
+    out = np.empty(distinct.size)
+    step = max(1, (_pk._CELL_BUDGET // 4) // starts.size)
+    for lo in range(0, distinct.size, step):
+        block = distinct[lo:lo + step]
+        width = int(block[-1])
+        inside = np.arange(width) < block[:, None]
+        # past[b, i]: the work ranked in (i, K]; its reversed running sum.
+        past = np.where(inside, by_rank[:width], 0.0)
+        np.add.accumulate(past[:, ::-1], axis=1, out=past[:, ::-1])
+        span = starts[block][:, None] - starts[:width]
+        np.divide(past, span, out=past, where=inside)
+        out[lo:lo + step] = past.max(axis=1, initial=0.0, where=inside)
+    return out[where]
+
+
+class _WindowSearch:
+    """The batched window search behind :func:`_max_ratios`.
+
+    ``search(at, cut, first_job)`` returns, for every point ``at[i]``, the
+    largest ratio over the windows starting at start ``cut[i]`` or later
+    and holding arrived jobs ``first_job[i]`` or later (every job before
+    it ranked at most ``cut[i]``), and the point's first and last end
+    candidates; ``cut = first_job = 0`` is the full search.  The points go
+    in batches of consecutive points
+    (:func:`~repro.core.profile_kernel.batches`): each job of a batch is
+    one ``(point, job)`` entry, point-major and job-minor, so
+    :func:`~repro.core.profile_kernel.window_work` adds each cell's jobs in
+    job order, as a lone call per point would, and each point's starts are
+    its own ``starts[cut:]``, padded at the high end.  The ratio is
+    ``work / span`` where ``span > EPS`` and 0.0 elsewhere; padded ends are
+    ``-inf``, so padded cells read 0.0.
+    """
+
+    def __init__(
+        self,
+        deadlines: np.ndarray,
+        works: np.ndarray,
+        points: np.ndarray,
+        starts: np.ndarray,
+        rows: np.ndarray,
+        ends: np.ndarray,
+        arrived: np.ndarray,
+        n_starts: np.ndarray,
+        n_ends: np.ndarray,
+    ) -> None:
+        self.deadlines, self.works, self.points = deadlines, works, points
+        self.starts, self.rows, self.ends = starts, rows, ends
+        self.arrived, self.n_starts, self.n_ends = arrived, n_starts, n_ends
+        # A deadline's rank in ``ends``, and how many ends lie more than
+        # EPS below it.
+        self.rank = np.searchsorted(ends, deadlines)
+        self.below = np.searchsorted(ends + EPS, deadlines, side="left")
+
+    def __call__(
+        self, at: np.ndarray, cut: np.ndarray, first_job: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        deadlines, works, starts, rows, ends = (
+            self.deadlines, self.works, self.starts, self.rows, self.ends
+        )
+        best, e_first, e_last = np.zeros((3, at.size))
+        n_s_all = self.n_starts[at] - cut
+        jobs_all = self.arrived[at] - first_job
+        for lo, hi in _pk.batches(
+            n_s_all.tolist(), self.n_ends[at].tolist(), jobs_all.tolist()
+        ):
+            size = hi - lo
+            counts = jobs_all[lo:hi]
+            point = np.repeat(np.arange(size), counts)
+            job = (
+                np.arange(point.size)
+                - np.repeat(counts.cumsum() - counts, counts)
+                + np.repeat(first_job[lo:hi], counts)
+            )
+            t = self.points[at[lo:hi]]
+            # Each point's end candidates, its arrived deadlines >= t, as
+            # sorted keys point * |ends| + rank.
+            live = deadlines[job] >= t[point]
+            keys = np.unique(point[live] * ends.size + self.rank[job[live]])
+            group, time = keys // ends.size, ends[keys % ends.size]
+            close = (group[1:] == group[:-1]) & (time[1:] - time[:-1] <= EPS)
+            keep = _pk.chain(np.ones(keys.size, dtype=bool), close, group, time)
+            keys, group, time = keys[keep], group[keep], time[keep]
+            first_key = np.searchsorted(keys, np.arange(size + 1) * ends.size)
+            n_s, n_e = int(n_s_all[lo:hi].max()), int(np.diff(first_key).max())
+            e_vals = np.full((size, n_e), -np.inf)
+            e_vals.ravel()[group * n_e + np.arange(keys.size) - first_key[group]] = time
+            # A job's end rank at its point: that point's ends more than
+            # EPS below its deadline.
+            col = (
+                np.searchsorted(keys, point * ends.size + self.below[job])
+                - first_key[point]
+            )
+            first_start = cut[lo:hi]
+            row = (
+                np.minimum(rows[job], self.n_starts[at[lo:hi]][point])
+                - first_start[point]
+            )
+            work = _pk.window_work(point, row, col, works[job], (size, n_s, n_e))
+            s_vals = starts[
+                np.minimum(first_start[:, None] + np.arange(n_s), starts.size - 1)
+            ]
+            span = e_vals[:, None, :] - s_vals[:, :, None]
+            wide = span > EPS
+            ratio = np.divide(work, span, out=span, where=wide).reshape(size, -1)
+            best[lo:hi] = ratio.max(axis=1, initial=0.0, where=wide.reshape(size, -1))
+            e_first[lo:hi] = time[first_key[:-1]]
+            e_last[lo:hi] = time[first_key[1:] - 1]
+        return best, e_first, e_last
 
 
 def bkp_profile(jobs: Sequence[Job]) -> SpeedProfile:
@@ -152,16 +311,11 @@ def bkp_profile(jobs: Sequence[Job]) -> SpeedProfile:
     if not live:
         return SpeedProfile()
     releases, deadlines, works = _job_arrays(live)
-    events = dedupe_times(releases.tolist() + deadlines.tolist())
-    times = np.array(events)
+    times = np.array(dedupe_times(releases.tolist() + deadlines.tolist()))
     speeds = E_CONST * _max_ratios(
         releases, deadlines, works, 0.5 * (times[:-1] + times[1:])
     )
-    return SpeedProfile(
-        Segment(a, b, v)
-        for a, b, v in zip(events, events[1:], speeds.tolist())
-        if v > 0
-    )
+    return SpeedProfile.from_breakpoints(times=times, speeds=speeds)
 
 
 def bkp(jobs: Sequence[Job]) -> BKPResult:

@@ -30,6 +30,7 @@ and CRP2D calls YDS as a subroutine (Algorithm 2, line 6).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
@@ -38,7 +39,7 @@ import numpy as np
 from ..core.constants import EPS
 from ..core.edf import run_edf
 from ..core.job import Job
-from ..core.profile import Segment, SpeedProfile
+from ..core.profile import SpeedProfile
 from ..core.schedule import Schedule
 from ..core import profile_kernel as _pk
 
@@ -252,15 +253,21 @@ def _critical(
     ``comp`` holds the jobs' compressed releases, then their compressed
     deadlines; ``item`` (non-decreasing) is each job's item, and item
     ``k``'s jobs are ``first_job[k]:first_job[k + 1]``.  Returns per item
-    ``(intensity, c_start, c_end, found)``; an item is not found when no
-    positive-work interval exists.  Per item this is the lone computation
-    exactly: its collapsed starts and ends, its window sums through
-    :func:`~repro.core.profile_kernel.window_work`, ``work / length``
-    where ``length > EPS`` and ``work > 0`` (``-inf`` elsewhere), and the
-    first maximum in row-major order.  Padded starts are ``+inf`` and
-    padded ends ``-inf``, so every padded cell's length is ``-inf`` and its
-    intensity ``-inf``: a padded column, which repeats its row's work,
-    cannot beat an item whose real cells are all ``-inf``.
+    ``(intensity, c_start, c_end)``, the intensity ``-inf`` when no
+    positive-work interval exists, and per job whether it lies inside its
+    item's interval (every job of an item without one).  Per item this is
+    the lone computation exactly: its collapsed starts and ends, its window
+    sums through :func:`~repro.core.profile_kernel.window_work`,
+    ``work / length`` where ``length > EPS`` and ``work > 0`` (``-inf``
+    elsewhere), and the first maximum in row-major order.  Padded starts
+    are ``+inf`` and padded ends ``-inf``, so every padded cell's length is
+    ``-inf`` and its intensity ``-inf``: a padded column, which repeats its
+    row's work, cannot beat an item whose real cells are all ``-inf``.
+
+    A job is inside ``[c_start - EPS, c_end + EPS]`` exactly when its start
+    rank exceeds the interval's start row and its end rank is at most the
+    interval's end column: the ranks compare it with ``start - EPS`` and
+    ``end + EPS``, the same floats.
     """
     n, n_items = item.size, first_job.size - 1
     # One sort collapses both: item k's starts are group k, its ends
@@ -276,6 +283,7 @@ def _critical(
     counts = [b - a for a, b in zip(bounds, bounds[1:])]
     job_bounds = first_job.tolist()
     best, c1, c2 = np.empty((3, n_items))
+    row, col = np.empty((2, n_items), dtype=np.intp)
     for lo, hi in _pk.batches(
         counts[:n_items],
         counts[n_items:],
@@ -287,14 +295,14 @@ def _critical(
         work = _pk.window_work(
             item[jobs] - lo, rows[jobs], cols[jobs], works[jobs], (size, n_s, n_e)
         )
-        vals = []
-        for g0, width, pad in ((lo, n_s, np.inf), (n_items + lo, n_e, -np.inf)):
-            span = slice(bounds[g0], bounds[g0 + size])
-            padded = np.empty((size, width))
-            padded.fill(pad)
-            padded.ravel()[(group[span] - g0) * width + at[span]] = kept.imag[span]
-            vals.append(padded)
-        s_vals, e_vals = vals
+        starts = slice(bounds[lo], bounds[hi])
+        ends = slice(bounds[n_items + lo], bounds[n_items + hi])
+        s_vals = np.empty((size, n_s))
+        s_vals.fill(np.inf)
+        e_vals = np.empty((size, n_e))
+        e_vals.fill(-np.inf)
+        s_vals.ravel()[(group[starts] - lo) * n_s + at[starts]] = kept.imag[starts]
+        e_vals.ravel()[(group[ends] - n_items - lo) * n_e + at[ends]] = kept.imag[ends]
         lengths = e_vals[:, None, :] - s_vals[:, :, None]
         valid = (lengths > EPS) & (work > 0)
         intensity = np.empty((size, n_s * n_e))
@@ -303,44 +311,87 @@ def _critical(
         flat = intensity.argmax(axis=1)
         every = np.arange(size)
         best[lo:hi] = intensity[every, flat]
-        c1[lo:hi] = s_vals[every, flat // n_e]
-        c2[lo:hi] = e_vals[every, flat % n_e]
-    return best, c1, c2, np.isfinite(best)
+        row[lo:hi], col[lo:hi] = np.divmod(flat, n_e)
+        c1[lo:hi] = s_vals[every, row[lo:hi]]
+        c2[lo:hi] = e_vals[every, col[lo:hi]]
+    # An item without an interval takes all its jobs: row -1, column n.
+    none = ~np.isfinite(best)
+    row[none], col[none] = -1, n
+    inside = (rows > row[item]) & (cols <= col[item])
+    return best, c1, c2, inside
 
 
-def _discover(jobs: Sequence[Job]) -> list[_DiscoveryStep]:
-    """The critical-interval decomposition, step by step.
+def _lone_steps(
+    periods: Sequence[list[Job]],
+    lone: Sequence[int],
+    steps: list[list[_DiscoveryStep]],
+) -> None:
+    """Append the step of every busy period ``q in lone``, each one job, in
+    one numpy pass.
 
-    This is the schedule-free core of YDS: both :func:`yds` (which
-    additionally realises EDF inside each step) and :func:`yds_profile`
-    (which only needs the speeds and covers) drive it.
-
-    The jobs split into busy periods separated by idle gaps longer than
-    EPS, and each period runs YDS on its own timeline.  That is exact: an
-    interval spanning a gap is strictly less intense than one of its two
-    sides, both of which are candidates, so no critical interval (and no
-    cut) ever reaches a gap and the periods never interact.  So the
-    periods go in rounds: round *r* finds the *r*-th critical interval of
-    every period that still has jobs, in one batched pass (:func:`_critical`
-    on :func:`_compress`'s times), and then cuts each period's timeline.
-    Each period's steps, non-increasing in speed, are merged by speed,
-    ties to the earlier period.
+    It is the step the rounds would find, in their own expressions: in
+    its period's timeline (origin: its release ``r``) the job's window is
+    ``[0.0, d - r]``, so its speed is ``w / ((d - r) - 0.0)`` and its cover
+    ``[r + 0.0, r + ((d - r) - 0.0))``.  A period whose window is at most
+    EPS long, or whose intensity is not finite, has no step; a cover that
+    fails :func:`_expand`'s zero-length guard is empty.
     """
-    pending = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
-    periods = _busy_periods(pending)
-    if not periods:
-        return []
+    if not lone:
+        return
+    job = [periods[q][0] for q in lone]
+    r = np.array([j.release for j in job])
+    c2 = np.array([j.deadline for j in job]) - r
+    length = c2 - 0.0
+    speed = np.full(r.size, -np.inf)
+    np.divide(np.array([j.work for j in job]), length, out=speed, where=length > EPS)
+    o1 = r + 0.0
+    o2 = r + (c2 - 0.0)
+    covered = (c2 > 0.0) & (o2 > o1 + EPS * np.maximum(1.0, np.abs(o1)) * 1e-3)
+    for q, j, v, hi, a, b, keep in zip(
+        lone,
+        job,
+        speed.tolist(),
+        c2.tolist(),
+        o1.tolist(),
+        o2.tolist(),
+        covered.tolist(),
+    ):
+        if math.isfinite(v):
+            steps[q].append(
+                _DiscoveryStep(
+                    v, 0.0, hi, [j], [(0.0, hi)], [(a, b)] if keep else [],
+                    j.release, (),
+                )
+            )
+
+
+def _rounds(
+    periods: Sequence[list[Job]],
+    multi: Sequence[int],
+    steps: list[list[_DiscoveryStep]],
+) -> None:
+    """Run YDS on every busy period ``q in multi`` in rounds, appending each
+    period's steps to ``steps[q]``.
+
+    Round *r* finds the *r*-th critical interval of every period that
+    still has jobs in one batched pass (:func:`_critical` on
+    :func:`_compress`'s times), and then cuts each period's timeline.
+    """
+    if not multi:
+        return
     # Smallest periods first, so that a round's batches pad little.
-    layout = sorted(range(len(periods)), key=lambda q: len(periods[q]))
+    layout = sorted(multi, key=lambda q: len(periods[q]))
     flat = [j for q in layout for j in periods[q]]
     period = np.repeat(layout, [len(periods[q]) for q in layout])
-    timelines = [TimelineCompressor(p[0].release) for p in periods]
+    timelines = {q: TimelineCompressor(periods[q][0].release) for q in layout}
     # Each job's release (row 0) and deadline (row 1), and both less its
     # period's origin.
     times = np.array([[j.release for j in flat], [j.deadline for j in flat]])
-    base = times - np.array([t.origin for t in timelines])[period]
+    origins = np.repeat(
+        [timelines[q].origin for q in layout], [len(periods[q]) for q in layout]
+    )
+    base = times - origins
     works = np.array([j.work for j in flat])
-    steps: list[list[_DiscoveryStep]] = [[] for _ in periods]
     alive = np.arange(len(flat))  # unscheduled jobs, period after period
     while alive.size:
         owner = period[alive]
@@ -356,30 +407,26 @@ def _discover(jobs: Sequence[Job]) -> list[_DiscoveryStep]:
             times[:, alive].ravel(),
             base[:, alive].ravel(),
         )
-        comp_r, comp_d = comp[: alive.size], comp[alive.size:]
-        speed, c1, c2, found = _critical(item, first_job, comp, works[alive])
-        # A period without a critical interval drops all its jobs.
-        lo_t = np.where(found, c1 - EPS, -np.inf)
-        hi_t = np.where(found, c2 + EPS, np.inf)
-        inside = (comp_r >= lo_t[item]) & (comp_d <= hi_t[item])
+        speed, c1, c2, inside = _critical(item, first_job, comp, works[alive])
         picked = inside.nonzero()[0]
         members: list[list[Job]] = [[] for _ in active]
         windows: list[list[tuple[float, float]]] = [[] for _ in active]
         for k, g, r, d in zip(
             item[picked].tolist(),
             alive[picked].tolist(),
-            comp_r[picked].tolist(),
-            comp_d[picked].tolist(),
+            comp[picked].tolist(),
+            comp[alive.size + picked].tolist(),
         ):
             members[k].append(flat[g])
             windows[k].append((r, d))
-        for k in found.nonzero()[0].tolist():
+        for k, (v, lo, hi) in enumerate(zip(speed.tolist(), c1.tolist(), c2.tolist())):
+            if not math.isfinite(v):
+                continue  # no critical interval: the period drops its jobs
             timeline = timelines[active[k]]
-            lo, hi = float(c1[k]), float(c2[k])
             cover = timeline.expand_interval(lo, hi)
             steps[active[k]].append(
                 _DiscoveryStep(
-                    float(speed[k]),
+                    v,
                     lo,
                     hi,
                     members[k],
@@ -391,6 +438,39 @@ def _discover(jobs: Sequence[Job]) -> list[_DiscoveryStep]:
             )
             timeline.cut(cover)
         alive = alive[~inside]
+
+
+def _discover(jobs: Sequence[Job]) -> list[_DiscoveryStep]:
+    """The critical-interval decomposition, step by step.
+
+    This is the schedule-free core of YDS: both :func:`yds` (which
+    additionally realises EDF inside each step) and :func:`yds_profile`
+    (which only needs the speeds and covers) drive it.
+
+    The jobs split into busy periods separated by idle gaps longer than
+    EPS, and each period runs YDS on its own timeline.  That is exact: an
+    interval spanning a gap is strictly less intense than one of its two
+    sides, both of which are candidates, so no critical interval (and no
+    cut) ever reaches a gap and the periods never interact.  A period of
+    one job is its own critical interval, and all of those are found in
+    one pass (:func:`_lone_steps`); the other periods go in rounds
+    (:func:`_rounds`).  Each period's steps, non-increasing in speed, are
+    merged by speed, ties to the earlier period.
+    """
+    pending = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
+    periods = _busy_periods(pending)
+    steps: list[list[_DiscoveryStep]] = [[] for _ in periods]
+    _lone_steps(periods, [q for q, p in enumerate(periods) if len(p) == 1], steps)
+    _rounds(periods, [q for q, p in enumerate(periods) if len(p) > 1], steps)
+    return _merge_by_speed(steps)
+
+
+def _merge_by_speed(steps: Sequence[list[_DiscoveryStep]]) -> list[_DiscoveryStep]:
+    """``heapq.merge(*steps, key=-speed)``: when every period's steps are
+    non-increasing in speed (all but float ties), that merge is a stable
+    sort of their concatenation, which costs less."""
+    if all(a.speed >= b.speed for per in steps for a, b in zip(per, per[1:])):
+        return sorted((s for per in steps for s in per), key=lambda step: -step.speed)
     return list(heapq.merge(*steps, key=lambda step: -step.speed))
 
 
@@ -403,12 +483,23 @@ def _step_critical(step: _DiscoveryStep) -> CriticalInterval:
     )
 
 
+def _covers_profile(
+    covers: Sequence[tuple[float, Sequence[tuple[float, float]]]],
+) -> SpeedProfile:
+    """The profile running at each ``speed`` on its ``cover``'s intervals."""
+    starts: list[float] = []
+    ends: list[float] = []
+    speeds: list[float] = []
+    for speed, cover in covers:
+        for a, b in cover:
+            starts.append(a)
+            ends.append(b)
+            speeds.append(speed)
+    return SpeedProfile.from_segments(starts=starts, ends=ends, speeds=speeds)
+
+
 def _criticals_profile(criticals: Sequence[CriticalInterval]) -> SpeedProfile:
-    return SpeedProfile(
-        Segment(a, b, ci.speed)
-        for ci in criticals
-        for (a, b) in ci.original_intervals
-    )
+    return _covers_profile([(ci.speed, ci.original_intervals) for ci in criticals])
 
 
 def yds(jobs: Sequence[Job]) -> YDSResult:
@@ -453,8 +544,9 @@ def yds_profile(jobs: Sequence[Job]) -> SpeedProfile:
     the fast path for clairvoyant baselines, which only need the profile's
     energy and peak speed.
     """
-    criticals = [_step_critical(step) for step in _discover(jobs)]
-    return _criticals_profile(criticals)
+    return _covers_profile(
+        [(step.speed, step.original_cover) for step in _discover(jobs)]
+    )
 
 
 def optimal_energy(jobs: Sequence[Job], alpha: float) -> float:

@@ -696,7 +696,10 @@ def replay_jobs(
             payload = _normalise(outcome["payload"])
             payload.setdefault("status", "ok")
             if task.publish is not None:
-                session.cache_put(task, payload, outcome["wall"])
+                session.cache_put(
+                    task, payload, outcome["wall"],
+                    published=bool(outcome.get("published")),
+                )
             if checkpoint is not None and task.key is not None:
                 checkpoint.record(
                     task.key,

@@ -44,6 +44,10 @@ OPTIONAL_COLUMNS = ("query_cost", "id")
 _ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
+#: The whitespace JSON allows around a value (RFC 8259).
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def _utf8_lines(source: str, lines: Iterable[str]) -> Iterator[str]:
     """The lines of a trace opened with ``errors="surrogateescape"``.
 
@@ -188,7 +192,9 @@ def parse_jsonl(
     stats = stats if stats is not None else ParseStats()
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, raw in enumerate(_utf8_lines(source, handle), start=1):
-            line = raw.strip()
+            # JSON's whitespace only: str.strip() would also take a line
+            # of control characters such as \x1c for a blank one.
+            line = raw.strip(_JSON_WHITESPACE)
             if not line:
                 continue
             try:

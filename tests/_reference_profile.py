@@ -6,8 +6,10 @@ were plain loops over segments and slices.  They live on here, with their
 arithmetic unchanged, as the reference the kernel must reproduce bit for
 bit.  :func:`reference_mode` patches them back over the kernel-backed code,
 together with the per-period YDS discovery and the per-midpoint BKP sweep
-of ``tests/_reference_kernels.py``, so a whole pipeline (YDS, a replay)
-runs exactly as it did before the kernel and the batched window sums.
+of ``tests/_reference_kernels.py`` and the object paths of
+``tests/_reference_objects.py`` (slice objects, the heap EDF, the
+``Arrival`` derivation), so a whole pipeline (YDS, a replay) runs exactly
+as it did before the kernel, the batched window sums and the columns.
 Test and bench use only: the patches are process-wide, so it is not
 thread safe.
 """
@@ -22,15 +24,19 @@ from unittest import mock
 import numpy as np
 
 import _reference_kernels as _kernels
+import _reference_objects as _objects
+from repro.core import edf as _edf
+from repro.core import feasibility as _feasibility
 from repro.core import profile as _profile
 from repro.core import profile_kernel as _pk
 from repro.core.constants import EPS
 from repro.core.job import Job
 from repro.core.power import PowerFunction
 from repro.core.profile import Segment, SpeedProfile
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, Slice
 from repro.core.timeline import dedupe_times
 from repro.qbss.clairvoyant import clairvoyant_values as _clairvoyant_values
+from repro.qbss.transform import derive_online as _derive_online
 from repro.speed_scaling.avr import avr_profile as _avr_profile
 from repro.speed_scaling.bkp import bkp_profile as _bkp_profile
 from repro.speed_scaling.yds import TimelineCompressor
@@ -201,17 +207,28 @@ def avr_profile(jobs: Sequence[Job]) -> SpeedProfile:
 # -- Schedule -----------------------------------------------------------------------
 
 
+def _slices_as_added(schedule) -> list[list[Slice]]:
+    """Each machine's slices in the order they were added, for the columnar
+    :class:`Schedule` and the object one alike."""
+    if isinstance(schedule, _objects.ObjectSchedule):
+        return schedule._slices
+    return [
+        [Slice(*row) for row in zip(*schedule.columns(m))]
+        for m in range(schedule.machines)
+    ]
+
+
 def schedule_energy(self: Schedule, power: PowerFunction) -> float:
     return sum(
         power.energy(s.speed, s.duration)
-        for per in self._slices
+        for per in _slices_as_added(self)
         for s in per
     )
 
 
 def schedule_max_speed(self: Schedule) -> float:
     return max(
-        (s.speed for per in self._slices for s in per), default=0.0
+        (s.speed for per in _slices_as_added(self) for s in per), default=0.0
     )
 
 
@@ -264,6 +281,8 @@ _METHODS: tuple[tuple[type, str, object], ...] = (
     (SpeedProfile, "_from_arrays", _kernel_reached),
     (Schedule, "energy", schedule_energy),
     (Schedule, "max_speed", schedule_max_speed),
+    (_objects.ObjectSchedule, "energy", schedule_energy),
+    (_objects.ObjectSchedule, "max_speed", schedule_max_speed),
     (TimelineCompressor, "compress_many", compress_many),
 )
 
@@ -275,9 +294,10 @@ def _no_shared_baseline(*args: object, **kwargs: object) -> None:
 
 #: Module-level functions that other modules import by name
 #: (``from ..core.profile import sum_profiles`` in CRP2D, ``avr_profile``
-#: in AVRQ and AVRQ-NM, ``bkp_profile`` in BKPQ, the package re-exports,
-#: a bench script's globals), kernel first.  YDS's ``_discover`` is what
-#: both ``yds`` and ``yds_profile`` drive.
+#: in AVRQ and AVRQ-NM, ``bkp_profile`` in BKPQ, ``run_edf`` in every
+#: single-machine algorithm, the package re-exports, a bench script's
+#: globals), kernel first.  YDS's ``_discover`` is what both ``yds`` and
+#: ``yds_profile`` drive.
 _FUNCTIONS: dict[str, tuple[object, object]] = {
     "sum_profiles": (_profile.sum_profiles, sum_profiles),
     "max_profiles": (_profile.max_profiles, max_profiles),
@@ -286,6 +306,9 @@ _FUNCTIONS: dict[str, tuple[object, object]] = {
     "_discover": (_yds_discover, _kernels.period_discover),
     "collapse_times": (_pk.collapse_times, collapse_times),
     "clairvoyant_values": (_clairvoyant_values, _no_shared_baseline),
+    "run_edf": (_edf.run_edf, _objects.run_edf),
+    "check_feasible": (_feasibility.check_feasible, _objects.check_feasible),
+    "derive_online": (_derive_online, _objects.derive_online),
 }
 
 
@@ -306,9 +329,10 @@ def reference_mode() -> Iterator[None]:
     """Run profiles, schedules and YDS on the pre-kernel loops.
 
     Patches the loops above over the kernel-backed methods, and rebinds
-    ``sum_profiles``/``max_profiles``/``avr_profile``/``bkp_profile`` and
-    YDS's ``_discover`` in *every* loaded module that holds the kernel
-    function, found by identity (patching ``repro.core.profile`` alone
+    ``sum_profiles``/``max_profiles``/``avr_profile``/``bkp_profile``,
+    YDS's ``_discover`` and the object paths of ``tests/_reference_objects.py``
+    (``run_edf``, ``check_feasible``, ``derive_online``) in *every* loaded
+    module that holds the kernel function, found by identity (patching ``repro.core.profile`` alone
     would leave CRP2D's, AVRQ's and BKPQ's imported names on the kernel).  ``clairvoyant_values`` returns ``None``, so
     trace replay computes one baseline per algorithm as it did before the
     kernel.  ``SpeedProfile._get_arrays``/``_from_arrays`` raise

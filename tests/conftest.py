@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.core import Instance, Job, PowerFunction, QBSSInstance, QJob
+
+#: ``--hypothesis-profile=ci``: ten times every oracle's example budget
+#: (``tests/_budget.py``) and no deadline, for the CI step that searches
+#: the near-EPS, 2^24-origin and forced-fallback families.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(autouse=True, scope="session")

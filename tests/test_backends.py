@@ -35,6 +35,7 @@ from repro.engine import (
     run_experiments,
 )
 from repro.engine.backends import worker as worker_main
+from repro.engine.cache import ResultCache
 from repro.engine.backends.remote import (
     WIRE_VERSION,
     _WorkerLink,
@@ -358,6 +359,101 @@ class TestCacheCoordination:
         assert wm.hits == len(warm.shards)
         assert wm.misses == 0
         assert canon(warm) == canon(remote)
+
+
+    def test_driver_writes_no_entry_a_worker_published(
+        self, no_env_plan, tmp_path, spawn_workers, monkeypatch
+    ):
+        """Workers and driver share one cache directory: each shard's
+        entry is written once, by the worker, and the driver's put spy
+        sees no call."""
+        cache = tmp_path / "shared-cache"
+        addresses = spawn_workers(2, cache_dir=cache)
+        puts = []
+        real_put = ResultCache.put
+
+        def spy(self, key, *args, **kwargs):
+            puts.append(key)
+            return real_put(self, key, *args, **kwargs)
+
+        monkeypatch.setattr(ResultCache, "put", spy)
+        with ExecutionSession(
+            jobs=2, cache=True, cache_dir=cache, backend=remote_backend(addresses)
+        ) as session:
+            remote, rm = replay_jobs(jobs_stream(), shard_window=2.0, session=session)
+        assert rm.misses == len(remote.shards) > 1
+        assert puts == []
+        assert len(ResultCache(cache)) == len(remote.shards)
+        warm, wm = replay_jobs(
+            jobs_stream(),
+            shard_window=2.0,
+            session=ExecutionSession(jobs=1, cache=True, cache_dir=cache),
+        )
+        assert (wm.hits, wm.misses) == (len(warm.shards), 0)
+        assert canon(warm) == canon(remote)
+        assert len(puts) == 0  # a hit writes nothing either
+
+
+def _guarded_frame(spec):
+    """A task frame whose outcome is ``{"ok": True, "payload": {"x": 1}}``."""
+    return {
+        "fn": "repro.engine.faults:run_guarded",
+        "args": ("t", 1, None, lambda: {"x": 1}),
+        "publish": spec,
+    }
+
+
+class TestPublishedMark:
+    SPEC = {"key": "ab" * 32, "experiment": "t", "params": {}, "package_version": "0"}
+
+    def test_worker_marks_only_what_it_published(self, tmp_path):
+        store = ResultCache(tmp_path / "ok")
+        outcome = worker_main._run_task(_guarded_frame(self.SPEC), store)
+        assert outcome["published"] is True
+        assert store.get(self.SPEC["key"])["report"] == {"x": 1}
+
+        class FullDisk(ResultCache):
+            def put(self, *args, **kwargs):
+                raise OSError("no space left on device")
+
+        failed = worker_main._run_task(
+            _guarded_frame(self.SPEC), FullDisk(tmp_path / "full")
+        )
+        assert failed["ok"] and "published" not in failed
+        assert "published" not in worker_main._run_task(_guarded_frame(self.SPEC), None)
+
+    def _put(self, tmp_path, published, plan=None, monkeypatch=None):
+        from repro.engine.runner import HardenedTask
+
+        session = ExecutionSession(jobs=1, cache_dir=tmp_path, fault_plan=plan)
+        task = HardenedTask("t")
+        task.publish = session.cache_entry(self.SPEC["key"], "t", {})
+        session.cache_put(task, {"x": 1}, 0.5, published=published)
+        return session.store
+
+    def test_driver_writes_when_the_published_entry_is_not_in_its_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker whose cache directory is not the driver's (or whose
+        publication failed) leaves the write to the driver."""
+        puts = []
+        real_put = ResultCache.put
+        monkeypatch.setattr(
+            ResultCache, "put", lambda self, *a, **k: puts.append(a[0]) or real_put(self, *a, **k)
+        )
+        store = self._put(tmp_path, published=True)
+        assert puts == [self.SPEC["key"]]
+        assert store.get(self.SPEC["key"])["report"] == {"x": 1}
+        self._put(tmp_path, published=True)  # now present: not written again
+        assert puts == [self.SPEC["key"]]
+
+    @pytest.mark.parametrize("kind", ["corrupt-cache", "torn-write"])
+    def test_fault_hooks_fire_on_the_published_entry(self, tmp_path, kind):
+        worker_main._run_task(_guarded_frame(self.SPEC), ResultCache(tmp_path))
+        plan = FaultPlan((FaultSpec(task="t", kind=kind),))
+        store = self._put(tmp_path, published=True, plan=plan)
+        assert store.get(self.SPEC["key"]) is None
+        assert store.quarantined == 1
 
 
 # -- failure and lifecycle semantics ------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _exact_oracle as exact
+from _budget import examples
 from repro.core.constants import E_CONST
 from repro.core.job import Job
 from repro.core.power import PowerFunction
@@ -53,7 +54,7 @@ def _close(got: float, want: Fraction) -> bool:
     return math.isclose(got, float(want), rel_tol=REL, abs_tol=0.0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(grid_jobs())
 @example(NESTED)
 @example(EQUAL_WINDOWS)
@@ -64,7 +65,7 @@ def test_yds_energy_and_peak_are_exact(jobs):
     assert _close(profile.max_speed(), exact.yds_max_speed(jobs))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(grid_jobs())
 @example(NESTED)
 @example(EQUAL_WINDOWS)

@@ -35,6 +35,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernels as kernels
+import _reference_objects as objects
+from _budget import examples
 import _reference_profile as oracle
 from _reference_profile import KernelPathReached, reference_mode
 from repro.core import profile_kernel as pk
@@ -165,26 +167,26 @@ def both_modes(segs, fn):
 
 class TestKernelEqualsReference:
     @given(segs=breakpoint_profiles(), alpha=alphas)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_energy(self, segs, alpha):
         k, r = both_modes(segs, lambda p: p.energy(PowerFunction(alpha)))
         assert same_number(k, r)
 
     @given(segs=breakpoint_profiles())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_total_work_and_max_speed(self, segs):
         k, r = both_modes(segs, lambda p: (p.total_work(), p.max_speed()))
         assert same_number(k[0], r[0])
         assert same_number(k[1], r[1])
 
     @given(segs=breakpoint_profiles(), lo=queries, hi=queries)
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     def test_work_in(self, segs, lo, hi):
         k, r = both_modes(segs, lambda p: p.work_in(lo, hi))
         assert same_number(k, r)
 
     @given(segs=breakpoint_profiles(), t=queries)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_speed_at_matches_batched(self, segs, t):
         p = SpeedProfile(segs)
         scalar = p.speed_at(t)
@@ -192,25 +194,25 @@ class TestKernelEqualsReference:
         assert bits(scalar) == bits(batched)
 
     @given(segs=breakpoint_profiles(), factor=st.sampled_from([0.0, 0.5, 1.7, 3.0]))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_scale(self, segs, factor):
         k, r = both_modes(segs, lambda p: profile_bits(p.scale(factor)))
         assert k == r
 
     @given(segs=breakpoint_profiles(), lo=queries, hi=queries)
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_restrict(self, segs, lo, hi):
         k, r = both_modes(segs, lambda p: profile_bits(p.restrict(lo, hi)))
         assert k == r
 
     @given(segs=breakpoint_profiles(), delta=st.floats(-7.0, 7.0))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_shift(self, segs, delta):
         k, r = both_modes(segs, lambda p: profile_bits(p.shift(delta)))
         assert k == r
 
     @given(many=st.lists(admitted_segments(), max_size=40))
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @example(  # subnormal and tiny densities, as the synthesizer's floor gives
         many=[
             [Segment(0.0, 1.0, 5e-324)],
@@ -223,7 +225,7 @@ class TestKernelEqualsReference:
         assert_stack_matches_reference(many)
 
     @given(segs=breakpoint_profiles(), other=breakpoint_profiles())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_add_and_dominates(self, segs, other):
         k_add = profile_bits(SpeedProfile(segs) + SpeedProfile(other))
         k_dom = SpeedProfile(segs).dominates(SpeedProfile(other))
@@ -234,7 +236,7 @@ class TestKernelEqualsReference:
         assert k_dom == r_dom
 
     @given(many=st.lists(breakpoint_profiles(max_segments=4), max_size=4), alpha=alphas)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_profiles_energy_helpers(self, many, alpha):
         power = PowerFunction(alpha)
         ks = [SpeedProfile(s) for s in many]
@@ -335,7 +337,7 @@ class TestCombine:
 
 class TestBatchedQueries:
     @given(segs=breakpoint_profiles(), qs=st.lists(st.tuples(queries, queries), max_size=6))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_work_in_many_rows_equal_scalars(self, segs, qs):
         p = SpeedProfile(segs)
         los = [a for a, _ in qs]
@@ -359,7 +361,7 @@ class TestConstructorParity:
         n=st.integers(min_value=2, max_value=7),
         data=st.data(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_from_breakpoints_modes_agree(self, n, data):
         t = 0.0
         times = []
@@ -409,7 +411,7 @@ def classical_jobs(draw, max_jobs=8):
 
 class TestYDSKernelPaths:
     @given(jobs=classical_jobs())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_compress_many_equals_scalar(self, jobs):
         compressor = TimelineCompressor(min(j.release for j in jobs))
         compressor.cut([(1.0, 2.0), (4.0, 4.5), (9.0, 12.0)])
@@ -419,14 +421,14 @@ class TestYDSKernelPaths:
             assert bits(got) == bits(compressor.compress(t))
 
     @given(jobs=classical_jobs())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_yds_profile_equals_full_yds(self, jobs):
         fast = yds_profile(jobs)
         full = yds(jobs)
         assert profile_bits(fast) == profile_bits(full.profile)
 
     @given(jobs=classical_jobs(max_jobs=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_yds_matches_pure_python(self, jobs):
         power = PowerFunction(3.0)
         k = yds(jobs)
@@ -499,6 +501,19 @@ class TestReferenceMode:
         yds_module = importlib.import_module("repro.speed_scaling.yds")
         kernel_sum, kernel_avr = crp2d.sum_profiles, avr_profile
         kernel_bkp, kernel_discover = bkp_profile, yds_module._discover
+        # The object paths: EDF in every single-machine algorithm, the
+        # validator in QBSSResult, the derivation in the online runners.
+        object_users = {
+            "run_edf": ("repro.core.edf", "repro.qbss.avrq", "repro.qbss.bkpq",
+                        "repro.speed_scaling.yds"),
+            "check_feasible": ("repro.core.feasibility", "repro.qbss.result"),
+            "derive_online": ("repro.qbss.transform", "repro.qbss.avrq",
+                              "repro.qbss.bkpq"),
+        }
+        live = {
+            name: {m: getattr(importlib.import_module(m), name) for m in modules}
+            for name, modules in object_users.items()
+        }
         with reference_mode():
             assert crp2d.sum_profiles is oracle.sum_profiles
             for module in avr_users:
@@ -506,12 +521,20 @@ class TestReferenceMode:
             for module in bkp_users:
                 assert module.bkp_profile is kernels.bkp_profile_sweep, module
             assert yds_module._discover is kernels.period_discover
+            for name, modules in object_users.items():
+                for m in modules:
+                    assert getattr(importlib.import_module(m), name) is getattr(
+                        objects, name
+                    ), (m, name)
         assert crp2d.sum_profiles is kernel_sum
         for module in avr_users:
             assert module.avr_profile is kernel_avr
         for module in bkp_users:
             assert module.bkp_profile is kernel_bkp
         assert yds_module._discover is kernel_discover
+        for name, modules in live.items():
+            for m, fn in modules.items():
+                assert getattr(importlib.import_module(m), name) is fn, (m, name)
 
 
 # -- replay byte-identity ------------------------------------------------------------

@@ -255,6 +255,7 @@ def holds_a_boolean(line: bytes) -> bool:
 @example(b'{"release": 0, "deadline": 2, "runtime": 1, "query_cost": NaN}')
 @example(b'{"release": 0, "deadline": 2, "runtime": true}')
 @example(b'{"release": 0, "deadline": 2, "runtime": 1, "id": "\xff"}')
+@example(b"\x1c")
 def test_jsonl_line_fails_closed_or_is_finite(line):
     """Any line, UTF-8 or not, raises a located TraceParseError, is blank,
     or yields one record whose numbers are all finite; a boolean number

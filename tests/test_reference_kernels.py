@@ -14,6 +14,7 @@ deadlines, and jobs that arrived and expired while a later job is still
 pending.
 """
 
+import heapq
 import importlib
 import math
 import tracemalloc
@@ -25,6 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_kernels as ref
+from _budget import examples
 from repro.core import profile_kernel as _pk
 from repro.core.constants import EPS
 from repro.core.edf import run_edf
@@ -115,7 +117,7 @@ def _same_profile_values(new, old, alpha=3.0):
 # -- window_work --------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(periodic_jobs())
 def test_window_work_matches_the_matmul(jobs):
     r = np.array([j.release for j in jobs])
@@ -132,7 +134,7 @@ def test_window_work_matches_the_matmul(jobs):
     assert np.all(hist[matmul == 0.0] == 0.0)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.lists(periodic_jobs(max_periods=1, max_per_period=6), min_size=1, max_size=5))
 def test_batched_window_work_equals_lone_calls(items):
     """Each item of a padded batch adds the same values in the same order
@@ -170,7 +172,7 @@ def _edf_profiles(jobs):
     yield avr_profile(jobs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(periodic_jobs())
 @example(EXPIRED_BEHIND_LATER)
 @example(EQUAL_TIMES)
@@ -186,7 +188,7 @@ def test_edf_is_bit_identical_to_the_scan(jobs):
 # -- BKP ----------------------------------------------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(periodic_jobs())
 @example(EXPIRED_BEHIND_LATER)
 @example(EQUAL_TIMES)
@@ -211,7 +213,7 @@ def _distinct(speeds: list[float]) -> bool:
     return all(b > a * (1 + 1e-6) for a, b in zip(ordered, ordered[1:]))
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(periodic_jobs())
 @example(EXPIRED_BEHIND_LATER)
 @example(EQUAL_TIMES)
@@ -238,7 +240,7 @@ NEAR_EPS_EXAMPLE = [
 ]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=examples(80), deadline=None)
 @given(near_eps_jobs())
 @example(NEAR_EPS_EXAMPLE)
 def test_yds_near_eps_times_agree_to_eps_scale(jobs):
@@ -379,7 +381,7 @@ def assert_batches_equal_the_loops(jobs):
             assert _profile_hex(bkp_profile(jobs)) == old_bkp, budget
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(periodic_jobs(max_periods=6, max_per_period=5))
 @example(EXPIRED_BEHIND_LATER)
 @example(EQUAL_TIMES)
@@ -396,7 +398,7 @@ def test_batches_equal_the_per_call_loops(jobs):
     assert_batches_equal_the_loops(jobs)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(near_eps_jobs())
 def test_batches_equal_the_per_call_loops_near_eps(jobs):
     assert_batches_equal_the_loops(jobs)
@@ -408,6 +410,195 @@ def test_sub_eps_deadlines_chain_per_midpoint():
     assert_batches_equal_the_loops(SUB_EPS_DEADLINES)
     ends = sorted({j.deadline for j in SUB_EPS_DEADLINES})
     assert any(0 < b - a <= EPS for a, b in zip(ends, ends[1:]))
+
+
+# -- YDS: lone busy periods in one pass, against the all-rounds path --------------
+
+#: A lone window over EPS long whose cover fails ``_expand``'s zero-length
+#: guard (4e-6 < 1e-12 x 1e7): a step with speed and no cover.
+LONE_GUARD = [
+    Job(1e7, 1e7 + 4e-6, 1.0, "guarded"),
+    Job(1e7 + 10.0, 1e7 + 12.0, 1.0, "a"),
+    Job(1e7 + 10.5, 1e7 + 11.0, 2.0, "b"),
+]
+#: Lone windows at most EPS long, and a lone infinite intensity: no step.
+LONE_NOT_FOUND = [
+    Job(0.0, 0.8e-9, 1.0, "sub_eps"),
+    Job(5.0, 6.0, math.inf, "infinite"),
+    Job(10.0, 12.0, 1.0, "a"),
+    Job(10.5, 11.0, 2.0, "b"),
+    Job(20.0, 21.0, 3.0, "lone"),
+]
+#: Lone periods at large origins, one of them -0.0.
+LONE_ORIGINS = [
+    Job(-0.0, 1.0, 1.0, "neg_zero"),
+    Job(2.0**20, 2.0**20 + 0.5, 1.0, "o20"),
+    Job(2.0**24, 2.0**24 + 3.0, 2.0, "o24"),
+    Job(2.0**24 + 1.0, 2.0**24 + 2.0, 1.0, "o24b"),
+]
+
+
+def _all_rounds(jobs):
+    """YDS with every busy period, lone ones included, in the rounds."""
+    pending = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
+    periods = _yds._busy_periods(pending)
+    steps = [[] for _ in periods]
+    _yds._rounds(periods, range(len(periods)), steps)
+    return list(heapq.merge(*steps, key=lambda step: -step.speed))
+
+
+@settings(max_examples=examples(80), deadline=None)
+@given(periodic_jobs(max_periods=6, max_per_period=3))
+@example(LONE_GUARD)
+@example(LONE_NOT_FOUND)
+@example(LONE_ORIGINS)
+@example(SUB_EPS_WINDOW)
+@example(_gapped(EPS * 1.01))
+def test_lone_periods_equal_the_rounds(jobs):
+    steps = _all_rounds(jobs)
+    assert _steps_hex(_discover(jobs)) == _steps_hex(steps)
+    assert _profile_hex(yds_profile(jobs)) == _profile_hex(
+        _yds._covers_profile([(s.speed, s.original_cover) for s in steps])
+    )
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(periodic_jobs(max_periods=6, max_per_period=3, jitter=NEAR_EPS))
+def test_lone_periods_equal_the_rounds_near_eps(jobs):
+    assert _steps_hex(_discover(jobs)) == _steps_hex(_all_rounds(jobs))
+
+
+def test_lone_period_cases_are_exercised():
+    """The named examples reach the guard, both not-found cases and a
+    lone step at each large origin."""
+    def steps(jobs):
+        return {s.jobs[0].id: s for s in _discover(jobs)}
+
+    assert steps(LONE_GUARD)["guarded"].original_cover == []
+    assert set(steps(LONE_NOT_FOUND)) == {"a", "b", "lone"}
+    by_id = steps(LONE_ORIGINS)
+    assert by_id["o20"].original_cover == [(2.0**20, 2.0**20 + 0.5)]
+    assert _hex(by_id["neg_zero"].original_cover[0][0]) == _hex(0.0)
+
+
+def test_unsorted_periods_merge_like_heapq():
+    """A period whose steps rise in speed (float ties in YDS) merges as
+    heapq.merge does, not as a sort would."""
+
+    def step(speed):
+        return _yds._DiscoveryStep(speed, 0.0, 1.0, [], [], [], 0.0, ())
+
+    steps = [[step(1.0), step(3.0)], [step(2.0)]]
+    assert [s.speed for s in _yds._merge_by_speed(steps)] == [
+        s.speed for s in heapq.merge(*steps, key=lambda s: -s.speed)
+    ] == [2.0, 1.0, 3.0]
+
+
+# -- BKP: a midpoint's own busy period, against the full search -------------------
+
+_bkp = importlib.import_module("repro.speed_scaling.bkp")
+
+
+def _never_sure(*args):
+    return np.full(len(args[0]), -np.inf)
+
+
+def _ratios(jobs, full=False):
+    live = sorted((j for j in jobs if j.work > EPS), key=lambda j: j.release)
+    if not live:
+        return []
+    r, d, w = _bkp._job_arrays(live)
+    times = np.array(sorted({*r.tolist(), *d.tolist()}))
+    points = 0.5 * (times[:-1] + times[1:])
+    if full:  # every pruned point fails its bound and gets the full search
+        with mock.patch.object(_bkp, "_bound", _never_sure):
+            return [_hex(x) for x in _bkp._max_ratios(r, d, w, points)]
+    return [_hex(x) for x in _bkp._max_ratios(r, d, w, points)]
+
+
+@st.composite
+def dense_then_sparse(draw):
+    """A dense burst (short windows, much work), then sparse periods with
+    little work: the burst's windows out-rate the later periods' own, so
+    their bound fails.  Gaps of 0.5-3 EPS or wider, origins up to 2^24."""
+    t = draw(st.sampled_from([0.0, 3.0, 2.0**20, 2.0**24]))
+    jobs: list[Job] = []
+    for _ in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(1, 4))):
+            r = t + draw(st.sampled_from([0.0, 0.125, 0.25]))
+            jobs.append(Job(r, r + draw(st.sampled_from([0.25, 0.5])), draw(st.floats(2.0, 9.0)), f"d{len(jobs)}"))
+        t = max(j.deadline for j in jobs) + draw(GAPS | st.sampled_from([EPS * 2, EPS * 3]))
+    for _ in range(draw(st.integers(1, 5))):
+        r = t + draw(st.sampled_from([0.0, 0.5]))
+        jobs.append(Job(r, r + draw(st.sampled_from([1.0, 4.0, 16.0])), draw(st.floats(0.01, 1.0)), f"s{len(jobs)}"))
+        t = max(j.deadline for j in jobs) + draw(GAPS | st.sampled_from([EPS * 2, 0.5, 4.0]))
+    return jobs
+
+
+#: The burst's window [0, 4] rates 2.5; the lone job's own window rates
+#: 0.05, so its midpoint must fall back; the next job's own window rates
+#: 2 (its own period wins by the bound).
+DENSE_THEN_SPARSE = [
+    Job(0.0, 0.5, 5.0, "burst"),
+    Job(0.5 + 1.5 * EPS, 20.5, 1.0, "sparse"),
+    Job(30.0, 30.5, 1.0, "dense_again"),
+]
+
+
+#: At the first midpoint after P0 = 10, "tiny"'s deadline (collapsed into
+#: the event at 10) is an end candidate within EPS of P0: [10, 10 + 0.9e-9]
+#: counts towards no ratio, and [9, 10 + 0.9e-9] (about 1000) beats the
+#: kept maximum (about 500), so the point must fall back.
+END_WITHIN_EPS = [
+    Job(9.0, 9.5, 0.1, "past"),
+    Job(10.0, 10.0 + 0.9e-9, 1000.0, "tiny"),
+    Job(10.0, 12.0, 1.0, "long"),
+    Job(10.0 + 1.5e-9, 30.0, 1.0, "later"),
+]
+#: Infinite work: later periods' bounds divide inf by inf, and the profile
+#: holds touching infinite speeds.
+INFINITE = [
+    Job(0.0, 1.0, 1.0, "a"),
+    Job(0.5, 3.0, 0.5, "c"),
+    Job(2.0, 3.0, math.inf, "inf_work"),
+    Job(4.0, 9.0, 1.0, "d"),
+    Job(5.0, 6.0, 2.0, "b"),
+]
+
+
+@settings(max_examples=examples(120), deadline=None)
+@given(dense_then_sparse() | periodic_jobs(max_periods=6, max_per_period=3) | near_eps_jobs())
+@example(DENSE_THEN_SPARSE)
+@example(END_WITHIN_EPS)
+@example(SUB_EPS_DEADLINES)
+@example(START_AT_MIDPOINT)
+@example(RELEASE_AT_MIDPOINT)
+@example(_gapped(EPS * 1.01))
+def test_bkp_own_period_search_equals_the_full_search(jobs):
+    assert _ratios(jobs) == _ratios(jobs, full=True)
+    assert _profile_hex(bkp_profile(jobs)) == _profile_hex(ref.bkp_profile_sweep(jobs))
+
+
+def test_bkp_infinite_work_falls_back_without_warnings():
+    assert _ratios(INFINITE) == _ratios(INFINITE, full=True)
+    assert _profile_hex(bkp_profile(INFINITE)) == _profile_hex(ref.bkp_profile_sweep(INFINITE))
+
+
+def test_bkp_prunes_and_falls_back_where_the_bound_says():
+    """On the named example one midpoint of the sparse period falls back
+    to the full search and the last period's midpoint searches alone."""
+    calls = []
+    search = _bkp._WindowSearch.__call__
+
+    def spy(self, at, cut, first_job):
+        calls.append((at.tolist(), cut.tolist()))
+        return search(self, at, cut, first_job)
+
+    with mock.patch.object(_bkp._WindowSearch, "__call__", spy):
+        assert _ratios(DENSE_THEN_SPARSE) == _ratios(DENSE_THEN_SPARSE, full=True)
+    (first_at, first_cut), (again_at, again_cut) = calls[:2]
+    assert any(first_cut) and again_at and not any(again_cut)
+    assert set(again_at) < set(first_at)
 
 
 def _trace_shards(tmp_path):
@@ -485,7 +676,7 @@ INDICES = st.lists(
 STRADDLES_2_32 = [2**32 - 2, 2**32 - 1, 2**32, 0, 2**32 + 1, 7]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(SEEDS, INDICES)
 @example(0, STRADDLES_2_32)
 @example(2**32, STRADDLES_2_32)
@@ -574,7 +765,7 @@ def records(draw):
     return out
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(records(), st.sampled_from(sorted(NOISE_MODELS)), SEEDS)
 def test_synthesize_jobs_equals_per_record_oracle(recs, model, seed):
     _assert_equal_to_oracle(recs, model, seed)

@@ -10,6 +10,7 @@ import json
 import math
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -61,6 +62,69 @@ RESPONSE_LINES = (
     | st.text(max_size=8)
     | st.sampled_from(["[" * 100_000, '{"kind": ' + "9" * 5000 + "}", "{" * 3000])
 )
+
+
+#: Seconds any one request body may take to parse (it takes milliseconds).
+BODY_SECONDS = 2.0
+#: Hostile fragments spliced into otherwise valid bodies.
+HOSTILE = st.sampled_from(
+    [
+        b"[" * 5000,
+        b"{" * 3000,
+        b'"' + b"[" * 900,
+        b"9" * 5000,
+        b"-" + b"1" * 5000 + b".5",
+        b"1e999",
+        b"NaN",
+        b"Infinity",
+        b"-Infinity",
+        b"true",
+        b"false",
+        b"null",
+        b"\xff\xfe\x80",
+        b"\xed\xa0\x80",
+        b"\n",
+        b",",
+        b"]",
+        b"}",
+    ]
+) | st.binary(max_size=6)
+
+
+@st.composite
+def mutated_bodies(draw):
+    """A valid JSONL or JSON-array submission with hostile fragments
+    spliced in, or spans cut out, at random byte offsets."""
+    records = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {"release": st.integers(0, 50) | st.floats(0.0, 50.0), "runtime": st.floats(0.1, 9.0)},
+                optional={
+                    "id": st.text(max_size=4) | st.integers() | JSON_VALUES,
+                    "deadline": st.floats(50.0, 99.0),
+                    "query_cost": st.floats(0.01, 2.0),
+                    "requested": st.floats(0.1, 9.0),
+                },
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    records.sort(key=lambda r: r["release"])
+    if draw(st.booleans()):
+        body = bytearray(json.dumps(records).encode())
+    else:
+        body = bytearray("\n".join(json.dumps(r) for r in records).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body)))
+        if draw(st.booleans()):
+            body[at:at] = draw(HOSTILE)
+        else:
+            del body[at:at + draw(st.integers(1, 8))]
+    return bytes(body)
+
+
+MUTATED_BODIES = mutated_bodies()
 
 
 def job_lines(n, *, window=40.0, spacing=2.0):
@@ -225,6 +289,34 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="invalid JSON") as excinfo:
             list(parse_response_lines(text))
         assert excinfo.value.line == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=400) | MUTATED_BODIES)
+    @example(b'{"release": 0, "runtime": 1, "id": ' + b"[" * 990 + b"]" * 990 + b"}")
+    @example(b'[{"release": 0, "runtime": 1}, ' + b"[" * 5000 + b"]")
+    @example(b'{"release": 0, "runtime": 1}\n\xff\xfe{"release": 1, "runtime": 1}')
+    @example(b'{"release": 0, "runtime": 1, "id": ' + b"7" * 5000 + b"}")
+    def test_whole_bodies_fail_closed_in_bounded_time(self, body):
+        """Any body, decoded as the server decodes it, yields a
+        ProtocolError or valid, release-sorted requests, in bounded time."""
+        text = body.decode("utf-8", errors="replace")
+        start = time.perf_counter()
+        try:
+            requests = parse_jobs_payload(text, source="client:fuzz")
+        except ProtocolError as exc:
+            assert str(exc).startswith("client:fuzz:")
+            requests = None
+        assert time.perf_counter() - start < BODY_SECONDS
+        if requests is None:
+            return
+        assert requests
+        for req in requests:
+            assert isinstance(req, JobRequest) and isinstance(req.id, str)
+            numbers = [req.release, req.runtime, req.deadline, req.requested, req.query_cost]
+            assert all(math.isfinite(x) for x in numbers if x is not None)
+            assert req.release >= 0.0 and req.runtime > 0.0
+        releases = [r.release for r in requests]
+        assert releases == sorted(releases)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(RESPONSE_LINES, max_size=4))
