@@ -20,31 +20,43 @@ Quick start::
           clairvoyant(inst, alpha=3.0).energy_value)
 """
 
-from .core import (
-    DEFAULT_ALPHA,
-    EPS,
-    PHI,
-    Instance,
-    Job,
-    PowerFunction,
-    QBSSInstance,
-    QJob,
-    Schedule,
-    SpeedProfile,
-)
+from typing import TYPE_CHECKING
+
+from . import _lazy
 
 __version__ = "1.0.1"
 
-__all__ = [
-    "DEFAULT_ALPHA",
-    "EPS",
-    "PHI",
-    "Instance",
-    "Job",
-    "PowerFunction",
-    "QBSSInstance",
-    "QJob",
-    "Schedule",
-    "SpeedProfile",
-    "__version__",
-]
+#: Package-level name -> the submodule that defines it (loaded on first use).
+_SOURCES = dict.fromkeys(
+    (
+        "DEFAULT_ALPHA",
+        "EPS",
+        "PHI",
+        "Instance",
+        "Job",
+        "PowerFunction",
+        "QBSSInstance",
+        "QJob",
+        "Schedule",
+        "SpeedProfile",
+    ),
+    "core",
+)
+
+__all__ = [*_SOURCES, "__version__"]
+
+__getattr__, __dir__ = _lazy.attach(__name__, _SOURCES)
+
+if TYPE_CHECKING:
+    from .core import (
+        DEFAULT_ALPHA as DEFAULT_ALPHA,
+        EPS as EPS,
+        PHI as PHI,
+        Instance as Instance,
+        Job as Job,
+        PowerFunction as PowerFunction,
+        QBSSInstance as QBSSInstance,
+        QJob as QJob,
+        Schedule as Schedule,
+        SpeedProfile as SpeedProfile,
+    )

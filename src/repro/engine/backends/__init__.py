@@ -25,21 +25,35 @@ flag of ``qbss-report``, ``qbss-replay`` and ``qbss-serve``; see
 semantics.
 """
 
-from .base import (
-    Backend,
-    BackendBroken,
-    create_backend,
-    parse_backend_spec,
-)
-from .local import PoolBackend
-from .remote import RemoteBackend, resolve_worker_address
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Backend",
-    "BackendBroken",
-    "PoolBackend",
-    "RemoteBackend",
-    "create_backend",
-    "parse_backend_spec",
-    "resolve_worker_address",
-]
+from ... import _lazy
+
+#: Package-level name -> the submodule that defines it (loaded on first
+#: use: the socket and frame layer of ``remote`` only for a remote backend).
+_SOURCES = {
+    "Backend": "base",
+    "BackendBroken": "base",
+    "PoolBackend": "local",
+    "RemoteBackend": "remote",
+    "create_backend": "base",
+    "parse_backend_spec": "base",
+    "resolve_worker_address": "remote",
+}
+
+__all__ = list(_SOURCES)
+
+__getattr__, __dir__ = _lazy.attach(__name__, _SOURCES)
+
+if TYPE_CHECKING:
+    from .base import (
+        Backend as Backend,
+        BackendBroken as BackendBroken,
+        create_backend as create_backend,
+        parse_backend_spec as parse_backend_spec,
+    )
+    from .local import PoolBackend as PoolBackend
+    from .remote import (
+        RemoteBackend as RemoteBackend,
+        resolve_worker_address as resolve_worker_address,
+    )

@@ -277,6 +277,11 @@ def main(argv: list[str] | None = None) -> int:
 
     signal.signal(signal.SIGTERM, _on_sigterm)
 
+    # Readiness means ready: the shard-evaluation path is imported before
+    # the port file announces this worker, not inside its first task.
+    from ...traces.replay import load_evaluation
+
+    load_evaluation()
     server = socket.create_server(address, backlog=4)
     bound_host, bound_port = server.getsockname()[:2]
     if args.port_file is not None:

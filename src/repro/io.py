@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .core.instance import Instance, QBSSInstance
 from .core.job import Job
-from .core.profile import Segment, SpeedProfile
 from .core.qjob import QJob
-from .core.schedule import Schedule
+
+if TYPE_CHECKING:
+    from .core.profile import SpeedProfile
+    from .core.schedule import Schedule
 
 FORMAT_VERSION = 1
 
@@ -172,6 +174,8 @@ def qbss_instance_from_dict(data: dict[str, Any]) -> QBSSInstance:
 
 
 def profile_from_dict(data: dict[str, Any]) -> SpeedProfile:
+    from .core.profile import Segment, SpeedProfile
+
     _expect(data, "profile")
     return SpeedProfile(
         Segment(float(s["start"]), float(s["end"]), float(s["speed"]))
@@ -244,6 +248,8 @@ def serve_journal_record_from_dict(data: dict[str, Any]):
 
 
 def schedule_from_dict(data: dict[str, Any]) -> Schedule:
+    from .core.schedule import Schedule
+
     _expect(data, "schedule")
     schedule = Schedule(int(data["machines"]))
     for s in data["slices"]:
@@ -259,29 +265,26 @@ def schedule_from_dict(data: dict[str, Any]) -> Schedule:
 
 # -- file helpers -------------------------------------------------------------------
 
+#: Encoders by the class they serialize (``module.qualname``), so saving a
+#: report imports neither the profile kernel nor the experiment stack.
 _SAVERS = {
-    Instance: instance_to_dict,
-    QBSSInstance: qbss_instance_to_dict,
-    SpeedProfile: profile_to_dict,
-    Schedule: schedule_to_dict,
+    "repro.core.instance.Instance": instance_to_dict,
+    "repro.core.instance.QBSSInstance": qbss_instance_to_dict,
+    "repro.core.profile.SpeedProfile": profile_to_dict,
+    "repro.core.schedule.Schedule": schedule_to_dict,
+    "repro.analysis.experiments.ExperimentReport": experiment_report_to_dict,
+    "repro.traces.replay.ReplayReport": trace_replay_report_to_dict,
+    "repro.obs.manifest.RunManifest": run_manifest_to_dict,
+    "repro.serve.journal.JournalRecord": serve_journal_record_to_dict,
 }
 
 
 def save(obj, path: PathLike) -> None:
     """Serialize a supported object to a JSON file."""
-    encoder = _SAVERS.get(type(obj))
-    if encoder is None and type(obj).__name__ == "ExperimentReport":
-        # Registered lazily: importing repro.analysis at module import time
-        # would pull the whole experiment stack into every io user.
-        encoder = experiment_report_to_dict
-    if encoder is None and type(obj).__name__ == "ReplayReport":
-        encoder = trace_replay_report_to_dict
-    if encoder is None and type(obj).__name__ == "RunManifest":
-        encoder = run_manifest_to_dict
-    if encoder is None and type(obj).__name__ == "JournalRecord":
-        encoder = serve_journal_record_to_dict
+    kind = type(obj)
+    encoder = _SAVERS.get(f"{kind.__module__}.{kind.__qualname__}")
     if encoder is None:
-        raise TypeError(f"cannot serialize objects of type {type(obj).__name__}")
+        raise TypeError(f"cannot serialize objects of type {kind.__name__}")
     Path(path).write_text(json.dumps(encoder(obj), indent=2, sort_keys=True))
 
 

@@ -6,6 +6,10 @@ must take exactly one positional parameter (the instance, ``qi`` /
 ``qinstance``), no positional defaults, no ``*args``, and keyword-only
 everything else.  A runner that silently accepts positional extras
 re-opens the keyword-mismatch bugs the PR-1 registry removed.
+
+The registry names its runners by ``"module:function"`` string so that a
+name lookup loads no algorithm module; the rule follows such a reference
+to the ``def`` in the linted tree, as it follows an imported name.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ REGISTRY_PACKAGE = "repro.qbss"
 #: Names a registered runner's single positional parameter may use.
 INSTANCE_PARAM_NAMES = {"qi", "qinstance"}
 
-#: Calls that wrap a callable into a registry spec; the callable is the
-#: ``fn`` keyword or the second positional argument.
+#: Calls that wrap a callable into a registry spec; the callable (or its
+#: ``"module:function"`` reference) is the ``runner`` keyword or the second
+#: positional argument.
 SPEC_CALLS = {"_spec", "AlgorithmSpec"}
 
 #: Names treated as the registry mapping.
@@ -66,7 +71,13 @@ class RegistryConformanceRule(Rule):
                 "with the keyword-only (qi, *, ...) signature",
             )
             return
-        resolved = _resolve_function(fn_expr, module, ctx)
+        if isinstance(fn_expr, ast.Constant) and isinstance(fn_expr.value, str):
+            resolved = _resolve_reference(fn_expr.value, ctx)
+            if isinstance(resolved, str):
+                yield self.finding(module, fn_expr, resolved)
+                return
+        else:
+            resolved = _resolve_function(fn_expr, module, ctx)
         if resolved is None:
             return
         def_module, func = resolved
@@ -136,7 +147,7 @@ def _callables_in_value(
 
 def _spec_callable(call: ast.Call) -> ast.expr | None:
     for kw in call.keywords:
-        if kw.arg == "fn":
+        if kw.arg == "runner":
             return kw.value
     if len(call.args) >= 2:
         return call.args[1]
@@ -163,6 +174,30 @@ def _resolve_function(
     func = _find_def(source.tree, func_name)
     if func is None:
         return None
+    return source, func
+
+
+def _resolve_reference(
+    reference: str, ctx: LintContext
+) -> tuple[SourceModule, ast.FunctionDef | ast.AsyncFunctionDef] | str | None:
+    """The def a ``"module:function"`` reference names; a message when the
+    reference is malformed or its linted module has no such function;
+    ``None`` when the module is not in the linted tree."""
+    target_module, sep, func_name = reference.partition(":")
+    if not sep or not target_module or not func_name.isidentifier():
+        return (
+            f"registered runner reference {reference!r} is not "
+            "'module:function'"
+        )
+    source = ctx.get(target_module)
+    if source is None:
+        return None
+    func = _find_def(source.tree, func_name)
+    if func is None:
+        return (
+            f"registered runner reference {reference!r} names no function "
+            f"`{func_name}` in {target_module}"
+        )
     return source, func
 
 

@@ -30,47 +30,64 @@ Quick start::
     print(registry.to_prometheus())
 """
 
-from .manifest import MANIFEST_FORMAT_VERSION, MANIFEST_KIND, RunManifest
-from .metrics import (
-    DEFAULT_BUCKETS,
-    METRICS_FORMAT_VERSION,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    parse_prometheus_text,
-    write_metrics,
-)
-from .publish import publish_engine_result, publish_replay
-from .trace import (
-    EVENT_BEGIN,
-    EVENT_END,
-    EVENT_POINT,
-    SpanHandle,
-    Tracer,
-    read_trace,
-    span_tree,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "MANIFEST_FORMAT_VERSION",
-    "MANIFEST_KIND",
-    "RunManifest",
-    "DEFAULT_BUCKETS",
-    "METRICS_FORMAT_VERSION",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "parse_prometheus_text",
-    "write_metrics",
-    "publish_engine_result",
-    "publish_replay",
-    "EVENT_BEGIN",
-    "EVENT_END",
-    "EVENT_POINT",
-    "SpanHandle",
-    "Tracer",
-    "read_trace",
-    "span_tree",
-]
+from .. import _lazy
+
+#: Package-level name -> the submodule that defines it (loaded on first use).
+_SOURCES = {
+    "MANIFEST_FORMAT_VERSION": "manifest",
+    "MANIFEST_KIND": "manifest",
+    "RunManifest": "manifest",
+    "DEFAULT_BUCKETS": "metrics",
+    "METRICS_FORMAT_VERSION": "metrics",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "parse_prometheus_text": "metrics",
+    "write_metrics": "metrics",
+    "publish_engine_result": "publish",
+    "publish_replay": "publish",
+    "EVENT_BEGIN": "trace",
+    "EVENT_END": "trace",
+    "EVENT_POINT": "trace",
+    "SpanHandle": "trace",
+    "Tracer": "trace",
+    "read_trace": "trace",
+    "span_tree": "trace",
+}
+
+__all__ = list(_SOURCES)
+
+__getattr__, __dir__ = _lazy.attach(__name__, _SOURCES)
+
+if TYPE_CHECKING:
+    from .manifest import (
+        MANIFEST_FORMAT_VERSION as MANIFEST_FORMAT_VERSION,
+        MANIFEST_KIND as MANIFEST_KIND,
+        RunManifest as RunManifest,
+    )
+    from .metrics import (
+        DEFAULT_BUCKETS as DEFAULT_BUCKETS,
+        METRICS_FORMAT_VERSION as METRICS_FORMAT_VERSION,
+        Counter as Counter,
+        Gauge as Gauge,
+        Histogram as Histogram,
+        MetricsRegistry as MetricsRegistry,
+        parse_prometheus_text as parse_prometheus_text,
+        write_metrics as write_metrics,
+    )
+    from .publish import (
+        publish_engine_result as publish_engine_result,
+        publish_replay as publish_replay,
+    )
+    from .trace import (
+        EVENT_BEGIN as EVENT_BEGIN,
+        EVENT_END as EVENT_END,
+        EVENT_POINT as EVENT_POINT,
+        SpanHandle as SpanHandle,
+        Tracer as Tracer,
+        read_trace as read_trace,
+        span_tree as span_tree,
+    )

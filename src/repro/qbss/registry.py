@@ -18,21 +18,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from ..core.instance import QBSSInstance
-from ..speed_scaling.avr import avr_profile
-from ..speed_scaling.bkp import bkp_profile
-from .avrq import avrq
-from .bkpq import bkpq
-from .crad import crad
-from .crcd import crcd
-from .crp2d import crp2d
-from .multi import avrq_m
-from .nonmigratory import avrq_nm
-from .oaq import oaq
-from .oaq_m import oaq_m
-from .policies import AlwaysQuery, golden_ratio_policy
-from .result import QBSSResult
+if TYPE_CHECKING:
+    from ..core.instance import QBSSInstance
+    from .result import QBSSResult
+
+
+def _resolve(reference: str) -> Callable:
+    """The callable a ``"module:attribute"`` reference names."""
+    module, _, attribute = reference.partition(":")
+    return getattr(import_module(module), attribute)
 
 
 @dataclass(frozen=True)
@@ -45,27 +42,45 @@ class AlgorithmSpec:
     speed formula is causal enough for the event-driven replay of
     :mod:`repro.qbss.simulation` (the batch profile builder over classical
     jobs, and the query policy the algorithm uses by default).
+
+    The callables are named, not held: ``runner``, ``profile`` and
+    ``query`` are ``"module:attribute"`` references that :attr:`fn`,
+    :attr:`profile_fn` and :attr:`default_query` import when read.  So
+    looking a name up, or checking its setting or keywords, loads no
+    algorithm module.
     """
 
     name: str
-    fn: Callable[..., QBSSResult]
+    runner: str
     setting: str  # "offline" | "online" | "multi"
     accepts: frozenset[str]
     summary: str
-    profile_fn: Callable | None = None
-    default_query: Callable | None = None
+    profile: str | None = None
+    query: str | None = None
+
+    @property
+    def fn(self) -> Callable[..., QBSSResult]:
+        return _resolve(self.runner)
+
+    @property
+    def profile_fn(self) -> Callable | None:
+        return None if self.profile is None else _resolve(self.profile)
+
+    @property
+    def default_query(self) -> Callable | None:
+        return None if self.query is None else _resolve(self.query)
 
 
 _KEYWORDS = ("alpha", "query_policy", "split_policy")
 
 
-def _spec(name, fn, setting, accepts, summary, **extra) -> AlgorithmSpec:
+def _spec(name, runner, setting, accepts, summary, **extra) -> AlgorithmSpec:
     unknown = set(accepts) - set(_KEYWORDS)
     if unknown:  # pragma: no cover - registry construction guard
         raise ValueError(f"unknown dispatch keywords for {name}: {unknown}")
     return AlgorithmSpec(
         name=name,
-        fn=fn,
+        runner=runner,
         setting=setting,
         accepts=frozenset(accepts),
         summary=summary,
@@ -74,48 +89,51 @@ def _spec(name, fn, setting, accepts, summary, **extra) -> AlgorithmSpec:
 
 
 #: The uniform name → runner registry.  Keys are the CLI/engine-facing
-#: names; values carry the callable plus which uniform keywords it takes.
+#: names; values carry the runner's reference plus which uniform keywords
+#: it takes.
 ALGORITHMS: dict[str, AlgorithmSpec] = {
     spec.name: spec
     for spec in (
         _spec(
-            "crcd", crcd, "offline", {"query_policy"},
+            "crcd", "repro.qbss.crcd:crcd", "offline", {"query_policy"},
             "common release + common deadline (Algorithm 1)",
         ),
         _spec(
-            "crp2d", crp2d, "offline", {"query_policy"},
+            "crp2d", "repro.qbss.crp2d:crp2d", "offline", {"query_policy"},
             "common release + power-of-two deadlines (Algorithm 2)",
         ),
         _spec(
-            "crad", crad, "offline", {"query_policy"},
+            "crad", "repro.qbss.crad:crad", "offline", {"query_policy"},
             "common release + arbitrary deadlines (rounding + CRP2D)",
         ),
         _spec(
-            "avrq", avrq, "online", {"split_policy"},
+            "avrq", "repro.qbss.avrq:avrq", "online", {"split_policy"},
             "Average Rate with queries (Sec. 5.1)",
-            profile_fn=avr_profile,
-            default_query=AlwaysQuery,
+            profile="repro.speed_scaling.avr:avr_profile",
+            query="repro.qbss.policies:AlwaysQuery",
         ),
         _spec(
-            "bkpq", bkpq, "online", {"query_policy", "split_policy"},
+            "bkpq", "repro.qbss.bkpq:bkpq", "online",
+            {"query_policy", "split_policy"},
             "BKP with golden-ratio queries (Sec. 5.2)",
-            profile_fn=bkp_profile,
-            default_query=golden_ratio_policy,
+            profile="repro.speed_scaling.bkp:bkp_profile",
+            query="repro.qbss.policies:golden_ratio_policy",
         ),
         _spec(
-            "oaq", oaq, "online", {"query_policy", "split_policy"},
+            "oaq", "repro.qbss.oaq:oaq", "online", {"query_policy", "split_policy"},
             "Optimal Available with queries (Sec. 7 extension)",
         ),
         _spec(
-            "avrq_m", avrq_m, "multi", {"split_policy"},
+            "avrq_m", "repro.qbss.multi:avrq_m", "multi", {"split_policy"},
             "AVRQ on m parallel machines (Sec. 6)",
         ),
         _spec(
-            "avrq_nm", avrq_nm, "multi", set(),
+            "avrq_nm", "repro.qbss.nonmigratory:avrq_nm", "multi", set(),
             "non-migratory AVRQ variant (Sec. 7 remark)",
         ),
         _spec(
-            "oaq_m", oaq_m, "multi", {"alpha", "query_policy", "split_policy"},
+            "oaq_m", "repro.qbss.oaq_m:oaq_m", "multi",
+            {"alpha", "query_policy", "split_policy"},
             "OAQ on m parallel machines (extension)",
         ),
     )

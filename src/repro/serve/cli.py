@@ -29,6 +29,7 @@ from ..cli import (
 )
 from ..engine.backends.worker import parse_bind, write_port_file
 from ..engine.runner import resolve_jobs
+from ..traces.replay import load_evaluation
 from .server import QbssServer, ServeConfig
 
 #: Environment override for the default bind address.
@@ -260,6 +261,9 @@ def _run_daemon(
         sig: signal.signal(sig, _on_signal)
         for sig in (signal.SIGTERM, signal.SIGINT)
     }
+    # Readiness means ready: the shard-evaluation path is imported before
+    # the port file announces the daemon, not inside its first request.
+    load_evaluation(server.config.algorithms)
     server.start()
     bound = f"{server.config.host}:{server.port}"
     if port_file:

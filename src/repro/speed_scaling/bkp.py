@@ -269,7 +269,11 @@ class _WindowSearch:
             live = deadlines[job] >= t[point]
             keys = np.unique(point[live] * ends.size + self.rank[job[live]])
             group, time = keys // ends.size, ends[keys % ends.size]
-            close = (group[1:] == group[:-1]) & (time[1:] - time[:-1] <= EPS)
+            # Ends are compared within a point only: the last end of one
+            # point and the first of the next may both be infinite.
+            close = group[1:] == group[:-1]
+            pairs = close.nonzero()[0]
+            close[pairs] = time[pairs + 1] - time[pairs] <= EPS
             keep = _pk.chain(np.ones(keys.size, dtype=bool), close, group, time)
             keys, group, time = keys[keep], group[keep], time[keep]
             first_key = np.searchsorted(keys, np.arange(size + 1) * ends.size)

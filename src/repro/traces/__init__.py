@@ -18,58 +18,73 @@ The pipeline this package provides::
 CLI surface: ``qbss-replay`` (see :mod:`repro.cli`).
 """
 
-from .records import ParseStats, TraceOrderError, TraceParseError, TraceRecord
-from .replay import (
-    DEFAULT_ALGORITHMS,
-    REPLAY_FORMAT_VERSION,
-    SHARD_STATUSES,
-    TRACE_FORMATS,
-    ReplayMetrics,
-    ReplayReport,
-    Shard,
-    detect_format,
-    iter_shards,
-    paper_energy_bound,
-    replay_jobs,
-    replay_trace,
-    shard_cache_key,
-    validate_replay_algorithms,
-)
-from .swf import parse_swf
-from .synthesize import (
-    NOISE_MODELS,
-    NoiseModel,
-    get_noise_model,
-    synthesize_job,
-    synthesize_jobs,
-)
-from .tabular import parse_csv, parse_jsonl
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "ParseStats",
-    "TraceOrderError",
-    "TraceParseError",
-    "TraceRecord",
-    "DEFAULT_ALGORITHMS",
-    "REPLAY_FORMAT_VERSION",
-    "SHARD_STATUSES",
-    "TRACE_FORMATS",
-    "ReplayMetrics",
-    "ReplayReport",
-    "Shard",
-    "detect_format",
-    "iter_shards",
-    "paper_energy_bound",
-    "replay_jobs",
-    "replay_trace",
-    "shard_cache_key",
-    "validate_replay_algorithms",
-    "parse_swf",
-    "NOISE_MODELS",
-    "NoiseModel",
-    "get_noise_model",
-    "synthesize_job",
-    "synthesize_jobs",
-    "parse_csv",
-    "parse_jsonl",
-]
+from .. import _lazy
+
+#: Package-level name -> the submodule that defines it (loaded on first use).
+_SOURCES = {
+    "ParseStats": "records",
+    "TraceOrderError": "records",
+    "TraceParseError": "records",
+    "TraceRecord": "records",
+    "DEFAULT_ALGORITHMS": "replay",
+    "REPLAY_FORMAT_VERSION": "replay",
+    "SHARD_STATUSES": "replay",
+    "TRACE_FORMATS": "replay",
+    "ReplayMetrics": "replay",
+    "ReplayReport": "replay",
+    "Shard": "replay",
+    "detect_format": "replay",
+    "iter_shards": "replay",
+    "paper_energy_bound": "replay",
+    "replay_jobs": "replay",
+    "replay_trace": "replay",
+    "shard_cache_key": "replay",
+    "validate_replay_algorithms": "replay",
+    "parse_swf": "swf",
+    "NOISE_MODELS": "synthesize",
+    "NoiseModel": "synthesize",
+    "get_noise_model": "synthesize",
+    "synthesize_job": "synthesize",
+    "synthesize_jobs": "synthesize",
+    "parse_csv": "tabular",
+    "parse_jsonl": "tabular",
+}
+
+__all__ = list(_SOURCES)
+
+__getattr__, __dir__ = _lazy.attach(__name__, _SOURCES)
+
+if TYPE_CHECKING:
+    from .records import (
+        ParseStats as ParseStats,
+        TraceOrderError as TraceOrderError,
+        TraceParseError as TraceParseError,
+        TraceRecord as TraceRecord,
+    )
+    from .replay import (
+        DEFAULT_ALGORITHMS as DEFAULT_ALGORITHMS,
+        REPLAY_FORMAT_VERSION as REPLAY_FORMAT_VERSION,
+        SHARD_STATUSES as SHARD_STATUSES,
+        TRACE_FORMATS as TRACE_FORMATS,
+        ReplayMetrics as ReplayMetrics,
+        ReplayReport as ReplayReport,
+        Shard as Shard,
+        detect_format as detect_format,
+        iter_shards as iter_shards,
+        paper_energy_bound as paper_energy_bound,
+        replay_jobs as replay_jobs,
+        replay_trace as replay_trace,
+        shard_cache_key as shard_cache_key,
+        validate_replay_algorithms as validate_replay_algorithms,
+    )
+    from .swf import parse_swf as parse_swf
+    from .synthesize import (
+        NOISE_MODELS as NOISE_MODELS,
+        NoiseModel as NoiseModel,
+        get_noise_model as get_noise_model,
+        synthesize_job as synthesize_job,
+        synthesize_jobs as synthesize_jobs,
+    )
+    from .tabular import parse_csv as parse_csv, parse_jsonl as parse_jsonl

@@ -28,10 +28,22 @@ job *i* does not depend on how the stream was chunked, sharded or
 parallelised — the property the replayer's serial == parallel guarantee
 rests on.  Building that generator per record (``SeedSequence`` hashing
 plus PCG64 seeding) was most of the synthesis time, so
-:func:`_pcg64_states` computes the states of a whole chunk of records in
-one vectorized pass of the same 32/64-bit integer arithmetic, and one
-reused ``Generator`` makes every draw.  ``tests/_reference_kernels.py``
-keeps the per-record generator as the bit-for-bit oracle.
+:func:`_pcg64_words` computes the PCG64 states of a whole chunk of records
+in one vectorized pass of the same 32/64-bit integer arithmetic.  How a
+record then draws depends on its model:
+
+* ``multiplicative`` takes its two uniforms (``w / w*`` and ``c / w``)
+  straight from those states: a PCG64 draw is one 128-bit LCG step and
+  the XSL-RR output permutation, and ``Generator.uniform(lo, hi)`` is
+  ``lo + (hi - lo) * (x >> 11) * 2**-53``, all uint64/float64 array
+  arithmetic (:func:`_pcg64_uniforms`);
+* ``adversarial`` draws nothing, so it seeds nothing;
+* ``lognormal`` draws a ziggurat normal from numpy's internal tables,
+  which that arithmetic cannot reproduce, so it re-states one reused
+  ``Generator`` with each record's state (:func:`_pcg64_states`).
+
+``tests/_reference_kernels.py`` keeps the per-record generator as the
+bit-for-bit oracle of all three.
 """
 
 from __future__ import annotations
@@ -50,6 +62,10 @@ from .records import TraceRecord
 QUERY_FRAC_LOW = 0.05
 QUERY_FRAC_HIGH = 1.0
 
+#: Range of the multiplicative model's over-estimate factor ``w / w*``.
+MULTIPLICATIVE_LOW = 1.25
+MULTIPLICATIVE_HIGH = 3.0
+
 #: Records :func:`synthesize_jobs` reads ahead and seeds in one kernel call.
 #: The kernel costs about 0.1 ms a call plus 1 us a record, so 256 keeps
 #: the per-call share small; 1024 was no faster end to end but raised a
@@ -65,20 +81,23 @@ class NoiseModel:
     """One named way of inflating ``w*`` into the known upper bound ``w``.
 
     ``draw_upper`` maps ``(rng, w_star) -> w`` with the contract
-    ``w >= w_star > 0``; ``deterministic`` marks models that ignore the
-    RNG entirely (the adversarial construction), which the docs surface.
+    ``w >= w_star > 0``.  ``deterministic`` marks models that ignore the
+    RNG entirely: the adversarial construction, whose query cost is
+    fixed too (``c = max(w*, 1) / phi``), so the synthesizer seeds
+    nothing for them.  ``uniform`` is set when ``draw_upper`` is
+    ``w_star * rng.uniform(*uniform)``: such a model's draws come from
+    the vectorized PCG64 stream, not a ``Generator``.
     """
 
     name: str
     summary: str
     draw_upper: Callable[[np.random.Generator, float], float]
     deterministic: bool = False
+    uniform: tuple[float, float] | None = None
 
 
-def _multiplicative_upper(
-    rng: np.random.Generator, w_star: float, low: float = 1.25, high: float = 3.0
-) -> float:
-    return w_star * float(rng.uniform(low, high))
+def _multiplicative_upper(rng: np.random.Generator, w_star: float) -> float:
+    return w_star * float(rng.uniform(MULTIPLICATIVE_LOW, MULTIPLICATIVE_HIGH))
 
 
 def _lognormal_upper(
@@ -101,6 +120,7 @@ NOISE_MODELS: dict[str, NoiseModel] = {
             "multiplicative",
             "w = w* x U[1.25, 3.0] (uniform over-estimate)",
             _multiplicative_upper,
+            uniform=(MULTIPLICATIVE_LOW, MULTIPLICATIVE_HIGH),
         ),
         NoiseModel(
             "lognormal",
@@ -128,11 +148,12 @@ def get_noise_model(name: str) -> NoiseModel:
         ) from None
 
 
-# -- numpy's SeedSequence and PCG64 seeding, one numpy pass per chunk ----------------
+# -- numpy's SeedSequence, PCG64 seeding and draws, one numpy pass per chunk ---------
 #
 # ``PCG64(SeedSequence((seed, index)))`` hashes the entropy words of seed and index
 # into a 4-word pool (``SeedSequence.mix_entropy``), draws four uint64 words
-# from it (``generate_state``) and seeds PCG64 with them.  All of it is
+# from it (``generate_state``) and seeds PCG64 with them.  A draw steps the
+# 128-bit LCG and permutes the new state into 64 output bits.  All of it is
 # 32/64-bit integer arithmetic, so it vectorizes over the records of a chunk:
 # arrays below are word-major, one column per record.
 
@@ -147,6 +168,11 @@ _MIX_MULT_R = np.uint32(0x4973F715)
 _XSHIFT = 16
 _PCG_MULT_HI = 2549297995355413924
 _PCG_MULT_LO = 4865540595714422341
+#: XSL-RR rotates by the state's top 6 bits: ``state >> 122``.
+_ROTATE_SHIFT = np.uint64(58)
+#: ``next_double`` keeps the top 53 output bits and scales them by 2**-53.
+_DOUBLE_SHIFT = np.uint64(11)
+_DOUBLE_SCALE = 1.0 / 9007199254740992.0
 _OTHERS = [[d for d in range(_POOL_SIZE) if d != s] for s in range(_POOL_SIZE)]
 
 
@@ -225,10 +251,22 @@ def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
     return a1 * b1 + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
 
 
-def _pcg64_seed(pool: np.ndarray) -> tuple[list[int], list[int]]:
+def _pcg64_step(
+    hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One LCG step ``state * M + inc`` mod 2**128, on (hi, lo) words."""
+    # (hi, lo) * M mod 2**128: only lo * M_lo needs its full 128 bits.
+    state_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * np.uint64(_PCG_MULT_LO)
+    state_hi += lo * np.uint64(_PCG_MULT_HI)
+    state_lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
+    state_hi += inc_hi + (state_lo < inc_lo)
+    return state_hi, state_lo
+
+
+def _pcg64_seed(pool: np.ndarray) -> tuple[np.ndarray, ...]:
     """``generate_state(4, uint64)`` from each pool, then PCG64's seeding:
     ``inc = (initseq << 1) | 1`` and ``state = (inc + seed) * M + inc``
-    mod 2**128.  Returns the states and increments as Python ints."""
+    mod 2**128.  Returns the state and increment words."""
     words = _hashmix(np.concatenate((pool, pool)), _STATE_CHAIN)
     words = words.astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = words[0::2] | (words[1::2] << np.uint64(32))
@@ -236,15 +274,7 @@ def _pcg64_seed(pool: np.ndarray) -> tuple[list[int], list[int]]:
     inc_lo = (seq_lo << np.uint64(1)) | np.uint64(1)
     lo = inc_lo + seed_lo
     hi = inc_hi + seed_hi + (lo < inc_lo)
-    # (hi, lo) * M mod 2**128: only lo * M_lo needs its full 128 bits.
-    state_hi = _mulhi64(lo, _PCG_MULT_LO) + hi * np.uint64(_PCG_MULT_LO)
-    state_hi += lo * np.uint64(_PCG_MULT_HI)
-    state_lo = lo * np.uint64(_PCG_MULT_LO) + inc_lo
-    state_hi += inc_hi + (state_lo < inc_lo)
-    return (
-        [h << 64 | l for h, l in zip(state_hi.tolist(), state_lo.tolist())],
-        [h << 64 | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())],
-    )
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def _by_width(indices: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
@@ -260,15 +290,16 @@ def _by_width(indices: Sequence[int]) -> Iterable[tuple[int, list[int]]]:
     return groups.items()
 
 
-def _pcg64_states(seed: int, indices: Sequence[int]) -> list[dict]:
-    """For each index, the ``state`` of a fresh
-    ``PCG64(SeedSequence((seed, index)))``, in one numpy pass.
+def _pcg64_words(seed: int, indices: Sequence[int]) -> np.ndarray:
+    """For each index, the state and increment of a fresh
+    ``PCG64(SeedSequence((seed, index)))``: rows ``state_hi, state_lo,
+    inc_hi, inc_lo`` of a (4 x indices) uint64 array, in one numpy pass.
 
     Raises ``ValueError("expected non-negative integer")`` for a negative
     seed or index, as numpy does.
     """
     seed_words = _words(seed)
-    states: list = [None] * len(indices)
+    out = np.empty((4, len(indices)), np.uint64)
     for width, positions in _by_width(indices):
         group = [indices[p] for p in positions]
         n_words = len(seed_words) + width
@@ -279,15 +310,46 @@ def _pcg64_states(seed: int, indices: Sequence[int]) -> list[dict]:
             if width == 1
             else np.array([_words(i) for i in group], np.uint32).T
         )
-        pool = _mix_entropy(entropy, n_words)
-        for pos, state, inc in zip(positions, *_pcg64_seed(pool)):
-            states[pos] = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-    return states
+        out[:, positions] = _pcg64_seed(_mix_entropy(entropy, n_words))
+    return out
+
+
+def _pcg64_states(seed: int, indices: Sequence[int]) -> list[dict]:
+    """For each index, the ``state`` of a fresh
+    ``PCG64(SeedSequence((seed, index)))`` as ``bit_generator.state``
+    reads it."""
+    state_hi, state_lo, inc_hi, inc_lo = _pcg64_words(seed, indices).tolist()
+    return [
+        {
+            "bit_generator": "PCG64",
+            "state": {"state": sh << 64 | sl, "inc": ih << 64 | il},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for sh, sl, ih, il in zip(state_hi, state_lo, inc_hi, inc_lo)
+    ]
+
+
+def _pcg64_uniforms(
+    seed: int, indices: Sequence[int], bounds: Sequence[tuple[float, float]]
+) -> list[list[float]]:
+    """``Generator.uniform(low, high)`` for each ``(low, high)`` of
+    ``bounds`` in turn, drawn from each index's fresh
+    ``PCG64(SeedSequence((seed, index)))``: one list per bound.
+
+    Each draw steps the LCG, applies XSL-RR (``hi ^ lo`` rotated right by
+    ``hi >> 58``) and scales the top 53 bits as ``next_double`` does.
+    """
+    state_hi, state_lo, inc_hi, inc_lo = _pcg64_words(seed, indices)
+    out = []
+    for low, high in bounds:
+        state_hi, state_lo = _pcg64_step(state_hi, state_lo, inc_hi, inc_lo)
+        x = state_hi ^ state_lo
+        rot = state_hi >> _ROTATE_SHIFT
+        x = (x >> rot) | (x << (-rot & np.uint64(63)))
+        doubles = (x >> _DOUBLE_SHIFT) * _DOUBLE_SCALE
+        out.append((low + (high - low) * doubles).tolist())
+    return out
 
 
 # -- synthesis -------------------------------------------------------------------------
@@ -302,35 +364,63 @@ def _synthesize(
     # One generator per call, re-stated before each record's draws: a
     # shared one would let two interleaved streams overwrite each other.
     rng = np.random.Generator(np.random.PCG64(0))
+    fraction_bounds = (QUERY_FRAC_LOW, QUERY_FRAC_HIGH)
     stream = iter(records)
     while chunk := list(islice(stream, SEED_CHUNK)):
-        states = _pcg64_states(seed, [record.index for record in chunk])
-        for record, state in zip(chunk, states):
-            yield _job(record, model, rng, state, deadline_slack)
+        indices = [record.index for record in chunk]
+        if model.uniform is not None:
+            uppers, fractions = _pcg64_uniforms(
+                seed, indices, (model.uniform, fraction_bounds)
+            )
+            for record, upper, fraction in zip(chunk, uppers, fractions):
+                _check(record, deadline_slack)
+                w = record.runtime * upper
+                yield _job(record, model, w, fraction, deadline_slack)
+        elif model.deterministic:
+            for value in (seed, *indices):
+                _words(value)  # a negative one raises, as seeding would
+            for record in chunk:
+                _check(record, deadline_slack)
+                w = float(model.draw_upper(rng, record.runtime))
+                yield _job(record, model, w, None, deadline_slack)
+        else:
+            for record, state in zip(chunk, _pcg64_states(seed, indices)):
+                _check(record, deadline_slack)
+                rng.bit_generator.state = state
+                w = float(model.draw_upper(rng, record.runtime))
+                fraction = (
+                    float(rng.uniform(*fraction_bounds))
+                    if record.query_cost is None
+                    else None
+                )
+                yield _job(record, model, w, fraction, deadline_slack)
+
+
+def _check(record: TraceRecord, deadline_slack: float) -> None:
+    if record.runtime <= 0.0:
+        raise ValueError(f"record {record.id}: runtime must be > 0")
+    if deadline_slack <= 0.0:
+        raise ValueError(f"deadline_slack must be > 0, got {deadline_slack}")
 
 
 def _job(
     record: TraceRecord,
     model: NoiseModel,
-    rng: np.random.Generator,
-    state: dict,
+    w: float,
+    fraction: float | None,
     deadline_slack: float,
 ) -> QJob:
-    if record.runtime <= 0.0:
-        raise ValueError(f"record {record.id}: runtime must be > 0")
-    if deadline_slack <= 0.0:
-        raise ValueError(f"deadline_slack must be > 0, got {deadline_slack}")
+    """The job of a checked record, from its drawn upper bound ``w`` and
+    its query-cost fraction draw (``None`` where none was drawn)."""
     w_star = record.runtime
-    rng.bit_generator.state = state
-    w = float(model.draw_upper(rng, w_star))
     w = max(w, w_star)  # defensive: the contract, even for custom models
 
     if record.query_cost is not None:
         c = min(record.query_cost, w)
-    elif model.name == "adversarial":
+    elif model.deterministic:
         c = max(w_star, 1.0) / PHI
     else:
-        c = float(rng.uniform(QUERY_FRAC_LOW, QUERY_FRAC_HIGH)) * w
+        c = fraction * w
     c = min(max(c, _TINY), w)
 
     if record.deadline is not None:

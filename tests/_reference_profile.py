@@ -17,6 +17,9 @@ thread safe.
 from __future__ import annotations
 
 import contextlib
+import functools
+import importlib
+import pkgutil
 import sys
 from collections.abc import Iterator, Sequence
 from unittest import mock
@@ -312,6 +315,37 @@ _FUNCTIONS: dict[str, tuple[object, object]] = {
 }
 
 
+#: Packages with modules that import a name of :data:`_FUNCTIONS` at
+#: module level.
+_BINDING_PACKAGES = ("repro.core", "repro.speed_scaling", "repro.qbss")
+
+
+@functools.cache
+def _import_binding_packages() -> None:
+    for package in _BINDING_PACKAGES:
+        path = importlib.import_module(package).__path__
+        for info in pkgutil.walk_packages(path, f"{package}."):
+            importlib.import_module(info.name)
+
+
+def _load_bindings() -> None:
+    """Import every module of :data:`_BINDING_PACKAGES` and resolve every
+    lazy package re-export, so that :func:`_kernel_bindings` finds each
+    binding before anything is patched.
+
+    A module first imported inside :func:`reference_mode`, or a package
+    name first resolved there, would bind the oracle and keep it after
+    the patches are undone.
+    """
+    from repro._lazy import LazyPackage
+
+    _import_binding_packages()
+    for module in list(sys.modules.values()):
+        if isinstance(module, LazyPackage):
+            for name in module._SOURCES:
+                getattr(module, name)
+
+
 def _kernel_bindings() -> list[tuple[object, str]]:
     """``(module, name)`` for every loaded module whose global ``name`` *is*
     the kernel function of that name in :data:`_FUNCTIONS`."""
@@ -337,8 +371,12 @@ def reference_mode() -> Iterator[None]:
     trace replay computes one baseline per algorithm as it did before the
     kernel.  ``SpeedProfile._get_arrays``/``_from_arrays`` raise
     :class:`KernelPathReached`, so a kernel path that escapes the patches
-    fails loudly.  Not thread safe.
+    fails loudly.  Every module that could bind one of these names is
+    imported, and every lazy package name resolved, before patching
+    (:func:`_load_bindings`), so nothing bound inside leaks out.  Not
+    thread safe.
     """
+    _load_bindings()
     with contextlib.ExitStack() as stack:
         for owner, name, replacement in _METHODS:
             stack.enter_context(mock.patch.object(owner, name, replacement))

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.qjob import QJob
 from repro.engine import (
     Backend,
@@ -46,7 +47,9 @@ from repro.engine.backends.remote import (
 from repro.engine.faults import FAULT_PLAN_ENV
 from repro.traces.replay import replay_jobs
 
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
+#: The ``src/`` of the repro package under test (a planted copy in the
+#: mutation audit), which the worker subprocesses must run too.
+SRC_UNDER_TEST = Path(repro.__file__).resolve().parents[1]
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.001, backoff_cap=0.01)
 
 
@@ -86,7 +89,7 @@ class Worker:
             str(self.port_file),
         ]
         argv += ["--cache-dir", str(cache_dir)] if cache_dir else ["--no-cache"]
-        env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+        env = dict(os.environ, PYTHONPATH=str(SRC_UNDER_TEST))
         # Fault plans must arrive over the wire, per task — never by
         # inheritance — so the worker environment starts clean.
         env.pop(FAULT_PLAN_ENV, None)

@@ -25,18 +25,26 @@ from repro.speed_scaling.yds import yds_profile
 
 REL = 1e-12
 
-GRID = st.integers(0, 10_000).map(lambda k: k / 1000)
-SPANS = st.integers(1, 10_000).map(lambda k: k / 1000)
-WORKS = st.integers(1, 5_000).map(lambda k: k / 1000)
+#: Grid points per time unit: every time and work is ``k / TICKS``.
+TICKS = 1000
+WORKS = st.integers(1, 5_000).map(lambda k: k / TICKS)
 
 
 @st.composite
 def grid_jobs(draw, max_jobs=8):
-    """Up to 8 jobs with releases, spans and works on a 1e-3 grid."""
+    """Up to 8 jobs with releases, spans and works on a 1e-3 grid.
+
+    A deadline is its integer grid point over :data:`TICKS`, never the
+    float sum ``r + span``: ``0.015 + 0.141`` is ``0.15599999999999997``,
+    one ulp below the ``0.156`` of another deadline, and BKP merges two
+    events that close while the exact intensity keeps them apart
+    (:data:`ULP_APART`).
+    """
     jobs = []
     for i in range(draw(st.integers(1, max_jobs))):
-        r = draw(GRID)
-        jobs.append(Job(r, r + draw(SPANS), draw(WORKS), f"j{i}"))
+        r = draw(st.integers(0, 10_000))
+        span = draw(st.integers(1, 10_000))
+        jobs.append(Job(r / TICKS, (r + span) / TICKS, draw(WORKS), f"j{i}"))
     return jobs
 
 
@@ -48,6 +56,12 @@ NESTED = [
 ]
 EQUAL_WINDOWS = [Job(0.0, 1.0, 1.0, "a"), Job(0.0, 1.0, 2.0, "b"), Job(1.0, 2.0, 1.0, "c")]
 TWO_PERIODS = [Job(0.0, 1.0, 2.0, "a"), Job(5.0, 5.5, 1.0, "b"), Job(5.25, 7.0, 0.25, "c")]
+#: The grid instance whose deadlines a float sum once put one ulp apart
+#: (``0.015 + 0.141`` against ``0.0 + 0.156``).
+ULP_APART = [
+    Job(15 / TICKS, (15 + 141) / TICKS, 0.002, "j0"),
+    Job(0 / TICKS, (0 + 156) / TICKS, 0.004, "j1"),
+]
 
 
 def _close(got: float, want: Fraction) -> bool:
@@ -70,6 +84,7 @@ def test_yds_energy_and_peak_are_exact(jobs):
 @example(NESTED)
 @example(EQUAL_WINDOWS)
 @example(TWO_PERIODS)
+@example(ULP_APART)
 def test_bkp_speed_is_e_times_the_exact_intensity(jobs):
     profile = bkp_profile(jobs)
     events = sorted({j.release for j in jobs} | {j.deadline for j in jobs})

@@ -85,6 +85,51 @@ def test_ql002_reports_both_violations():
     assert any("accepts `*args`" in m for m in messages)
 
 
+def test_ql002_follows_module_function_references(tmp_path):
+    """The registry names runners by "module:function" string; the rule
+    checks the def a reference names, and flags a reference that is not
+    that shape or names no def in a linted module."""
+    write_tree(
+        tmp_path,
+        "repro/qbss/runners.py",
+        """
+        def tidy(qi, *, alpha=2.0):
+            return qi
+
+
+        def crummy(qi, extra):
+            return extra
+        """,
+    )
+    write_tree(
+        tmp_path,
+        "repro/qbss/registry.py",
+        """
+        ALGORITHMS = {
+            spec.name: spec
+            for spec in (
+                _spec("tidy", "repro.qbss.runners:tidy"),
+                _spec("crummy", runner="repro.qbss.runners:crummy"),
+                _spec("gone", "repro.qbss.runners:missing"),
+                _spec("dotted", "repro.qbss.runners.tidy"),
+                _spec("elsewhere", "numpy:sum"),
+            )
+        }
+        """,
+    )
+    run = lint_paths([tmp_path], root=tmp_path)
+    found = sorted((f.path, f.message) for f in run.findings if f.rule == "QL002")
+    assert [path for path, _ in found] == [
+        "repro/qbss/registry.py",
+        "repro/qbss/registry.py",
+        "repro/qbss/runners.py",
+    ]
+    messages = " | ".join(message for _, message in found)
+    assert "`crummy` has positional parameters after the instance (extra)" in messages
+    assert "names no function `missing` in repro.qbss.runners" in messages
+    assert "'repro.qbss.runners.tidy' is not 'module:function'" in messages
+
+
 def test_ql004_distinguishes_bare_and_swallowed():
     run = run_fixture("QL004", "bad")
     messages = [f.message for f in run.findings if f.rule == "QL004"]

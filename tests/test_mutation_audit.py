@@ -36,6 +36,9 @@ class Row(NamedTuple):
     catcher: str | list[str] | None
 
 
+OAQ_KEYWORD_ONLY = "    qinstance: QBSSInstance,\n    *,\n    query_policy:"
+OAQ_POSITIONAL = "    qinstance: QBSSInstance,\n    query_policy:"
+
 AUDIT = [
     # RateLimiter.allow mutates its buckets without the lock.
     Row(
@@ -174,6 +177,31 @@ AUDIT = [
         '    qi = qbss_instance_from_dict(shard_doc["instance"])',
         "QL003",
     ),
+    # A registered runner takes a positional parameter past the instance
+    # (oaq without its ``*``): run_algorithm's keywords still reach it,
+    # but a positional call no longer fails.  The registry names runners
+    # by "module:function" string, which QL002 must follow to the def.
+    # Rows 15 and 16 plant the same bug: the rule and the runtime
+    # signature tests both catch it.
+    Row(
+        15,
+        "repro/qbss/oaq.py",
+        OAQ_KEYWORD_ONLY,
+        OAQ_POSITIONAL,
+        "QL002",
+    ),
+    Row(
+        16,
+        "repro/qbss/oaq.py",
+        OAQ_KEYWORD_ONLY,
+        OAQ_POSITIONAL,
+        [
+            "tests/test_algorithms_registry.py::TestRegistry"
+            "::test_uniform_signatures_keyword_only",
+            "tests/test_algorithms_registry.py::TestDeprecationShims"
+            "::test_too_many_positionals_is_a_type_error[oaq]",
+        ],
+    ),
 ]
 
 LINT_ROWS = [row for row in AUDIT if isinstance(row.catcher, str)]
@@ -207,7 +235,7 @@ def test_anchor_matches_live_tree_once(row):
 
 
 def test_lint_rows_are_caught_by_their_rule(tmp_path):
-    """Rows 1, 2, 13 and 14 sit in four files: one lint pass covers them.
+    """Rows 1, 2, 13, 14 and 15 sit in five files: one lint pass covers them.
     The live tree has no finding of these rules in these files
     (``test_lint.py::test_live_tree_is_lint_clean_modulo_baseline``)."""
     assert len({row.path for row in LINT_ROWS}) == len(LINT_ROWS)

@@ -24,8 +24,12 @@ The pure-Python reference is the pre-kernel loops kept in
 
 import importlib
 import json
+import os
+import pathlib
 import random
 import struct
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -535,6 +539,42 @@ class TestReferenceMode:
         for name, modules in live.items():
             for m, fn in modules.items():
                 assert getattr(importlib.import_module(m), name) is fn, (m, name)
+
+    def test_nothing_first_bound_inside_leaks_out(self):
+        """In a fresh interpreter, every module of the three packages is
+        first imported, and every lazy package name first resolved, inside
+        reference_mode; afterwards no module holds an oracle."""
+        tests = pathlib.Path(__file__).resolve().parent
+        program = (
+            "import importlib, pkgutil, sys\n"
+            "import _reference_profile as ref\n"
+            "from repro._lazy import LazyPackage\n"
+            "with ref.reference_mode():\n"
+            "    for package in ('repro.core', 'repro.speed_scaling', 'repro.qbss'):\n"
+            "        path = importlib.import_module(package).__path__\n"
+            "        for info in pkgutil.walk_packages(path, package + '.'):\n"
+            "            importlib.import_module(info.name)\n"
+            "    for module in list(sys.modules.values()):\n"
+            "        if isinstance(module, LazyPackage):\n"
+            "            for name in module._SOURCES:\n"
+            "                getattr(module, name)\n"
+            "print(sorted(\n"
+            "    f'{module.__name__}.{name}'\n"
+            "    for module in list(sys.modules.values())\n"
+            "    for name, (_, oracle) in ref._FUNCTIONS.items()\n"
+            "    if getattr(module, '__dict__', {}).get(name) is oracle\n"
+            "    and not module.__name__.startswith('_reference')\n"
+            "))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", program],
+            env=dict(os.environ, PYTHONPATH=f"{tests.parent / 'src'}{os.pathsep}{tests}"),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # -- replay byte-identity ------------------------------------------------------------

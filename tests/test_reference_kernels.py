@@ -36,7 +36,7 @@ from repro.speed_scaling.avr import avr_profile
 from repro.speed_scaling.bkp import bkp_intensity_at, bkp_profile
 from repro.speed_scaling.yds import _discover, yds, yds_profile
 from repro.traces import NOISE_MODELS, TraceRecord, get_noise_model, synthesize_jobs
-from repro.traces.synthesize import SEED_CHUNK, _pcg64_states
+from repro.traces.synthesize import SEED_CHUNK, _pcg64_states, _pcg64_uniforms
 
 REL = 1e-9
 
@@ -584,6 +584,27 @@ def test_bkp_infinite_work_falls_back_without_warnings():
     assert _profile_hex(bkp_profile(INFINITE)) == _profile_hex(ref.bkp_profile_sweep(INFINITE))
 
 
+#: Two midpoints whose last end is the same infinite deadline.
+INFINITE_DEADLINES = [
+    Job(0.0, 1.0, 1.0, "a"),
+    Job(4.0, math.inf, 1.0, "b"),
+    Job(5.0, 6.0, 2.0, "c"),
+    Job(7.0, math.inf, 3.0, "d"),
+]
+
+
+def test_bkp_infinite_deadlines_equal_the_sweep_without_warnings():
+    """The end chain compares ends within a midpoint only: across two
+    midpoints it would compute ``inf - inf``, a RuntimeWarning that the
+    suite turns into an error."""
+    got = _profile_hex(bkp_profile(INFINITE_DEADLINES))
+    assert got == _profile_hex(ref.bkp_profile_sweep(INFINITE_DEADLINES))
+    assert got == [
+        ("0x0.0p+0", "0x1.0000000000000p+0", "0x1.5bf0a8b145769p+1"),
+        ("0x1.4000000000000p+2", "0x1.8000000000000p+2", "0x1.5bf0a8b145769p+2"),
+    ]
+
+
 def test_bkp_prunes_and_falls_back_where_the_bound_says():
     """On the named example one midpoint of the sparse period falls back
     to the full search and the last period's midpoint searches alone."""
@@ -687,14 +708,35 @@ def test_pcg64_states_equal_default_rng(seed, indices):
     ]
 
 
+#: The multiplicative model's two draws, then a third from a drawn range.
+BOUNDS = st.tuples(
+    st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False)
+).map(lambda b: ((1.25, 3.0), (0.05, 1.0), tuple(sorted(b))))
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(SEEDS, INDICES, BOUNDS)
+@example(0, STRADDLES_2_32, ((1.25, 3.0), (0.05, 1.0), (0.0, 1.0)))
+@example(2**100 + 7, [2**64 - 1, 2**64, 3], ((1.25, 3.0), (0.05, 1.0), (-5.0, 5.0)))
+def test_pcg64_uniforms_equal_generator_uniform(seed, indices, bounds):
+    """The vectorized stream (LCG step, XSL-RR, ``next_double``) draws
+    what ``Generator.uniform`` draws, in order, bit for bit."""
+    rngs = [np.random.default_rng((seed, i)) for i in indices]
+    want = [[float(rng.uniform(lo, hi)).hex() for rng in rngs] for lo, hi in bounds]
+    got = _pcg64_uniforms(seed, indices, bounds)
+    assert [[x.hex() for x in row] for row in got] == want
+
+
 def test_negative_seed_or_index_raises_like_numpy():
     for seed, index in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="expected non-negative integer"):
             _pcg64_states(seed, [index])
         with pytest.raises(ValueError, match="expected non-negative integer"):
             ref.record_rng(seed, index)
-    with pytest.raises(ValueError, match="expected non-negative integer"):
-        next(synthesize_jobs([TraceRecord(0, "a", 0.0, 1.0)], seed=-1))
+    for model in sorted(NOISE_MODELS):
+        for seed, index in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="expected non-negative integer"):
+                next(synthesize_jobs([TraceRecord(index, "a", 0.0, 1.0)], model=model, seed=seed))
 
 
 def _varied_record(i: int) -> TraceRecord:
