@@ -649,6 +649,9 @@ def _default_replay_algorithms():
 
 
 def replay_main(argv: list[str] | None = None) -> int:
+    # Replay issues no BLAS call: keep numpy's OpenBLAS from starting a
+    # helper thread that spins on an idle CPU (an explicit value wins).
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         return _replay_main(argv)
     except BrokenPipeError:

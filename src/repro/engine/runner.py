@@ -193,6 +193,7 @@ def execute_hardened(
     trace_parent: Any | None = None,
     backend: Backend | None = None,
     stats: ExecutionStats | None = None,
+    before_reopen: Callable[[], None] | None = None,
 ) -> ExecutionStats:
     """Run ``tasks`` through ``worker`` with timeouts, retries and recovery.
 
@@ -259,6 +260,9 @@ def execute_hardened(
     ``stats`` is the record the driver writes its counters into (a fresh
     :class:`ExecutionStats` when omitted); callers pass their own result
     object, which extends :class:`ExecutionStats`, and get it back.
+    ``before_reopen`` is called before a broken or hung backend is
+    reopened: a rebuilt pool forks, and a fork must not copy a live
+    thread of the caller's.
     """
     retry = retry or RetryPolicy()
     stats = stats if stats is not None else ExecutionStats()
@@ -355,6 +359,7 @@ def execute_hardened(
     limit = max_inflight if max_inflight is not None else float("inf")
     crash_rebuilds = 0
     exhausted = False
+    reopening = False
 
     def park(task: HardenedTask, delay: float) -> None:
         """Queue a retry; positive delays wait in the heap, not the loop."""
@@ -366,6 +371,9 @@ def execute_hardened(
             carry.append(task)
 
     while True:
+        if reopening and before_reopen is not None:
+            before_reopen()
+        reopening = True
         try:
             backend.ensure_open()
         except BackendBroken:

@@ -19,14 +19,22 @@ retry-then-warn write with the fault plan's corrupt/torn hooks
 the fault plan: :attr:`ExecutionSession.active_fault_plan` resolves it
 once, and :meth:`ExecutionSession.execute` hands it to every task as an
 argument.
+
+While :meth:`ExecutionSession.execute` runs tasks out of process, the
+driver's cache writes go to one background thread, so the fsyncs overlap
+the dispatch loop; ``execute`` drains it before it returns (and before a
+broken pool is rebuilt, since a fork must not copy a live thread).
 """
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any
 from collections.abc import Callable, Iterable, Iterator
@@ -46,6 +54,68 @@ from .runner import (
     execute_hardened,
     resolve_jobs,
 )
+
+#: The name of the thread that writes a run's cache entries.
+WRITER_THREAD_NAME = "qbss-cache-writer"
+
+#: One deferred cache write: returns the warning text of a write whose
+#: attempts were all spent, ``None`` once the entry landed.
+CacheWrite = Callable[[], str | None]
+
+
+class _CacheWriter:
+    """One thread running cache writes behind the dispatch loop.
+
+    The thread starts with the writer.  :meth:`close` lets the queue run
+    dry, joins the thread and then, in the caller's thread, warns once
+    per write that kept failing and re-raises the first error a write
+    raised.
+    """
+
+    def __init__(self) -> None:
+        from ..obs import lockwatch
+
+        self._cond = lockwatch.new_condition("_CacheWriter._cond")
+        self._queue: deque[CacheWrite] = deque()
+        self._failures: list[str] = []
+        self._error: Exception | None = None
+        self._closing = False
+        self._thread = threading.Thread(target=self._run, name=WRITER_THREAD_NAME)
+        self._thread.start()
+
+    def submit(self, write: CacheWrite) -> None:
+        with self._cond:
+            self._queue.append(write)
+            self._cond.notify()
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._queue and not self._closing:
+                    self._cond.wait()
+                if not self._queue:
+                    return
+                write = self._queue.popleft()
+            try:
+                failure = write()
+            except Exception as exc:  # re-raised by close()
+                with self._cond:
+                    if self._error is None:
+                        self._error = exc
+                continue
+            if failure is not None:
+                with self._cond:
+                    self._failures.append(failure)
+
+    def close(self) -> None:
+        with self._cond:
+            self._closing = True
+            self._cond.notify()
+        self._thread.join()
+        for message in self._failures:
+            warnings.warn(message, RuntimeWarning, stacklevel=4)
+        if self._error is not None:
+            raise self._error
 
 
 @dataclass
@@ -100,6 +170,10 @@ class ExecutionSession:
         self._backend: Backend | None = None
         self._backend_resolved: bool = False
         self._closed: bool = False
+        #: Whether :meth:`cache_put` defers writes to a :class:`_CacheWriter`
+        #: (only while :meth:`execute` runs tasks out of process).
+        self._write_behind: bool = False
+        self._writer: _CacheWriter | None = None
 
     @property
     def closed(self) -> bool:
@@ -231,37 +305,53 @@ class ExecutionSession:
         uncached.  The entry, whichever process wrote it, then gets
         :attr:`active_fault_plan`'s ``corrupt-cache`` / ``torn-write``
         hooks at ``task``'s coordinates.  Only valid while caching is on.
+
+        Inside an :meth:`execute` that runs tasks out of process, the
+        write and its hooks run on the session's writer thread and any
+        warning comes when ``execute`` drains it; everywhere else they run
+        inline.
         """
         store = self.store
         spec = task.publish
         assert spec is not None, "cache_put needs the task's cache_entry spec"
-        path = store.path_for(spec["key"])
-        if not (published and path.is_file()):
-            path = self._write_entry(task, spec, payload, wall)
-            if path is None:
-                return
         plan = self.active_fault_plan
-        if plan is not None:
-            if plan.wants_corrupt_cache(task.task_key, task.attempt):
-                corrupt_cache_entry(path)
-            if plan.wants_torn_write(task.task_key, task.attempt):
-                torn_write_entry(path)
+        path = store.path_for(spec["key"])
+        if published and path.is_file():
+            _apply_fault_hooks(plan, task.task_key, task.attempt, path)
+            return
+        write = partial(
+            self._write_entry, plan, task.task_key, task.attempt, spec, payload, wall
+        )
+        if not self._write_behind:
+            failure = write()
+            if failure is not None:
+                warnings.warn(failure, RuntimeWarning, stacklevel=2)
+            return
+        if self._writer is None:
+            if self.metrics is not None:
+                # The base registry is single-writer: create the series
+                # the writer thread bumps here, on the driver thread.
+                self.metrics.counter("qbss_cache_writes_total")
+            self._writer = _CacheWriter()
+        self._writer.submit(write)
 
     def _write_entry(
         self,
-        task: HardenedTask,
+        plan: FaultPlan | None,
+        task_key: str,
+        attempt: int,
         spec: dict[str, Any],
         payload: dict[str, Any],
         wall: float,
-    ) -> Path | None:
-        """:meth:`ResultCache.put` under :attr:`retry_policy`; ``None``
-        (after a :class:`RuntimeWarning`) once the attempts are spent."""
+    ) -> str | None:
+        """:meth:`ResultCache.put` under :attr:`retry_policy`, then the
+        fault hooks; the warning text once the attempts are spent."""
         store = self.store
         retry = self.retry_policy
-        attempt = 1
+        tries = 1
         while True:
             try:
-                return store.put(
+                path = store.put(
                     spec["key"],
                     spec["experiment"],
                     spec["params"],
@@ -269,19 +359,26 @@ class ExecutionSession:
                     wall,
                     spec["package_version"],
                 )
+                break
             except OSError as exc:
-                if attempt >= retry.max_attempts:
-                    warnings.warn(
-                        f"cache write for {task.task_key!r} failed after "
-                        f"{attempt} attempt(s) ({exc}); continuing uncached",
-                        RuntimeWarning,
-                        stacklevel=3,
+                if tries >= retry.max_attempts:
+                    return (
+                        f"cache write for {task_key!r} failed after "
+                        f"{tries} attempt(s) ({exc}); continuing uncached"
                     )
-                    return None
-                delay = retry.delay(f"{task.task_key}:cache-put", attempt)
+                delay = retry.delay(f"{task_key}:cache-put", tries)
                 if delay > 0:
                     time.sleep(delay)
-                attempt += 1
+                tries += 1
+        _apply_fault_hooks(plan, task_key, attempt, path)
+        return None
+
+    def _drain_writes(self) -> None:
+        """Stop the writer thread once every queued write has run; its
+        warnings and errors surface here, in the caller's thread."""
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
 
     @contextmanager
     def batch(self, stats: ExecutionStats, **attrs: Any) -> Iterator[Any]:
@@ -339,22 +436,48 @@ class ExecutionSession:
         ``worker(*payload(task), plan, task.attempt)``.  ``jobs``
         overrides the pool size for this call only (the engine shrinks it
         to the task count); ``stats`` is the record the driver fills.
+
+        When the tasks run out of process (a pool of ``jobs > 1``, or a
+        backend), :meth:`cache_put` hands its writes to a writer thread
+        started at the first one.  It is drained before a broken pool is
+        rebuilt and before this call returns or raises, so every write
+        the run started has landed or warned by then.
         """
         self._check_open()
         plan = self.active_fault_plan
-        return execute_hardened(
-            tasks,
-            worker=worker,
-            payload=lambda task: (*payload(task), plan),
-            on_success=on_success,
-            on_failure=on_failure,
-            jobs=self.pool_jobs if jobs is None else jobs,
-            retry=self.retry_policy,
-            task_timeout=self.task_timeout,
-            max_inflight=max_inflight,
-            tracer=self.tracer,
-            trace_parent=trace_parent,
-            backend=self.execution_backend,
-            stats=stats,
-        )
+        jobs = self.pool_jobs if jobs is None else jobs
+        backend = self.execution_backend
+        self._write_behind = self.cache and (backend is not None or jobs > 1)
+        try:
+            return execute_hardened(
+                tasks,
+                worker=worker,
+                payload=lambda task: (*payload(task), plan),
+                on_success=on_success,
+                on_failure=on_failure,
+                jobs=jobs,
+                retry=self.retry_policy,
+                task_timeout=self.task_timeout,
+                max_inflight=max_inflight,
+                tracer=self.tracer,
+                trace_parent=trace_parent,
+                backend=backend,
+                stats=stats,
+                before_reopen=self._drain_writes,
+            )
+        finally:
+            self._write_behind = False
+            self._drain_writes()
+
+
+def _apply_fault_hooks(
+    plan: FaultPlan | None, task_key: str, attempt: int, path: Path
+) -> None:
+    """The fault plan's ``corrupt-cache`` / ``torn-write`` hooks on a
+    freshly written cache entry."""
+    if plan is not None:
+        if plan.wants_corrupt_cache(task_key, attempt):
+            corrupt_cache_entry(path)
+        if plan.wants_torn_write(task_key, attempt):
+            torn_write_entry(path)
 

@@ -821,18 +821,22 @@ def replay_trace(
     import itertools
 
     from .records import ParseStats
-    from .swf import parse_swf
     from .synthesize import synthesize_jobs
-    from .tabular import parse_csv, parse_jsonl
 
     fmt = detect_format(path) if trace_format == "auto" else trace_format
-    parsers = {"swf": parse_swf, "csv": parse_csv, "jsonl": parse_jsonl}
-    if fmt not in parsers:
+    if fmt not in TRACE_FORMATS:
         raise ValueError(
             f"unknown trace format {fmt!r} (one of: {', '.join(TRACE_FORMATS)})"
         )
+    # Import only the parser this trace needs.
+    if fmt == "swf":
+        from .swf import parse_swf as parse
+    else:
+        from . import tabular
+
+        parse = tabular.parse_csv if fmt == "csv" else tabular.parse_jsonl
     stats = ParseStats()
-    records = parsers[fmt](path, stats)
+    records = parse(path, stats)
     if limit is not None:
         records = itertools.islice(records, limit)
     stream = synthesize_jobs(

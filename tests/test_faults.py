@@ -8,6 +8,7 @@ the default is the mode each test was written for.
 
 import json
 import os
+import threading
 import time
 import warnings
 from concurrent.futures import Future
@@ -323,39 +324,39 @@ class TestQuarantine:
         store.clear()
         assert (tmp_path / QUARANTINE_DIRNAME / path.name).exists()
 
-    def test_corrupt_cache_fault_round_trip(self, tmp_path, no_env_plan):
+    # Two experiments, so that jobs=2 runs them on the pool, whose cache
+    # writes (and their fault hooks) go through the session's writer thread.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_cache_fault_round_trip(self, jobs, tmp_path, no_env_plan):
         plan = FaultPlan((FaultSpec(task="lemma42", kind="corrupt-cache"),))
-        first = run_quiet(
-            ["lemma42"], jobs=1, cache_dir=tmp_path, fault_plan=plan
-        )
-        assert first.runs[0].metrics.status == "ok"
+        first = run_quiet(FAST, jobs=jobs, cache_dir=tmp_path, fault_plan=plan)
+        assert [r.metrics.status for r in first.runs] == ["ok", "ok"]
         # the write was corrupted after the fact -> next run quarantines it
         again = run_experiments(
-            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+            FAST, session=ExecutionSession(jobs=1, cache_dir=tmp_path)
         )
-        assert not again.runs[0].metrics.cache_hit
+        assert [r.metrics.cache_hit for r in again.runs] == [False, True]
         assert again.quarantined == 1
         assert first.reports[0].render() == again.reports[0].render()
 
-    def test_torn_write_fault_round_trip(self, tmp_path, no_env_plan):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_torn_write_fault_round_trip(self, jobs, tmp_path, no_env_plan):
         """A cache entry cut mid-stream is quarantined and recomputed —
         never served as a hit, never a crash."""
         plan = FaultPlan((FaultSpec(task="lemma42", kind="torn-write"),))
-        first = run_quiet(
-            ["lemma42"], jobs=1, cache_dir=tmp_path, fault_plan=plan
-        )
-        assert first.runs[0].metrics.status == "ok"
+        first = run_quiet(FAST, jobs=jobs, cache_dir=tmp_path, fault_plan=plan)
+        assert [r.metrics.status for r in first.runs] == ["ok", "ok"]
         again = run_experiments(
-            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+            FAST, session=ExecutionSession(jobs=1, cache_dir=tmp_path)
         )
-        assert not again.runs[0].metrics.cache_hit
+        assert [r.metrics.cache_hit for r in again.runs] == [False, True]
         assert again.quarantined == 1
         assert first.reports[0].render() == again.reports[0].render()
         # the recomputed (intact) entry hits next time
         warm = run_experiments(
-            ["lemma42"], session=ExecutionSession(jobs=1, cache_dir=tmp_path)
+            FAST, session=ExecutionSession(jobs=1, cache_dir=tmp_path)
         )
-        assert warm.runs[0].metrics.cache_hit
+        assert all(r.metrics.cache_hit for r in warm.runs)
 
     def test_put_fsyncs_before_atomic_replace(self, tmp_path, monkeypatch):
         """Durability contract of the cache write path: the entry is
@@ -395,9 +396,17 @@ class TestCacheWriteFailure:
         assert not report.failed_shards
         return json.dumps(report.to_dict(), sort_keys=True), len(report.shards)
 
-    @pytest.mark.parametrize("entry", ["engine", "replay"])
+    @pytest.mark.parametrize(
+        "entry, jobs",
+        [
+            pytest.param("engine", 1, id="engine"),
+            pytest.param("replay", 1, id="replay"),
+            pytest.param("engine", 2, id="engine-jobs2"),
+            pytest.param("replay", 2, id="replay-jobs2"),
+        ],
+    )
     def test_failed_write_runs_uncached_and_retry_recovers(
-        self, entry, tmp_path, monkeypatch, no_env_plan
+        self, entry, jobs, tmp_path, monkeypatch, no_env_plan
     ):
         uncached, tasks = self._run(entry, ExecutionSession(cache=False))
         real_put = ResultCache.put
@@ -407,18 +416,25 @@ class TestCacheWriteFailure:
 
         monkeypatch.setattr(ResultCache, "put", full_disk)
         full = tmp_path / "full"
-        with warnings.catch_warnings(record=True) as caught:
+        caught = []
+        with warnings.catch_warnings():
             warnings.simplefilter("always")
+            # Record which thread each warning reaches: with jobs=2 the
+            # writes run on the session's writer thread, but their warnings
+            # must still come to the caller.
+            warnings.showwarning = lambda message, category, *_: caught.append(
+                (message, category, threading.current_thread())
+            )
             out, _ = self._run(
-                entry, ExecutionSession(cache_dir=full, retry=QUICK)
+                entry, ExecutionSession(jobs=jobs, cache_dir=full, retry=QUICK)
             )
         assert out == uncached
         failed_writes = [
-            w for w in caught
-            if issubclass(w.category, RuntimeWarning)
-            and "continuing uncached" in str(w.message)
+            thread for message, category, thread in caught
+            if issubclass(category, RuntimeWarning)
+            and "continuing uncached" in str(message)
         ]
-        assert len(failed_writes) == tasks
+        assert failed_writes == [threading.current_thread()] * tasks
         assert len(ResultCache(full)) == 0
 
         seen = set()
@@ -434,7 +450,7 @@ class TestCacheWriteFailure:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             out, _ = self._run(
-                entry, ExecutionSession(cache_dir=flaky, retry=QUICK)
+                entry, ExecutionSession(jobs=jobs, cache_dir=flaky, retry=QUICK)
             )
         assert out == uncached
         assert len(seen) == tasks

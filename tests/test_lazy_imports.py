@@ -76,7 +76,8 @@ def test_warm_replay_loads_only_what_a_cache_hit_needs(tmp_path):
         f"    or m in {runners!r}\n"
         "    or m.startswith(('repro.speed_scaling', 'repro.obs'))\n"
         "    or m in ('repro.core.edf', 'repro.core.profile_kernel',\n"
-        "             'repro.engine.backends.remote')))\n",
+        "             'repro.engine.backends.remote', 'repro.traces.tabular',\n"
+        "             'csv')))\n",
         cwd=tmp_path,
     )
     assert out.splitlines()[-1] == "[]"

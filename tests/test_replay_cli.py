@@ -1,7 +1,10 @@
 """The qbss-replay CLI and the shared --jobs/--cache-prune plumbing."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,7 @@ from repro import io as rio
 from repro.cli import main, replay_main
 from repro.traces import ReplayReport
 
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 DATA = pathlib.Path(__file__).parent / "data"
 SAMPLE_SWF = str(DATA / "sample.swf")
 SAMPLE_CSV = str(DATA / "sample_trace.csv")
@@ -78,6 +82,35 @@ def test_replay_cli_output_round_trips(tmp_path, capsys):
     # the JSON on disk is the repro.io envelope
     doc = json.loads(out_file.read_text())
     assert doc["kind"] == "trace_replay_report"
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_replay_cli_pins_openblas_to_one_thread_unless_set(tmp_path, preset):
+    """Replay issues no BLAS call, so ``replay_main`` sets
+    ``OPENBLAS_NUM_THREADS=1`` before numpy loads; a user's value wins."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    argv = [SAMPLE_SWF, "--shard-window", "100", "--jobs", "1", "--no-cache"]
+    program = (
+        "import os, sys\n"
+        "from repro.cli import replay_main\n"
+        "assert 'numpy' not in sys.modules\n"
+        f"assert replay_main({argv!r}) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines()[-1] == (preset or "1")
 
 
 def test_replay_cli_warm_cache_identical_stdout(tmp_path, capsys):

@@ -1,13 +1,23 @@
 """ExecutionSession: the one execution-context object of every entry point."""
 
+import threading
+import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.core.qjob import QJob
 from repro.engine import (
     ExecutionSession,
+    ResultCache,
     RetryPolicy,
     run_experiments,
 )
+from repro.engine import runner as engine_runner
+from repro.engine.runner import HardenedTask
+from repro.engine.session import WRITER_THREAD_NAME
+from repro.obs import MetricsRegistry
 from repro.traces.replay import replay_jobs, replay_trace
 
 FAST = ["lemma42", "rho"]
@@ -176,3 +186,138 @@ class TestEntryPoints:
         _, m2 = replay_jobs(stream(), session=session)
         assert m1.quarantined == 0
         assert m2.quarantined == 0
+
+
+class TestWriteBehind:
+    """An out-of-process run's cache writes go to one writer thread, which
+    ``execute`` drains before it returns; serial runs write inline."""
+
+    @staticmethod
+    def _stream(n=8):
+        for i in range(n):
+            yield QJob(10.0 * i, 10.0 * i + 6.0, 0.5, 2.0, 1.0, f"j{i}")
+
+    @staticmethod
+    def _record_puts(monkeypatch, delay=0.0):
+        """Patch ``ResultCache.put`` to note the thread of every write."""
+        threads = []
+        real_put = ResultCache.put
+
+        def put(store, *args):
+            threads.append(threading.current_thread().name)
+            time.sleep(delay)
+            return real_put(store, *args)
+
+        monkeypatch.setattr(ResultCache, "put", put)
+        return threads
+
+    def test_replay_returns_with_every_entry_written(self, tmp_path, monkeypatch):
+        # Slow writes, so that entries would still be queued at return
+        # if the writer were not drained.
+        threads = self._record_puts(monkeypatch, delay=0.05)
+        _, metrics = replay_jobs(
+            self._stream(),
+            shard_window=10.0,
+            session=ExecutionSession(jobs=2, cache_dir=tmp_path),
+        )
+        assert metrics.misses == 8
+        assert len(ResultCache(tmp_path)) == metrics.misses
+        assert not list(tmp_path.glob("**/*.tmp*"))
+        assert WRITER_THREAD_NAME not in {t.name for t in threading.enumerate()}
+        assert threads == [WRITER_THREAD_NAME] * metrics.misses
+
+    def test_pool_writes_count_on_the_registry(self, tmp_path):
+        reg = MetricsRegistry()
+        session = ExecutionSession(jobs=2, cache_dir=tmp_path, metrics=reg)
+        _, cold = replay_jobs(self._stream(), shard_window=10.0, session=session)
+        assert reg.value("qbss_cache_writes_total") == cold.misses == 8
+        # a warm run writes nothing, so it starts no writer and has no series
+        warm_reg = MetricsRegistry()
+        session = ExecutionSession(jobs=2, cache_dir=tmp_path, metrics=warm_reg)
+        _, warm = replay_jobs(self._stream(), shard_window=10.0, session=session)
+        assert warm.hits == 8
+        assert warm_reg.value("qbss_cache_writes_total") is None
+
+    def test_serial_run_writes_inline(self, tmp_path, monkeypatch):
+        threads = self._record_puts(monkeypatch)
+        _, metrics = replay_jobs(
+            self._stream(),
+            shard_window=10.0,
+            session=ExecutionSession(jobs=1, cache_dir=tmp_path),
+        )
+        assert threads == [threading.current_thread().name] * metrics.misses
+
+    def test_writer_is_drained_before_a_pool_rebuild(self, tmp_path, monkeypatch):
+        """A rebuilt pool forks: no writer thread may be alive when it is
+        built or first used.  The scripted pool runs tasks in process."""
+        alive = []
+
+        def note(event):
+            names = {t.name for t in threading.enumerate()}
+            alive.append((event, WRITER_THREAD_NAME in names))
+
+        class ScriptedPool:
+            built = 0
+
+            def __init__(self, max_workers):
+                ScriptedPool.built += 1
+                self.first = ScriptedPool.built == 1
+                self.count = 0
+                note(f"build {ScriptedPool.built}")
+
+            def submit(self, fn, *args):
+                note(f"submit {ScriptedPool.built}.{self.count}")
+                fut = Future()
+                if self.first and self.count == 2:
+                    raise BrokenProcessPool("scripted break")
+                if not (self.first and self.count == 1):  # never completes
+                    fut.set_result(fn(*args))
+                self.count += 1
+                return fut
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(engine_runner, "ProcessPoolExecutor", ScriptedPool)
+        # A deadline bounds submissions to the two free workers, so lemma42
+        # settles (and its write starts the writer) before the third submit.
+        session = ExecutionSession(
+            jobs=2, cache_dir=tmp_path, retry=QUICK, task_timeout=60.0
+        )
+        result = run_experiments(["lemma42", "rho", "lemma43"], session=session)
+        assert [r.metrics.status for r in result.runs] == ["ok", "ok", "ok"]
+        assert result.pool_rebuilds == 1
+        assert len(ResultCache(tmp_path)) == 3
+        assert ("submit 1.2", True) in alive
+        # the rebuilt pool is built and first used (where a real one forks)
+        # with the writer stopped
+        assert ("build 2", False) in alive and ("submit 2.0", False) in alive
+        assert WRITER_THREAD_NAME not in {t.name for t in threading.enumerate()}
+
+    def test_an_error_out_of_the_dispatch_loop_still_drains(
+        self, tmp_path, monkeypatch
+    ):
+        self._record_puts(monkeypatch, delay=0.05)
+        session = ExecutionSession(jobs=2, cache_dir=tmp_path)
+        tasks = [HardenedTask(f"t{i}") for i in range(3)]
+        for i, task in enumerate(tasks):
+            task.publish = session.cache_entry(f"{i:064x}", "lemma42", {})
+        queued = []
+
+        def on_success(task, outcome, degraded):
+            session.cache_put(task, outcome["payload"], outcome["wall"])
+            queued.append(task.task_key)
+            if len(queued) == 2:
+                raise RuntimeError("caller failed mid-run")
+
+        with pytest.raises(RuntimeError, match="mid-run"):
+            session.execute(
+                tasks,
+                worker=engine_runner._execute,
+                payload=lambda t: ("lemma42", {}, t.task_key),
+                on_success=on_success,
+                on_failure=lambda t, f: None,
+            )
+        assert len(ResultCache(tmp_path)) == len(queued) == 2
+        assert not list(tmp_path.glob("**/*.tmp*"))
+        assert WRITER_THREAD_NAME not in {t.name for t in threading.enumerate()}
