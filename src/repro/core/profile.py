@@ -80,7 +80,14 @@ class SpeedProfile:
     __slots__ = ("_segs", "_lists", "_arrays")
 
     def __init__(self, segments: Iterable[Segment] = ()) -> None:
-        cleaned: list[Segment] = [s for s in segments if s.speed > 0.0]
+        # A -0.0 endpoint is stored as 0.0 (``or 0.0``), here and in
+        # _from_arrays: the kernel's np.unique and the reference loops'
+        # set() would keep different ones of two equal zeros.
+        cleaned: list[Segment] = [
+            s if s.start and s.end else Segment(s.start or 0.0, s.end or 0.0, s.speed)
+            for s in segments
+            if s.speed > 0.0
+        ]
         cleaned.sort(key=lambda s: s.start)
         for prev, nxt in zip(cleaned, cleaned[1:]):
             if nxt.start < prev.end - EPS:
@@ -110,12 +117,14 @@ class SpeedProfile:
         """Trusted constructor from already-normalized kernel arrays.
 
         Builds no :class:`Segment`: :attr:`segments` and :meth:`columns`
-        are derived from the arrays when first asked for.
+        are derived from the arrays when first asked for.  Endpoints at
+        -0.0 are stored as 0.0 (``+ 0.0``), as the constructor stores them.
         """
+        starts, ends, speeds = arrays
         prof = cls.__new__(cls)
         prof._segs = None
         prof._lists = None
-        prof._arrays = arrays
+        prof._arrays = (starts + 0.0, ends + 0.0, speeds)
         return prof
 
     def _get_arrays(self) -> _pk.ProfileArrays:

@@ -23,9 +23,8 @@ at all); the hardened driver in :mod:`repro.engine.runner` owns execution
   :meth:`Backend.close` tears capacity down.  ``kill=True`` on either
   means "do not wait for hung workers".
 
-Implementations must stay deterministic under the QL001 lint contract:
-no wall-clock reads, no unseeded randomness — scheduling jitter never
-reaches report payloads.
+Implementations must stay deterministic: no wall-clock reads, no
+unseeded randomness — scheduling jitter never reaches report payloads.
 """
 
 from __future__ import annotations

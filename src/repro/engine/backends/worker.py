@@ -60,7 +60,7 @@ BIND_ENV = "QBSS_WORKER_BIND"
 
 def _log(message: str) -> None:
     # stderr only, no wall-clock timestamps: worker logs are collected as
-    # CI artifacts and must stay deterministic-friendly (QL001).
+    # CI artifacts and must stay deterministic-friendly.
     print(f"qbss-worker[{os.getpid()}]: {message}", file=sys.stderr, flush=True)
 
 
@@ -287,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.port_file is not None:
         write_port_file(args.port_file, f"{bound_host}:{bound_port}")
     _log(f"listening on {bound_host}:{bound_port} (wire v{WIRE_VERSION})")
-    # SIGTERM raises SystemExit(0), which propagates (QL004) and still
+    # SIGTERM raises SystemExit(0), which propagates and still
     # exits 0; Ctrl-C propagates as KeyboardInterrupt.
     try:
         while True:

@@ -164,6 +164,8 @@ def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
     if not kill:
         pool.shutdown(wait=True)
         return
+    # shutdown() forgets the manager thread, so take it first.
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
     procs = list((getattr(pool, "_processes", None) or {}).values())
     for proc in procs:
@@ -176,6 +178,10 @@ def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
             proc.join(timeout=1.0)
         except (OSError, ValueError, AssertionError):  # pragma: no cover
             pass
+    # A rebuilt pool forks next: a child forked while the old manager (or
+    # the queue feeder it joins) runs could inherit a lock one of them holds.
+    if manager is not None:
+        manager.join(timeout=1.0)
 
 
 def execute_hardened(

@@ -1,9 +1,8 @@
 """``qbss-lint`` — the project's static invariant gate.
 
-Exit codes: 0 = no new findings; 1 = new (non-baselined) findings;
-2 = usage or I/O error.  ``--write-baseline`` snapshots the current
-findings as grandfathered (each entry then needs a human justification
-— the project caps the live baseline at five entries).
+Exit codes: 0 = no findings; 1 = findings; 2 = usage or I/O error.
+An inline ``# qbss-lint: disable=QLnnn`` directive is the one way to
+excuse a finding.
 """
 
 from __future__ import annotations
@@ -14,12 +13,10 @@ import sys
 from pathlib import Path
 
 from .. import __version__ as PACKAGE_VERSION
-from .baseline import Baseline, BaselineError
 from .engine import LintRun, lint_paths, render_json, render_text
 from .rules import all_rules
 from .sarif import render_sarif
 
-DEFAULT_BASELINE = ".qbss-lint-baseline.json"
 DEFAULT_PATH = "src/repro"
 
 
@@ -28,10 +25,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbss-lint",
         description=(
             "AST-based invariant linter for the QBSS reproduction: "
-            "determinism (QL001), registry conformance (QL002), cache-key "
-            "purity (QL003), exception hygiene (QL004), float equality "
-            "(QL005), versioned IO (QL006), lock discipline (QL007) and "
-            "blocking-call hygiene (QL009)."
+            "cache-key purity (QL003), float equality (QL005), lock "
+            "discipline (QL007) and blocking-call hygiene (QL009)."
         ),
     )
     parser.add_argument(
@@ -62,19 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=f"%(prog)s {PACKAGE_VERSION}",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help=(
-            f"baseline file (default: {DEFAULT_BASELINE} when it exists; "
-            "'none' disables)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
     )
     parser.add_argument(
         "--select",
@@ -109,15 +91,6 @@ def _split_ids(raw: str | None) -> list[str] | None:
     if raw is None:
         return None
     return [part.strip() for part in raw.split(",") if part.strip()]
-
-
-def _resolve_baseline_path(arg: str | None) -> Path | None:
-    if arg is None:
-        default = Path(DEFAULT_BASELINE)
-        return default if default.exists() else None
-    if arg.lower() == "none":
-        return None
-    return Path(arg)
 
 
 def _changed_paths(ref: str) -> set[str]:
@@ -191,34 +164,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"qbss-lint: error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = _resolve_baseline_path(args.baseline)
-    if args.write_baseline:
-        target = baseline_path or Path(args.baseline or DEFAULT_BASELINE)
-        Baseline.write(target, run.findings)
-        print(
-            f"qbss-lint: wrote {len(run.findings)} entries to {target} "
-            "(add a justification to each before committing)",
-            file=sys.stderr,
-        )
-        return 0
-
-    try:
-        baseline = Baseline.load(baseline_path)
-    except BaselineError as exc:
-        print(f"qbss-lint: error: {exc}", file=sys.stderr)
-        return 2
-
-    new, baselined = run.partition(baseline)
     renderer = {
         "json": render_json,
         "sarif": render_sarif,
         "text": render_text,
     }[args.format]
-    _emit(
-        renderer(run, new, baselined, show_suppressed=args.show_suppressed),
-        args.output,
-    )
-    return 1 if new else 0
+    _emit(renderer(run, show_suppressed=args.show_suppressed), args.output)
+    return 1 if run.findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - console-script entry

@@ -1,7 +1,7 @@
 """Parsed-source context shared by the lint rules.
 
-``qbss-lint`` is a *project* linter: several rules (registry conformance,
-cache purity) need to see every module at once, so the engine parses the
+``qbss-lint`` is a *project* linter: several rules (cache purity, lock
+discipline) need to see every module at once, so the engine parses the
 whole tree into :class:`SourceModule` objects up front and hands rules a
 :class:`LintContext` with the lot.
 
@@ -51,7 +51,6 @@ class ImportMap:
 
     def __init__(self, tree: ast.Module, module_name: str) -> None:
         self.aliases: dict[str, str] = {}
-        package = module_name.rsplit(".", 1)[0] if "." in module_name else ""
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -72,7 +71,6 @@ class ImportMap:
                         continue
                     local = alias.asname or alias.name
                     self.aliases[local] = f"{base}.{alias.name}" if base else alias.name
-        del package
 
     def origin(self, node: ast.expr) -> str | None:
         """Dotted origin of a Name/Attribute chain, or ``None`` if unknown."""

@@ -3,9 +3,9 @@
 Flow: collect ``*.py`` files → parse into a :class:`LintContext` → run
 each rule's per-module pass then its whole-tree ``finalize`` → drop
 inline-suppressed findings → stamp occurrence indices (stable
-fingerprints) → partition against the checked-in baseline.  Files that
-fail to parse yield a ``QL000`` syntax finding instead of crashing the
-run — a tree that does not parse cannot be certified.
+fingerprints).  Files that fail to parse yield a ``QL000`` syntax
+finding instead of crashing the run — a tree that does not parse cannot
+be certified.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any
 
 from .. import __version__ as PACKAGE_VERSION
-from .baseline import Baseline
 from .context import LintContext, SourceModule, relativize
 from .findings import (
     LINT_FORMAT_VERSION,
@@ -35,18 +34,12 @@ SYNTAX_RULE_ID = "QL000"
 
 @dataclass
 class LintRun:
-    """Outcome of one lint pass (before baseline partitioning)."""
+    """Outcome of one lint pass."""
 
     files: int
     findings: list[Finding] = field(default_factory=list)
     suppressed: list[Finding] = field(default_factory=list)
     rules: list[Rule] = field(default_factory=list)
-
-    def partition(self, baseline: Baseline) -> tuple[list[Finding], list[Finding]]:
-        """Split findings into (new, baselined)."""
-        new = [f for f in self.findings if not baseline.contains(f)]
-        old = [f for f in self.findings if baseline.contains(f)]
-        return new, old
 
 
 def collect_files(paths: list[Path]) -> list[Path]:
@@ -152,39 +145,24 @@ def _stamp_occurrences(findings: list[Finding]) -> list[Finding]:
 # -- rendering ----------------------------------------------------------------------
 
 
-def render_text(
-    run: LintRun,
-    new: list[Finding],
-    baselined: list[Finding],
-    *,
-    show_suppressed: bool = False,
-) -> str:
-    lines = [f.render() for f in new]
-    if baselined:
-        lines.extend(f"{f.render()} [baselined]" for f in baselined)
+def render_text(run: LintRun, *, show_suppressed: bool = False) -> str:
+    lines = [f.render() for f in run.findings]
     if show_suppressed:
         lines.extend(f"{f.render()} [suppressed]" for f in run.suppressed)
     lines.append(
-        f"qbss-lint: {len(new)} new, {len(baselined)} baselined, "
+        f"qbss-lint: {len(run.findings)} new, "
         f"{len(run.suppressed)} suppressed across {run.files} files"
     )
     return "\n".join(lines) + "\n"
 
 
-def render_json(
-    run: LintRun,
-    new: list[Finding],
-    baselined: list[Finding],
-    *,
-    show_suppressed: bool = False,
-) -> str:
+def render_json(run: LintRun, *, show_suppressed: bool = False) -> str:
     def encode(finding: Finding, status: str) -> dict[str, Any]:
         doc = finding.to_dict()
         doc["status"] = status
         return doc
 
-    findings = [encode(f, "new") for f in new]
-    findings += [encode(f, "baselined") for f in baselined]
+    findings = [encode(f, "new") for f in run.findings]
     if show_suppressed:
         findings += [encode(f, "suppressed") for f in run.suppressed]
     findings.sort(key=lambda d: (d["path"], d["line"], d["col"], d["rule"]))
@@ -202,8 +180,7 @@ def render_json(
         },
         "summary": {
             "files": run.files,
-            "new": len(new),
-            "baselined": len(baselined),
+            "new": len(run.findings),
             "suppressed": len(run.suppressed),
         },
         "findings": findings,

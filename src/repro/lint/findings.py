@@ -3,8 +3,8 @@
 A :class:`Finding` is one rule violation anchored at ``path:line:col``.
 Findings carry a *fingerprint* — a stable hash of the rule, file and the
 text of the offending line (plus an occurrence index for repeated
-identical lines) — so the checked-in baseline survives unrelated edits
-that only shift line numbers.
+identical lines) — so a SARIF alert keeps its identity across unrelated
+edits that only shift line numbers.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any
 
-#: Schema version of the JSON report and baseline documents.
-LINT_FORMAT_VERSION = 1
+#: Schema version of the JSON report.  Version 2 dropped the baseline:
+#: no ``baselined`` summary count or finding status.
+LINT_FORMAT_VERSION = 2
 
 #: ``kind`` of the JSON report document emitted by ``--format json``.
 REPORT_KIND = "qbss_lint_report"
-
-#: ``kind`` of the checked-in baseline document.
-BASELINE_KIND = "qbss_lint_baseline"
 
 SEVERITY_ERROR = "error"
 SEVERITY_WARNING = "warning"

@@ -1,6 +1,6 @@
 """Rule registry for qbss-lint.
 
-Each rule is a small AST visitor with a stable ID (``QL001`` …), a
+Each rule is a small AST visitor with a stable ID (``QL003`` …), a
 severity, and a one-paragraph rationale tying it to the project
 invariant it guards (see ``docs/static-analysis.md``).  Rules see one
 module at a time through :meth:`Rule.check_module` and may emit
@@ -11,7 +11,7 @@ been parsed.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from typing import ClassVar
 
 from ..context import LintContext, SourceModule
@@ -55,20 +55,12 @@ class Rule:
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, in ID order."""
     from ..concurrency import BlockingCallRule, LockDisciplineRule
-    from .ql001_determinism import DeterminismRule
-    from .ql002_registry import RegistryConformanceRule
     from .ql003_cache_purity import CachePurityRule
-    from .ql004_exceptions import ExceptionHygieneRule
     from .ql005_float_eq import FloatEqualityRule
-    from .ql006_versioned_io import VersionedIORule
 
     return [
-        DeterminismRule(),
-        RegistryConformanceRule(),
         CachePurityRule(),
-        ExceptionHygieneRule(),
         FloatEqualityRule(),
-        VersionedIORule(),
         LockDisciplineRule(),
         BlockingCallRule(),
     ]
@@ -90,11 +82,3 @@ def select_rules(
         rules = [r for r in rules if r.rule_id not in dropped]
     return rules
 
-
-def walk_functions(
-    tree: ast.AST,
-) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function/method definition in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node

@@ -1,12 +1,10 @@
 """SARIF 2.1.0 rendering for qbss-lint.
 
-One ``run`` per invocation, one ``result`` per finding.  Baselined
-findings are emitted with a ``suppressions`` entry (kind ``external``,
-the checked-in baseline) so GitHub code scanning shows them as
-suppressed instead of re-opening grandfathered alerts; inline-suppressed
-findings (``--show-suppressed``) use kind ``inSource``.  The engine's
-stable fingerprint rides along as a ``partialFingerprints`` key, which
-keeps alert identity stable under line-number drift.
+One ``run`` per invocation, one ``result`` per finding.
+Inline-suppressed findings (``--show-suppressed``) carry a
+``suppressions`` entry of kind ``inSource``.  The engine's stable
+fingerprint rides along as a ``partialFingerprints`` key, which keeps
+alert identity stable under line-number drift.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from .findings import Finding
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
-#: partialFingerprints key carrying the engine's baseline fingerprint.
+#: partialFingerprints key carrying the engine's finding fingerprint.
 FINGERPRINT_KEY = "qbssLintFingerprint/v1"
 
 _LEVELS = {"error": "error", "warning": "warning"}
@@ -65,15 +63,8 @@ def _result(finding: Finding, *, suppression: str | None) -> dict[str, Any]:
     return doc
 
 
-def render_sarif(
-    run: LintRun,
-    new: list[Finding],
-    baselined: list[Finding],
-    *,
-    show_suppressed: bool = False,
-) -> str:
-    results = [_result(f, suppression=None) for f in new]
-    results += [_result(f, suppression="external") for f in baselined]
+def render_sarif(run: LintRun, *, show_suppressed: bool = False) -> str:
+    results = [_result(f, suppression=None) for f in run.findings]
     if show_suppressed:
         results += [_result(f, suppression="inSource") for f in run.suppressed]
     results.sort(

@@ -8,10 +8,15 @@ from hypothesis import settings
 
 from repro.core import Instance, Job, PowerFunction, QBSSInstance, QJob
 
-#: ``--hypothesis-profile=ci``: ten times every oracle's example budget
-#: (``tests/_budget.py``) and no deadline, for the CI step that searches
-#: the near-EPS, 2^24-origin and forced-fallback families.
-settings.register_profile("ci", max_examples=1000, deadline=None)
+#: ``--hypothesis-profile=oracles``: ten times every oracle's example
+#: budget (``tests/_budget.py``), no deadline, and a fresh search each run,
+#: for the CI ``oracles`` job that searches the near-EPS, 2^24-origin and
+#: forced-fallback families.  It is not named ``ci``: with ``CI`` set,
+#: Hypothesis loads its own ``ci`` profile at import, and registering that
+#: name again would replace the active profile of every CI run.
+settings.register_profile(
+    "oracles", max_examples=1000, deadline=None, derandomize=False
+)
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -562,6 +563,41 @@ class TestRemoteLifecycle:
         (reader,) = readers
         assert reader.closed
         assert sock.fileno() == -1
+
+    def test_fail_link_mutates_the_link_under_its_lock(self):
+        """The driver and reader threads both retire links, so every field
+        ``_fail_link`` clears changes under ``link.lock``."""
+
+        class SpyLock:
+            held = False
+
+            def __enter__(self):
+                self.held = True
+
+            def __exit__(self, *exc_info):
+                self.held = False
+
+        guarded = {"sock", "reader", "alive", "pinned", "pending", "abandoned"}
+
+        class SpiedLink(_WorkerLink):
+            def __setattr__(self, name, value):
+                lock = getattr(self, "lock", None)
+                if name in guarded and isinstance(lock, SpyLock):
+                    assert lock.held, f"{name} mutated without link.lock"
+                super().__setattr__(name, value)
+
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(30.0)
+            link = SpiedLink(("127.0.0.1", 1))
+            handle: Future = Future()
+            link.sock, link.alive = a, True
+            link.pending = (1, handle, time.monotonic())
+            link.lock = SpyLock()
+            RemoteBackend(["127.0.0.1:1"])._fail_link(link, sock=a)
+            assert (link.sock, link.pending, link.alive) == (None, None, False)
+            assert handle.result(timeout=0)["kind"] == "crash"
+            assert b.recv(1) == b""  # the worker's end sees EOF
 
 
 class TestWorkerLifecycle:

@@ -12,6 +12,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import Future
+from concurrent.futures import process as cf_process
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -528,6 +529,44 @@ class TestEngineFaults:
             assert res.pool_rebuilds == 1
             assert not res.degraded
         assert res.retries >= 1
+
+    def test_rebuilt_pool_forks_after_the_broken_pools_manager_exits(
+        self, no_env_plan, monkeypatch
+    ):
+        """A child forked while the broken pool's manager thread still runs
+        can inherit a lock that thread holds.  Managers here linger after
+        their work, so a rebuild that does not join the old one forks with
+        it alive."""
+        real_run = cf_process._ExecutorManagerThread.run
+        real_shutdown = engine_runner._shutdown_pool
+        retired: list = []
+        stale: list = []
+        watching = True
+
+        def lingering_run(thread):
+            real_run(thread)
+            time.sleep(0.3)
+
+        def recording_shutdown(pool, kill=False):
+            retired.append(pool._executor_manager_thread)
+            real_shutdown(pool, kill)
+
+        def before_fork():
+            if watching:
+                stale.extend(t.name for t in retired if t and t.is_alive())
+
+        monkeypatch.setattr(cf_process._ExecutorManagerThread, "run", lingering_run)
+        monkeypatch.setattr(engine_runner, "_shutdown_pool", recording_shutdown)
+        os.register_at_fork(before=before_fork)  # cannot be unregistered
+        plan = FaultPlan(
+            (FaultSpec(task="lemma42", kind="crash", attempt=1, transient=True),)
+        )
+        try:
+            res = run_quiet(FIVE, jobs=2, cache=False, fault_plan=plan)
+        finally:
+            watching = False
+        assert res.pool_rebuilds == 1 and not res.errors
+        assert stale == []
 
     def test_deterministic_crash_on_two_of_five(self, tmp_path, no_env_plan):
         """The acceptance scenario: 2 crashed, 3 correct, structured records."""

@@ -1,5 +1,5 @@
-"""qbss-lint: fixture-based rule tests, suppression/baseline workflow,
-JSON schema stability, CLI exit codes, and the live-tree meta-test.
+"""qbss-lint: fixture-based rule tests, inline suppressions, fingerprints,
+JSON/SARIF schema stability, CLI exit codes, and the live-tree meta-test.
 
 Each rule has a checked-in bad fixture (must fire, with the right ID and
 position) and a good fixture (must stay silent) under
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Baseline, all_rules, lint_paths
+from repro.lint import all_rules, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import render_json
 from repro.lint.suppress import Suppressions
@@ -23,16 +23,10 @@ from repro.lint.suppress import Suppressions
 FIXTURES = Path(__file__).parent / "data" / "lint"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-RULE_IDS = [
-    "QL001",
-    "QL002",
-    "QL003",
-    "QL004",
-    "QL005",
-    "QL006",
-    "QL007",
-    "QL009",
-]
+RULE_IDS = ["QL003", "QL005", "QL007", "QL009"]
+
+#: Retired rule IDs: reserved, never reused, and a usage error to select.
+RETIRED_IDS = ["QL001", "QL002", "QL004", "QL006", "QL008", "QL010", "QL011"]
 
 
 def run_fixture(rule: str, flavor: str):
@@ -67,74 +61,6 @@ def test_good_fixture_is_clean(rule):
     run = run_fixture(rule, "good")
     hits = [f for f in run.findings if f.rule == rule]
     assert hits == [], f"{rule} good fixture flagged: {hits}"
-
-
-def test_ql001_flags_each_nondeterminism_source():
-    run = run_fixture("QL001", "bad")
-    messages = " | ".join(f.message for f in run.findings if f.rule == "QL001")
-    assert "time.time" in messages
-    assert "random.random" in messages
-    assert "numpy.random.rand" in messages
-
-
-def test_ql002_reports_both_violations():
-    run = run_fixture("QL002", "bad")
-    messages = [f.message for f in run.findings if f.rule == "QL002"]
-    assert any("keyword-only" in m for m in messages)
-    assert any("positional defaults" in m for m in messages)
-    assert any("accepts `*args`" in m for m in messages)
-
-
-def test_ql002_follows_module_function_references(tmp_path):
-    """The registry names runners by "module:function" string; the rule
-    checks the def a reference names, and flags a reference that is not
-    that shape or names no def in a linted module."""
-    write_tree(
-        tmp_path,
-        "repro/qbss/runners.py",
-        """
-        def tidy(qi, *, alpha=2.0):
-            return qi
-
-
-        def crummy(qi, extra):
-            return extra
-        """,
-    )
-    write_tree(
-        tmp_path,
-        "repro/qbss/registry.py",
-        """
-        ALGORITHMS = {
-            spec.name: spec
-            for spec in (
-                _spec("tidy", "repro.qbss.runners:tidy"),
-                _spec("crummy", runner="repro.qbss.runners:crummy"),
-                _spec("gone", "repro.qbss.runners:missing"),
-                _spec("dotted", "repro.qbss.runners.tidy"),
-                _spec("elsewhere", "numpy:sum"),
-            )
-        }
-        """,
-    )
-    run = lint_paths([tmp_path], root=tmp_path)
-    found = sorted((f.path, f.message) for f in run.findings if f.rule == "QL002")
-    assert [path for path, _ in found] == [
-        "repro/qbss/registry.py",
-        "repro/qbss/registry.py",
-        "repro/qbss/runners.py",
-    ]
-    messages = " | ".join(message for _, message in found)
-    assert "`crummy` has positional parameters after the instance (extra)" in messages
-    assert "names no function `missing` in repro.qbss.runners" in messages
-    assert "'repro.qbss.runners.tidy' is not 'module:function'" in messages
-
-
-def test_ql004_distinguishes_bare_and_swallowed():
-    run = run_fixture("QL004", "bad")
-    messages = [f.message for f in run.findings if f.rule == "QL004"]
-    assert any("bare `except:`" in m for m in messages)
-    assert any("without a bare `raise`" in m for m in messages)
 
 
 def test_ql005_is_conservative_about_name_comparisons(tmp_path):
@@ -243,28 +169,15 @@ def test_ql003_roots_include_session_execute(tmp_path):
 
 
 def test_planted_violations_fail_with_correct_ids(tmp_path, capsys):
-    scratch = write_tree(
+    write_tree(
         tmp_path,
         "repro/qbss/_scratch.py",
         """
         import os
-        import random
-        import time
-
-
-        def bad_algo(qi, extra, alpha=2.0):
-            return extra
-
-
-        ALGORITHMS = {"bad": bad_algo}
 
 
         def _bad_worker(task, attempt):
-            os.environ.get("HOME")
-            try:
-                return time.time(), random.random()
-            except:
-                return None
+            return os.environ.get("HOME")
 
 
         def run(tasks, execute_hardened):
@@ -276,8 +189,7 @@ def test_planted_violations_fail_with_correct_ids(tmp_path, capsys):
         "repro/bounds/_scratch.py",
         """
         def verdict(ratio):
-            doc = {"kind": "qbss", "ratio": ratio}
-            return ratio == 1.0 / 3.0, doc
+            return ratio == 1.0 / 3.0
         """,
     )
     write_tree(
@@ -311,13 +223,12 @@ def test_planted_violations_fail_with_correct_ids(tmp_path, capsys):
             conn.recv(1)
         """,
     )
-    code = lint_main([str(tmp_path), "--baseline", "none"])
+    code = lint_main([str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
     for rule in RULE_IDS:
         assert rule in out, f"{rule} missing from planted-violation output:\n{out}"
     # findings carry file:line:col anchors
-    assert f"{scratch}".split("/")[-1].replace(".py", "") or True
     for line in out.splitlines():
         if ": QL" in line:
             location = line.split(": QL")[0]
@@ -377,7 +288,7 @@ def test_suppression_of_other_rule_does_not_mask(tmp_path):
         "repro/bounds/v.py",
         """
         def verdict(r):
-            return r == 1.0  # qbss-lint: disable=QL001
+            return r == 1.0  # qbss-lint: disable=QL009
         """,
     )
     run = lint_paths([tmp_path], root=tmp_path)
@@ -402,71 +313,33 @@ def test_directive_inside_string_is_inert(tmp_path):
 
 def test_suppressions_scanner_shapes():
     supp = Suppressions.scan(
-        "x = 1  # qbss-lint: disable=QL001,QL005\n"
+        "x = 1  # qbss-lint: disable=QL003,QL005\n"
         "# qbss-lint: disable=all\n"
         "y = 2\n"
     )
-    assert supp.is_suppressed("QL001", 1)
+    assert supp.is_suppressed("QL003", 1)
     assert supp.is_suppressed("QL005", 1)
-    assert not supp.is_suppressed("QL002", 1)
-    assert supp.is_suppressed("QL002", 3)  # "all" on the next code line
+    assert not supp.is_suppressed("QL007", 1)
+    assert supp.is_suppressed("QL007", 3)  # "all" on the next code line
 
 
-# -- baseline -----------------------------------------------------------------------
+# -- fingerprints -------------------------------------------------------------------
 
 
-def test_baseline_roundtrip_and_diffing(tmp_path):
-    tree = tmp_path / "case"
+def test_fingerprint_survives_line_drift(tmp_path):
+    """SARIF alert identity keys on the fingerprint: shifting a finding's
+    line keeps it, and a second finding on an identical line gets its own."""
     write_tree(
-        tree,
+        tmp_path,
         "repro/bounds/v.py",
         """
         def verdict(r):
             return r == 1.0
         """,
     )
-    run = lint_paths([tree], root=tree)
-    assert len(run.findings) == 1
-
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.write(baseline_path, run.findings, justification="grandfathered")
-    baseline = Baseline.load(baseline_path)
-    new, old = run.partition(baseline)
-    assert new == [] and len(old) == 1
-
-    # A *different* finding in the same file is still new.
+    (before,) = lint_paths([tmp_path], root=tmp_path).findings
     write_tree(
-        tree,
-        "repro/bounds/v.py",
-        """
-        def verdict(r):
-            return r == 1.0
-
-
-        def verdict2(r):
-            return r != 2.5
-        """,
-    )
-    run2 = lint_paths([tree], root=tree)
-    new2, old2 = run2.partition(baseline)
-    assert len(old2) == 1 and len(new2) == 1
-
-
-def test_baseline_fingerprint_survives_line_drift(tmp_path):
-    tree = tmp_path / "case"
-    write_tree(
-        tree,
-        "repro/bounds/v.py",
-        """
-        def verdict(r):
-            return r == 1.0
-        """,
-    )
-    run = lint_paths([tree], root=tree)
-    baseline_path = tmp_path / "baseline.json"
-    Baseline.write(baseline_path, run.findings)
-    write_tree(
-        tree,
+        tmp_path,
         "repro/bounds/v.py",
         """
         # a new leading comment shifts every line number
@@ -474,20 +347,16 @@ def test_baseline_fingerprint_survives_line_drift(tmp_path):
         # so the fingerprint must survive.
         def verdict(r):
             return r == 1.0
+
+
+        def verdict2(r):
+            return r == 1.0
         """,
     )
-    run2 = lint_paths([tree], root=tree)
-    new, old = run2.partition(Baseline.load(baseline_path))
-    assert new == [] and len(old) == 1
-
-
-def test_malformed_baseline_is_a_usage_error(tmp_path, capsys):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"kind": "something_else", "version": 1}')
-    write_tree(tmp_path, "repro/bounds/v.py", "x = 1\n")
-    code = lint_main([str(tmp_path), "--baseline", str(bad)])
-    assert code == 2
-    assert "baseline" in capsys.readouterr().err
+    after = lint_paths([tmp_path], root=tmp_path).findings
+    assert [f.line for f in after] == [before.line + 3, before.line + 7]
+    assert after[0].fingerprint == before.fingerprint
+    assert after[1].fingerprint != before.fingerprint
 
 
 # -- JSON schema stability ----------------------------------------------------------
@@ -495,11 +364,11 @@ def test_malformed_baseline_is_a_usage_error(tmp_path, capsys):
 
 def test_json_report_schema_is_stable():
     run = run_fixture("QL005", "bad")
-    doc = json.loads(render_json(run, run.findings, []))
+    doc = json.loads(render_json(run))
     assert sorted(doc) == ["findings", "kind", "rules", "summary", "tool", "version"]
     assert doc["kind"] == "qbss_lint_report"
-    assert doc["version"] == 1
-    assert sorted(doc["summary"]) == ["baselined", "files", "new", "suppressed"]
+    assert doc["version"] == 2
+    assert sorted(doc["summary"]) == ["files", "new", "suppressed"]
     for finding in doc["findings"]:
         assert sorted(finding) == [
             "col",
@@ -511,7 +380,7 @@ def test_json_report_schema_is_stable():
             "severity",
             "status",
         ]
-        assert finding["status"] in ("new", "baselined", "suppressed")
+        assert finding["status"] in ("new", "suppressed")
     rule_meta = doc["rules"]["QL005"]
     assert sorted(rule_meta) == ["rationale", "severity", "title"]
 
@@ -529,7 +398,7 @@ def test_rule_catalog_is_complete_and_stable():
 
 def test_cli_exit_zero_on_clean_tree(tmp_path, capsys):
     write_tree(tmp_path, "repro/bounds/clean.py", "X = 1\n")
-    assert lint_main([str(tmp_path), "--baseline", "none"]) == 0
+    assert lint_main([str(tmp_path)]) == 0
     assert "0 new" in capsys.readouterr().out
 
 
@@ -542,25 +411,8 @@ def test_cli_exit_one_on_new_finding(tmp_path, capsys):
             return r == 1.0
         """,
     )
-    assert lint_main([str(tmp_path), "--baseline", "none"]) == 1
+    assert lint_main([str(tmp_path)]) == 1
     assert "QL005" in capsys.readouterr().out
-
-
-def test_cli_write_baseline_then_clean(tmp_path, capsys):
-    write_tree(
-        tmp_path,
-        "repro/bounds/v.py",
-        """
-        def verdict(r):
-            return r == 1.0
-        """,
-    )
-    baseline = tmp_path / "b.json"
-    assert lint_main([str(tmp_path), "--baseline", str(baseline), "--write-baseline"]) == 0
-    assert baseline.exists()
-    capsys.readouterr()
-    assert lint_main([str(tmp_path), "--baseline", str(baseline)]) == 0
-    assert "1 baselined" in capsys.readouterr().out
 
 
 def test_cli_select_and_ignore(tmp_path, capsys):
@@ -572,22 +424,25 @@ def test_cli_select_and_ignore(tmp_path, capsys):
             return r == 1.0
         """,
     )
-    assert lint_main([str(tmp_path), "--baseline", "none", "--select", "QL001"]) == 0
+    assert lint_main([str(tmp_path), "--select", "QL009"]) == 0
     capsys.readouterr()
-    assert lint_main([str(tmp_path), "--baseline", "none", "--ignore", "QL005"]) == 0
+    assert lint_main([str(tmp_path), "--ignore", "QL005"]) == 0
     capsys.readouterr()
-    assert lint_main([str(tmp_path), "--baseline", "none", "--select", "QL999"]) == 2
+    assert lint_main([str(tmp_path), "--select", "QL999"]) == 2
+    for rule in RETIRED_IDS:
+        assert lint_main([str(tmp_path), "--select", rule]) == 2, rule
+        assert f"unknown rule ids: {rule}" in capsys.readouterr().err
 
 
 def test_cli_missing_path_is_usage_error(tmp_path, capsys):
-    assert lint_main([str(tmp_path / "nope.py"), "--baseline", "none"]) == 2
+    assert lint_main([str(tmp_path / "nope.py")]) == 2
 
 
 def test_cli_json_output_to_file(tmp_path):
     write_tree(tmp_path, "repro/bounds/clean.py", "X = 1\n")
     out = tmp_path / "report.json"
     code = lint_main(
-        [str(tmp_path), "--baseline", "none", "--format", "json", "--output", str(out)]
+        [str(tmp_path), "--format", "json", "--output", str(out)]
     )
     assert code == 0
     doc = json.loads(out.read_text())
@@ -605,7 +460,7 @@ def test_cli_sarif_output_schema(tmp_path):
     )
     out = tmp_path / "report.sarif"
     code = lint_main(
-        [str(tmp_path), "--baseline", "none", "--format", "sarif", "--output", str(out)]
+        [str(tmp_path), "--format", "sarif", "--output", str(out)]
     )
     assert code == 1
     doc = json.loads(out.read_text())
@@ -624,23 +479,20 @@ def test_cli_sarif_output_schema(tmp_path):
     assert "suppressions" not in result
 
 
-def test_cli_sarif_marks_baselined_as_suppressed(tmp_path):
+def test_cli_sarif_marks_inline_suppressed_in_source(tmp_path):
     write_tree(
         tmp_path,
         "repro/bounds/v.py",
         """
         def verdict(r):
-            return r == 1.0
+            return r == 1.0  # qbss-lint: disable=QL005
         """,
     )
-    baseline = tmp_path / "b.json"
-    assert lint_main([str(tmp_path), "--baseline", str(baseline), "--write-baseline"]) == 0
     out = tmp_path / "report.sarif"
     code = lint_main(
         [
             str(tmp_path),
-            "--baseline",
-            str(baseline),
+            "--show-suppressed",
             "--format",
             "sarif",
             "--output",
@@ -649,10 +501,9 @@ def test_cli_sarif_marks_baselined_as_suppressed(tmp_path):
     )
     assert code == 0
     doc = json.loads(out.read_text())
-    result = next(
-        r for r in doc["runs"][0]["results"] if r["ruleId"] == "QL005"
-    )
-    assert result["suppressions"] == [{"kind": "external"}]
+    (result,) = doc["runs"][0]["results"]
+    assert result["ruleId"] == "QL005"
+    assert result["suppressions"] == [{"kind": "inSource"}]
 
 
 def _git(tmp_path, *args):
@@ -687,7 +538,7 @@ def test_cli_changed_scopes_report_to_touched_files(tmp_path, monkeypatch, capsy
     write_tree(tmp_path, "repro/bounds/old.py", bad + "\nX = 1\n")
     write_tree(tmp_path, "repro/bounds/fresh.py", bad)
     monkeypatch.chdir(tmp_path)
-    code = lint_main(["repro", "--baseline", "none", "--changed", "HEAD"])
+    code = lint_main(["repro", "--changed", "HEAD"])
     out = capsys.readouterr().out
     assert code == 1
     assert "old.py" in out
@@ -699,10 +550,7 @@ def test_cli_changed_with_bad_ref_is_usage_error(tmp_path, monkeypatch, capsys):
     write_tree(tmp_path, "repro/bounds/clean.py", "X = 1\n")
     _git(tmp_path, "init", "-q")
     monkeypatch.chdir(tmp_path)
-    assert (
-        lint_main(["repro", "--baseline", "none", "--changed", "no-such-ref"])
-        == 2
-    )
+    assert lint_main(["repro", "--changed", "no-such-ref"]) == 2
 
 
 def test_cli_list_rules(capsys):
@@ -721,7 +569,7 @@ def test_console_script_entry_point():
         env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
     )
     assert proc.returncode == 0
-    assert "QL001" in proc.stdout
+    assert "QL003" in proc.stdout
 
 
 def test_syntax_error_becomes_ql000(tmp_path):
@@ -733,27 +581,9 @@ def test_syntax_error_becomes_ql000(tmp_path):
 # -- live-tree meta-test (acceptance criterion) -------------------------------------
 
 
-def test_live_tree_is_lint_clean_modulo_baseline():
-    """`qbss-lint src/repro` has no new findings on the committed tree."""
-    src = REPO_ROOT / "src" / "repro"
-    baseline_path = REPO_ROOT / ".qbss-lint-baseline.json"
-    run = lint_paths([src], root=REPO_ROOT)
-    baseline = Baseline.load(baseline_path)
-    new, baselined = run.partition(baseline)
-    assert new == [], "new lint findings in the live tree:\n" + "\n".join(
-        f.render() for f in new
+def test_live_tree_is_lint_clean():
+    """`qbss-lint src/repro` has no findings on the committed tree."""
+    run = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    assert run.findings == [], "lint findings in the live tree:\n" + "\n".join(
+        f.render() for f in run.findings
     )
-    # The baseline stays short and every entry is justified.
-    assert len(baseline.entries) <= 5
-    for entry in baseline.entries.values():
-        assert entry.justification.strip(), f"unjustified baseline entry {entry}"
-
-
-def test_live_baseline_entries_all_still_exist():
-    """Baseline entries must die with the finding they grandfather."""
-    src = REPO_ROOT / "src" / "repro"
-    run = lint_paths([src], root=REPO_ROOT)
-    live = {f.fingerprint for f in run.findings}
-    baseline = Baseline.load(REPO_ROOT / ".qbss-lint-baseline.json")
-    stale = set(baseline.entries) - live
-    assert not stale, f"baseline entries no longer needed: {stale}"

@@ -4,13 +4,12 @@ Each row of :data:`AUDIT` plants one bug into a copy of ``src/`` and
 names the defence that catches it:
 
 - a qbss-lint rule id -- the rule reports the bug in the row's file;
-- a list of pytest node ids -- run against the planted copy, they fail;
-- ``None`` -- a known gap that nothing catches (anchor-checked only).
+- a list of pytest node ids -- run against the planted copy, they fail.
 
-A flow-layer rule stays in qbss-lint only while a row shows it catching
-a bug that nothing else catches; a bug class the runtime suites already
-catch needs no rule.  ``docs/static-analysis.md`` ("The mutation audit")
-summarizes the table.
+A rule stays in qbss-lint only while a row shows it catching a bug that
+nothing else catches; a bug class the runtime suites already catch needs
+no rule.  :data:`RETIRED` names the rows that retired each rule.
+``docs/static-analysis.md`` ("The mutation audit") summarizes the table.
 """
 
 import os
@@ -22,7 +21,7 @@ from typing import NamedTuple
 
 import pytest
 
-from repro.lint import lint_paths
+from repro.lint import all_rules, lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -33,11 +32,8 @@ class Row(NamedTuple):
     path: str  # under src/
     old: str  # occurs exactly once in the live file
     new: str
-    catcher: str | list[str] | None
+    catcher: str | list[str]
 
-
-OAQ_KEYWORD_ONLY = "    qinstance: QBSSInstance,\n    *,\n    query_policy:"
-OAQ_POSITIONAL = "    qinstance: QBSSInstance,\n    query_policy:"
 
 AUDIT = [
     # RateLimiter.allow mutates its buckets without the lock.
@@ -62,7 +58,10 @@ AUDIT = [
         "repro/engine/backends/remote.py",
         "with link.lock:\n            if sock is not None and link.sock is not sock:",
         "if True:\n            if sock is not None and link.sock is not sock:",
-        None,
+        [
+            "tests/test_backends.py::TestRemoteLifecycle"
+            "::test_fail_link_mutates_the_link_under_its_lock"
+        ],
     ),
     # submit_payload takes queue._cond, then registry.lock: the inverse of
     # the registry.lock -> queue._cond order queue.depth already implies.
@@ -179,22 +178,13 @@ AUDIT = [
     ),
     # A registered runner takes a positional parameter past the instance
     # (oaq without its ``*``): run_algorithm's keywords still reach it,
-    # but a positional call no longer fails.  The registry names runners
-    # by "module:function" string, which QL002 must follow to the def.
-    # Rows 15 and 16 plant the same bug: the rule and the runtime
-    # signature tests both catch it.
-    Row(
-        15,
-        "repro/qbss/oaq.py",
-        OAQ_KEYWORD_ONLY,
-        OAQ_POSITIONAL,
-        "QL002",
-    ),
+    # but a positional call no longer fails.  The runtime signature tests
+    # catch it, so QL002 (registry conformance) and its lint row 15 went.
     Row(
         16,
         "repro/qbss/oaq.py",
-        OAQ_KEYWORD_ONLY,
-        OAQ_POSITIONAL,
+        "    qinstance: QBSSInstance,\n    *,\n    query_policy:",
+        "    qinstance: QBSSInstance,\n    query_policy:",
         [
             "tests/test_algorithms_registry.py::TestRegistry"
             "::test_uniform_signatures_keyword_only",
@@ -202,10 +192,106 @@ AUDIT = [
             "::test_too_many_positionals_is_a_type_error[oaq]",
         ],
     ),
+    # Rows 17-19 are QL001's bug class (determinism): a replayed path
+    # reads a seedless RNG or the wall clock.
+    # RetryPolicy.delay draws its jitter from an unseeded Random.
+    Row(
+        17,
+        "repro/engine/faults.py",
+        'rng = random.Random(f"{self.jitter_seed}:{task}:{attempt}")',
+        "rng = random.Random()",
+        [
+            "tests/test_faults.py::TestRetryPolicy"
+            "::test_delay_is_deterministic_per_task_and_attempt"
+        ],
+    ),
+    # RandomizedQuery ignores its seed.
+    Row(
+        18,
+        "repro/qbss/policies.py",
+        "else np.random.default_rng(rng)",
+        "else np.random.default_rng()",
+        [
+            "tests/test_policies_decisions.py::TestQueryPolicies"
+            "::test_randomized_seeded_reproducible"
+        ],
+    ),
+    # A shard's payload stamps the wall clock.
+    Row(
+        19,
+        "repro/traces/replay.py",
+        '        "rows": rows,\n        "status": "ok",',
+        '        "rows": rows,\n'
+        '        "evaluated_at": time.time(),\n'
+        '        "status": "ok",',
+        [
+            "tests/test_traces.py"
+            "::test_replay_parallel_and_cached_are_byte_identical"
+        ],
+    ),
+    # QL004's bug class (exception hygiene): run_guarded swallows
+    # KeyboardInterrupt and SystemExit as failure outcomes.
+    Row(
+        20,
+        "repro/engine/faults.py",
+        "        if not isinstance(exc, Exception):\n"
+        "            raise  # KeyboardInterrupt / SystemExit must propagate\n",
+        "",
+        [
+            "tests/test_faults.py::TestExecuteBaseException"
+            "::test_keyboard_interrupt_propagates",
+            "tests/test_faults.py::TestExecuteBaseException"
+            "::test_system_exit_propagates",
+            "tests/test_faults.py::TestEvaluateShardTaskBaseException"
+            "::test_keyboard_interrupt_propagates",
+            "tests/test_faults.py::TestEvaluateShardTaskBaseException"
+            "::test_system_exit_propagates",
+        ],
+    ),
+    # Rows 21 and 22 are QL006's bug class (versioned IO): a document
+    # envelope without its version.
+    Row(
+        21,
+        "repro/io.py",
+        '        "version": FORMAT_VERSION,\n        "kind": "qbss",',
+        '        "kind": "qbss",',
+        ["tests/test_io.py::test_qbss_instance_roundtrip"],
+    ),
+    Row(
+        22,
+        "repro/traces/replay.py",
+        '"version": REPLAY_FORMAT_VERSION,\n            "kind": "trace_replay_report",',
+        '"kind": "trace_replay_report",',
+        [
+            "tests/test_traces.py::test_replay_report_io_round_trip",
+            "tests/test_replay_cli.py::test_replay_cli_output_round_trips",
+        ],
+    ),
+    # Lemma 4.2's verdict compares its ratio exactly: the "achieved"
+    # column would flip on harmless roundoff, and no test notices.
+    Row(
+        23,
+        "repro/analysis/experiments.py",
+        "val >= claimed * (1 - 1e-9)",
+        "val / claimed == 1.0",
+        "QL005",
+    ),
 ]
 
 LINT_ROWS = [row for row in AUDIT if isinstance(row.catcher, str)]
 RUNTIME_ROWS = [row for row in AUDIT if isinstance(row.catcher, list)]
+
+#: Retired rule id -> the runtime rows that catch its bug class.  The ids
+#: stay reserved: never reused, and selecting one is a usage error.
+RETIRED = {
+    "QL001": (17, 18, 19),
+    "QL002": (16,),
+    "QL004": (20,),
+    "QL006": (21, 22),
+    "QL008": (4,),
+    "QL010": (10, 11, 12),
+    "QL011": (5, 6, 7, 8, 9),
+}
 
 #: Rows whose catcher tests pass while the session watcher
 #: (``tests/conftest.py``) fails the run at teardown, and what it raises.
@@ -234,10 +320,20 @@ def test_anchor_matches_live_tree_once(row):
     assert text.count(row.old) == 1
 
 
+def test_every_rule_is_the_only_catcher_of_a_row():
+    """Each kept rule has a lint row; each retired one has runtime rows."""
+    assert {row.catcher for row in LINT_ROWS} == {r.rule_id for r in all_rules()}
+    by_id = {row.id: row for row in AUDIT}
+    assert len(by_id) == len(AUDIT)
+    for rule, rows in RETIRED.items():
+        assert rows and all(by_id[i] in RUNTIME_ROWS for i in rows), rule
+    assert not set(RETIRED) & {r.rule_id for r in all_rules()}
+
+
 def test_lint_rows_are_caught_by_their_rule(tmp_path):
-    """Rows 1, 2, 13, 14 and 15 sit in five files: one lint pass covers them.
+    """Rows 1, 2, 13, 14 and 23 sit in five files: one lint pass covers them.
     The live tree has no finding of these rules in these files
-    (``test_lint.py::test_live_tree_is_lint_clean_modulo_baseline``)."""
+    (``test_lint.py::test_live_tree_is_lint_clean``)."""
     assert len({row.path for row in LINT_ROWS}) == len(LINT_ROWS)
     src = planted_copy(tmp_path, *LINT_ROWS)
     run = lint_paths([src / "repro"], root=tmp_path)

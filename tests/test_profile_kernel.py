@@ -205,6 +205,7 @@ class TestKernelEqualsReference:
 
     @given(segs=breakpoint_profiles(), lo=queries, hi=queries)
     @settings(max_examples=examples(100), deadline=None)
+    @example(segs=[Segment(-1.0, 1.0, 1.0)], lo=-0.0, hi=0.5)  # clipped to -0.0
     def test_restrict(self, segs, lo, hi):
         k, r = both_modes(segs, lambda p: profile_bits(p.restrict(lo, hi)))
         assert k == r
@@ -223,6 +224,20 @@ class TestKernelEqualsReference:
             [Segment(0.5, 2.0, 1e-310), Segment(2.0, 3.0, 1e-4)],
             [Segment(0.25, 3.0, 2.0)],
             [Segment(0.75, 1.5, 5e-324)],
+        ]
+    )
+    @example(  # 0.0 and -0.0 start equal segments: np.unique and set() differ
+        many=[
+            [Segment(0.0, 1.0, 1.0)],
+            [Segment(-0.0, 1.0, 1.0)],
+            [Segment(-1.0, -0.5, 1.0)],
+        ]
+    )
+    @example(  # ... in either order
+        many=[
+            [Segment(-0.0, 1.0, 1.0)],
+            [Segment(0.0, 1.0, 1.0)],
+            [Segment(-1.0, -0.5, 1.0)],
         ]
     )
     def test_sum_and_max_profiles(self, many):
