@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         while True:
             # Untimed accept() is deliberate: PEP 475 makes it
             # signal-interruptible, and SIGTERM above raises SystemExit.
-            conn, peer_addr = server.accept()  # qbss-lint: disable=QL009
+            conn, peer_addr = server.accept()
             peer = f"{peer_addr[0]}:{peer_addr[1]}"
             _log(f"driver connected from {peer}")
             if _serve_connection(conn, peer, store):

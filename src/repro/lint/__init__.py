@@ -10,21 +10,19 @@ ID   Contract
 ==== =========================================================
 QL003 cache-key purity — no ambient reads in worker bodies
 QL005 float equality — ``math.isclose`` in verdict code
-QL007 lock discipline — guarded state mutates only under the lock
-QL009 blocking-call hygiene — no unbounded blocking on main
 ==== =========================================================
 
 Each rule keeps its place by catching a planted bug that no runtime
-test catches (``tests/test_mutation_audit.py``).  QL007 and QL009 share
-the project-wide call-graph / attribute-flow layer in
-:mod:`repro.lint.flow`.  Retired rule IDs stay reserved and are never
-reused (see ``docs/static-analysis.md``).  Lock order is checked at
-runtime instead: the :mod:`repro.obs.lockwatch` sanitizer watches every
-lock built through its seam in every test session.
+test catches (``tests/test_mutation_audit.py``).  Retired rule IDs stay
+reserved and are never reused (see ``docs/static-analysis.md``).  Lock
+discipline, lock order and signal delivery are checked at runtime
+instead: lock spies and a signal test hold the audit's rows, and the
+:mod:`repro.obs.lockwatch` sanitizer watches every lock built through
+its seam in every test session.
 
 Use the ``qbss-lint`` console script (see ``docs/static-analysis.md``)
 or the :func:`lint_paths` API.  An inline suppression
-(``# qbss-lint: disable=QL009``) handles the rare justified exception.
+(``# qbss-lint: disable=QL005``) handles the rare justified exception.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qbss-lint",
         description=(
             "AST-based invariant linter for the QBSS reproduction: "
-            "cache-key purity (QL003), float equality (QL005), lock "
-            "discipline (QL007) and blocking-call hygiene (QL009)."
+            "cache-key purity (QL003) and float equality (QL005)."
         ),
     )
     parser.add_argument(

@@ -1,8 +1,8 @@
 """Parsed-source context shared by the lint rules.
 
-``qbss-lint`` is a *project* linter: several rules (cache purity, lock
-discipline) need to see every module at once, so the engine parses the
-whole tree into :class:`SourceModule` objects up front and hands rules a
+``qbss-lint`` is a *project* linter: QL003 (cache purity) follows calls
+across modules, so the engine parses the whole tree into
+:class:`SourceModule` objects up front and hands rules a
 :class:`LintContext` with the lot.
 
 :class:`ImportMap` resolves local names back to their dotted origins
@@ -16,10 +16,6 @@ import ast
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .flow import ProjectFlow
 
 
 def derive_module_name(path: Path) -> str:
@@ -147,16 +143,6 @@ class LintContext:
 
     def __post_init__(self) -> None:
         self.by_name: dict[str, SourceModule] = {m.module: m for m in self.modules}
-        self._flow: ProjectFlow | None = None
 
     def get(self, module_name: str) -> SourceModule | None:
         return self.by_name.get(module_name)
-
-    @property
-    def flow(self) -> ProjectFlow:
-        """Lazily built shared call-graph / attribute-flow index."""
-        from .flow import ProjectFlow
-
-        if self._flow is None:
-            self._flow = ProjectFlow(self)
-        return self._flow

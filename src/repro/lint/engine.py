@@ -71,7 +71,7 @@ def lint_paths(
 
     ``restrict`` (``--changed``) filters the *reported* findings to the
     given relative paths.  The whole tree is still parsed and analyzed —
-    the cross-module rules need full project context — so a change in
+    QL003 follows calls across modules — so a change in
     one file that breaks an invariant anchored in it is still caught,
     while pre-existing findings elsewhere stay out of the report.
     """

@@ -54,16 +54,10 @@ class Rule:
 
 def all_rules() -> list[Rule]:
     """Fresh instances of every registered rule, in ID order."""
-    from ..concurrency import BlockingCallRule, LockDisciplineRule
     from .ql003_cache_purity import CachePurityRule
     from .ql005_float_eq import FloatEqualityRule
 
-    return [
-        CachePurityRule(),
-        FloatEqualityRule(),
-        LockDisciplineRule(),
-        BlockingCallRule(),
-    ]
+    return [CachePurityRule(), FloatEqualityRule()]
 
 
 def select_rules(

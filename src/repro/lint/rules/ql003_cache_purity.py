@@ -20,11 +20,58 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 
 from ..context import LintContext, SourceModule
-from ..flow import GENERIC_ATTRS
 from ..findings import Finding
 from . import Rule
 
 FuncKey = tuple[str, str]  # (module name, function name)
+
+#: Attribute-call names too generic to traverse by name alone (dict.get,
+#: list.append, ...) -- following them would connect every function to
+#: every other one.
+GENERIC_ATTRS = {
+    "get",
+    "put",
+    "keys",
+    "items",
+    "values",
+    "update",
+    "append",
+    "extend",
+    "pop",
+    "add",
+    "close",
+    "join",
+    "write",
+    "read",
+    "copy",
+    "sort",
+    "index",
+    "count",
+    "format",
+    "split",
+    "strip",
+    "mean",
+    "sum",
+    "encode",
+    "decode",
+    "submit",
+    "result",
+    "cancel",
+    "done",
+    "lower",
+    "upper",
+    "startswith",
+    "endswith",
+    "exists",
+    "mkdir",
+    "resolve",
+    "to_dict",
+    "from_dict",
+    "dumps",
+    "loads",
+    "popleft",
+    "setdefault",
+}
 
 
 class CachePurityRule(Rule):

@@ -2,7 +2,7 @@
 
 Three forms, all comments:
 
-- ``# qbss-lint: disable=QL009`` (or ``QL005,QL009`` or ``all``) trailing
+- ``# qbss-lint: disable=QL005`` (or ``QL003,QL005`` or ``all``) trailing
   on the flagged line suppresses those rules on that line;
 - the same directive on a line of its own suppresses the *next* line
   (for lines too long to carry a trailing comment);

@@ -261,21 +261,25 @@ def _run_daemon(
         sig: signal.signal(sig, _on_signal)
         for sig in (signal.SIGTERM, signal.SIGINT)
     }
-    # Readiness means ready: the shard-evaluation path is imported before
-    # the port file announces the daemon, not inside its first request.
-    load_evaluation(server.config.algorithms)
-    server.start()
-    bound = f"{server.config.host}:{server.port}"
-    if port_file:
-        write_port_file(port_file, bound)
-    print(
-        f"qbss-serve {PACKAGE_VERSION} listening on http://{bound} "
-        f"(queue limit {server.queue.max_jobs} jobs, "
-        f"pool {server.session.pool_jobs})",
-        file=sys.stderr,
-        flush=True,
-    )
+    # Everything from here on runs inside the try: once server.start()
+    # has launched its non-daemon threads, only the drain and stop below
+    # let the process exit, whatever fails.
     try:
+        # Readiness means ready: the shard-evaluation path is imported
+        # before the port file announces the daemon, not inside its
+        # first request.
+        load_evaluation(server.config.algorithms)
+        server.start()
+        bound = f"{server.config.host}:{server.port}"
+        if port_file:
+            write_port_file(port_file, bound)
+        print(
+            f"qbss-serve {PACKAGE_VERSION} listening on http://{bound} "
+            f"(queue limit {server.queue.max_jobs} jobs, "
+            f"pool {server.session.pool_jobs})",
+            file=sys.stderr,
+            flush=True,
+        )
         # Poll-wait instead of a bare wait(): the OS may deliver the
         # signal to a non-main thread, and a main thread parked in an
         # untimed lock acquire never reaches the bytecode boundary where
@@ -283,21 +287,24 @@ def _run_daemon(
         # handler latency at half a second.
         while not stop.wait(0.5):
             pass
+    except OSError as exc:
+        print(f"qbss-serve: error: {exc}", file=sys.stderr, flush=True)
+        return 1
+    finally:
         server.begin_drain()
         drained = server.drain(drain_timeout)
         server.stop()
-        if not drained:
-            print(
-                f"qbss-serve: drain timed out after {drain_timeout}s",
-                file=sys.stderr,
-                flush=True,
-            )
-            return 1
-        print("qbss-serve: drained cleanly, bye", file=sys.stderr, flush=True)
-        return 0
-    finally:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
+    if not drained:
+        print(
+            f"qbss-serve: drain timed out after {drain_timeout}s",
+            file=sys.stderr,
+            flush=True,
+        )
+        return 1
+    print("qbss-serve: drained cleanly, bye", file=sys.stderr, flush=True)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

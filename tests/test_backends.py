@@ -22,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-import repro
 from repro.core.qjob import QJob
 from repro.engine import (
     Backend,
@@ -48,9 +47,7 @@ from repro.engine.backends.remote import (
 from repro.engine.faults import FAULT_PLAN_ENV
 from repro.traces.replay import replay_jobs
 
-#: The ``src/`` of the repro package under test (a planted copy in the
-#: mutation audit), which the worker subprocesses must run too.
-SRC_UNDER_TEST = Path(repro.__file__).resolve().parents[1]
+from _testutil import SRC_UNDER_TEST, SpyLock
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.001, backoff_cap=0.01)
 
 
@@ -567,16 +564,6 @@ class TestRemoteLifecycle:
     def test_fail_link_mutates_the_link_under_its_lock(self):
         """The driver and reader threads both retire links, so every field
         ``_fail_link`` clears changes under ``link.lock``."""
-
-        class SpyLock:
-            held = False
-
-            def __enter__(self):
-                self.held = True
-
-            def __exit__(self, *exc_info):
-                self.held = False
-
         guarded = {"sock", "reader", "alive", "pinned", "pending", "abandoned"}
 
         class SpiedLink(_WorkerLink):

@@ -18,15 +18,17 @@ import pytest
 from repro.lint import all_rules, lint_paths
 from repro.lint.cli import main as lint_main
 from repro.lint.engine import render_json
-from repro.lint.suppress import Suppressions
+from repro.lint.suppress import ALL, Suppressions
 
 FIXTURES = Path(__file__).parent / "data" / "lint"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-RULE_IDS = ["QL003", "QL005", "QL007", "QL009"]
+RULE_IDS = ["QL003", "QL005"]
 
 #: Retired rule IDs: reserved, never reused, and a usage error to select.
-RETIRED_IDS = ["QL001", "QL002", "QL004", "QL006", "QL008", "QL010", "QL011"]
+RETIRED_IDS = [
+    "QL001", "QL002", "QL004", "QL006", "QL007", "QL008", "QL009", "QL010", "QL011"
+]
 
 
 def run_fixture(rule: str, flavor: str):
@@ -75,40 +77,6 @@ def test_ql005_is_conservative_about_name_comparisons(tmp_path):
     )
     run = lint_paths([tmp_path], root=tmp_path)
     assert [f for f in run.findings if f.rule == "QL005"] == []
-
-
-def test_ql007_names_class_attr_and_method():
-    run = run_fixture("QL007", "bad")
-    messages = [f.message for f in run.findings if f.rule == "QL007"]
-    assert any("Tally.count" in m and "`bump`" in m for m in messages)
-
-
-def test_ql009_flags_each_blocking_shape():
-    run = run_fixture("QL009", "bad")
-    messages = " | ".join(f.message for f in run.findings if f.rule == "QL009")
-    assert "Event.wait()" in messages
-    assert "Condition.wait()" in messages
-    assert "socket.accept()" in messages
-
-
-def test_ql009_ignores_worker_only_threads(tmp_path):
-    """The same untimed wait is fine off the main thread."""
-    write_tree(
-        tmp_path,
-        "repro/serve/bg.py",
-        """
-        import threading
-
-        def _loop(done):
-            done.wait()
-
-        def main():
-            done = threading.Event()
-            threading.Thread(target=_loop, args=(done,)).start()
-        """,
-    )
-    run = lint_paths([tmp_path], root=tmp_path)
-    assert [f for f in run.findings if f.rule == "QL009"] == []
 
 
 # -- QL003: no environment read is sanctioned --------------------------------------
@@ -192,37 +160,6 @@ def test_planted_violations_fail_with_correct_ids(tmp_path, capsys):
             return ratio == 1.0 / 3.0
         """,
     )
-    write_tree(
-        tmp_path,
-        "repro/serve/_scratch.py",
-        """
-        import socket
-        import threading
-
-
-        class Gauge:
-            def __init__(self):
-                self._lock = threading.Lock()
-                self.total = 0
-
-            def bump(self):
-                self.total += 1
-
-
-        def _feed(gauge: Gauge) -> None:
-            gauge.bump()
-
-
-        def main():
-            gauge = Gauge()
-            threading.Thread(target=_feed, args=(gauge,)).start()
-            gauge.bump()
-            done = threading.Event()
-            done.wait()
-            conn = socket.create_connection(("localhost", 1))
-            conn.recv(1)
-        """,
-    )
     code = lint_main([str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 1
@@ -288,7 +225,7 @@ def test_suppression_of_other_rule_does_not_mask(tmp_path):
         "repro/bounds/v.py",
         """
         def verdict(r):
-            return r == 1.0  # qbss-lint: disable=QL009
+            return r == 1.0  # qbss-lint: disable=QL003
         """,
     )
     run = lint_paths([tmp_path], root=tmp_path)
@@ -314,13 +251,14 @@ def test_directive_inside_string_is_inert(tmp_path):
 def test_suppressions_scanner_shapes():
     supp = Suppressions.scan(
         "x = 1  # qbss-lint: disable=QL003,QL005\n"
+        "w = 0  # qbss-lint: disable=QL005\n"
         "# qbss-lint: disable=all\n"
         "y = 2\n"
     )
     assert supp.is_suppressed("QL003", 1)
     assert supp.is_suppressed("QL005", 1)
-    assert not supp.is_suppressed("QL007", 1)
-    assert supp.is_suppressed("QL007", 3)  # "all" on the next code line
+    assert not supp.is_suppressed("QL003", 2)
+    assert supp.is_suppressed("QL003", 4)  # "all" on the next code line
 
 
 # -- fingerprints -------------------------------------------------------------------
@@ -424,7 +362,7 @@ def test_cli_select_and_ignore(tmp_path, capsys):
             return r == 1.0
         """,
     )
-    assert lint_main([str(tmp_path), "--select", "QL009"]) == 0
+    assert lint_main([str(tmp_path), "--select", "QL003"]) == 0
     capsys.readouterr()
     assert lint_main([str(tmp_path), "--ignore", "QL005"]) == 0
     capsys.readouterr()
@@ -579,6 +517,19 @@ def test_syntax_error_becomes_ql000(tmp_path):
 
 
 # -- live-tree meta-test (acceptance criterion) -------------------------------------
+
+
+def test_live_tree_suppressions_name_live_rules():
+    """Every directive under ``src/repro`` names ``all`` or a rule that
+    runs, so a retired ID cannot linger in one."""
+    live = {rule.rule_id for rule in all_rules()} | {ALL}
+    stale = {}
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        supp = Suppressions.scan(path.read_text(encoding="utf-8"))
+        named = supp.file_wide.union(*supp.by_line.values())
+        if named - live:
+            stale[path.relative_to(REPO_ROOT).as_posix()] = sorted(named - live)
+    assert stale == {}
 
 
 def test_live_tree_is_lint_clean():

@@ -8,7 +8,10 @@ before tearing down — the same lifecycle the CLI drives on SIGTERM.
 
 import json
 import math
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -39,6 +42,8 @@ from repro.serve.protocol import (
     encode_jsonl,
 )
 from repro.traces.replay import replay_trace
+
+from _testutil import SRC_UNDER_TEST, SpyLock
 
 QUICK = RetryPolicy(max_attempts=2, backoff_base=0.001, backoff_cap=0.01)
 
@@ -557,6 +562,20 @@ class TestRateLimiter:
         assert RateLimiter(5.0).burst == 5.0
         assert RateLimiter(0.25).burst == 1.0
 
+    def test_allow_sweeps_and_charges_under_the_lock(self):
+        """HTTP handler threads share one limiter, so ``allow`` evicts and
+        charges buckets only under ``_lock``."""
+
+        class SpiedLimiter(RateLimiter):
+            def _sweep(self, now):
+                assert self._lock.held, "_sweep ran without RateLimiter._lock"
+                super()._sweep(now)
+
+        limiter = SpiedLimiter(rate=1.0, burst=2.0, clock=lambda: 0.0)
+        limiter._lock = SpyLock()
+        assert limiter.allow("c", 2)
+        assert not limiter.allow("c", 1)
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             RateLimiter(0.0)
@@ -977,6 +996,30 @@ class TestStdinMode:
 
 # -- the serve CLI parser -----------------------------------------------------------
 
+#: Runs ``qbss-serve`` in this interpreter; once its port file exists, a
+#: helper thread sends SIGTERM to itself, not to the main thread.
+SIGTERM_OFF_MAIN = """
+import signal, sys, threading, time
+from pathlib import Path
+
+from repro.serve.cli import main
+
+port_file = Path(sys.argv[1])
+
+
+def kick():
+    while not port_file.exists():
+        time.sleep(0.01)
+    # Let the main thread reach its wait: a signal handled before it gets
+    # there sets the stop event and would hide an untimed wait.
+    time.sleep(0.5)
+    signal.pthread_kill(threading.get_ident(), signal.SIGTERM)
+
+
+threading.Thread(target=kick, daemon=True).start()
+sys.exit(main(["--bind", "127.0.0.1:0", "--port-file", str(port_file), "--no-cache"]))
+"""
+
 
 class TestServeCli:
     def test_parse_bind(self):
@@ -1019,6 +1062,59 @@ class TestServeCli:
         with pytest.raises(SystemExit) as excinfo:
             _config_from_args(parser, parser.parse_args(argv))
         assert excinfo.value.code == 2
+
+    def test_startup_failure_exits_instead_of_hanging(self, tmp_path):
+        """Start-up that fails once the scheduler thread runs (a port file
+        under a regular file, a port already taken) stops the server and
+        exits non-zero instead of living on with nothing left to stop it."""
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            busy = f"127.0.0.1:{taken.getsockname()[1]}"
+            port_file = str(blocker / "port")
+            for args, error in [
+                (["--bind", "127.0.0.1:0", "--port-file", port_file], "a-file"),
+                (["--bind", busy], "in use"),
+            ]:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "repro.serve.cli", *args, "--no-cache"],
+                    env=dict(os.environ, PYTHONPATH=str(SRC_UNDER_TEST)),
+                    cwd=tmp_path,
+                    capture_output=True,
+                    text=True,
+                    timeout=30.0,
+                )
+                assert proc.returncode != 0, args
+                assert "qbss-serve: error:" in proc.stderr, proc.stderr
+                assert error in proc.stderr, proc.stderr
+
+    def test_sigterm_on_a_non_main_thread_drains(self, tmp_path):
+        """The OS may hand SIGTERM to any thread.  The daemon's main thread
+        must still run the handler and drain, not sleep through it."""
+        port_file = tmp_path / "serve.port"
+        proc = subprocess.Popen(
+            [sys.executable, "-c", SIGTERM_OFF_MAIN, str(port_file)],
+            env=dict(os.environ, PYTHONPATH=str(SRC_UNDER_TEST)),
+            cwd=tmp_path,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not port_file.exists() and proc.poll() is None:
+                assert time.monotonic() < deadline, "no port file after 60 s"
+                time.sleep(0.05)
+            try:
+                _, err = proc.communicate(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                pytest.fail("qbss-serve ignored SIGTERM on a non-main thread")
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "drained cleanly" in err
 
 
 # -- client retries -----------------------------------------------------------------

@@ -39,9 +39,18 @@ from repro.serve.journal import (
     shard_payload_digest,
 )
 
+from _testutil import SpyLock
 from test_serve import job_lines, small_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+#: One call of each append method, by method name.
+APPENDS = {
+    "log_admission": ("ci", []),
+    "log_shard_complete": (1, 0, "ab" * 32),
+    "log_batch_complete": (1, "ok"),
+}
 
 
 def journal_config(tmp_path, **overrides):
@@ -152,6 +161,21 @@ class TestAdmissionJournal:
             journal.log_shard_complete(1, 0, "ab" * 32)
             journal.log_batch_complete(1, "ok")
         assert len(synced) == 1
+
+    @pytest.mark.parametrize("log", list(APPENDS))
+    def test_appends_hold_the_lock(self, tmp_path, log):
+        """HTTP handler threads log admissions while the scheduler logs
+        completion marks, so every append runs under the journal's lock."""
+
+        class SpiedJournal(AdmissionJournal):
+            def _append_locked(self, record, *, coord):
+                assert self._lock.held, f"{log} without AdmissionJournal._lock"
+                super()._append_locked(record, coord=coord)
+
+        with SpiedJournal(tmp_path) as journal:
+            journal._lock = SpyLock()
+            getattr(journal, log)(*APPENDS[log])
+        assert len(AdmissionJournal(tmp_path).scan().records) == 1
 
     def test_torn_tail_is_dropped_and_counted(self, tmp_path):
         with AdmissionJournal(tmp_path) as journal:
