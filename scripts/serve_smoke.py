@@ -12,12 +12,17 @@ freshly-submitted load, and asserts
 * post-drain submissions are rejected with a structured ``draining`` /
   connection-level error, never a hang.
 
-Exit code 0 = all assertions held.  Used by the CI serve job; also
-runnable locally: ``python scripts/serve_smoke.py``.
+``--jobs N`` is passed to the daemon (default 1): at ``--jobs 2`` the
+drain also waits for, and shuts down, the forked evaluation workers.
+
+Exit code 0 = all assertions held.  Used by the CI serve job at
+``--jobs 1`` and ``--jobs 2``; also runnable locally:
+``python scripts/serve_smoke.py --jobs 2``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import signal
@@ -66,6 +71,9 @@ def jobs(n: int = N_JOBS):
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--jobs", default="1", help="the daemon's --jobs (default 1)")
+    args = parser.parse_args()
     tmp = Path(tempfile.mkdtemp(prefix="qbss-serve-smoke-"))
     port_file = tmp / "port"
     log_path = tmp / "serve.log"
@@ -80,7 +88,7 @@ def main() -> int:
                 "--port-file", str(port_file),
                 "--shard-window", str(SHARD_WINDOW),
                 "--seed", "3",
-                "--jobs", "1",
+                "--jobs", args.jobs,
                 "--cache-dir", str(tmp / "cache"),
             ],
             env=env,
@@ -98,7 +106,7 @@ def main() -> int:
         assert result.ok, result.failed_shards
         assert result.summary["n_jobs"] == N_JOBS, result.summary
         print(
-            f"smoke: {N_JOBS} jobs -> {result.n_shards} shards, "
+            f"smoke (--jobs {args.jobs}): {N_JOBS} jobs -> {result.n_shards} shards, "
             f"avrq ratios {['%.3f' % r for r in result.ratios_for('avrq')][:3]}..."
         )
 

@@ -83,8 +83,8 @@ class Counter:
     def state(self) -> Any:
         return self.value
 
-    def restore(self, state: Any) -> None:
-        self.value = float(state)
+    def merge(self, state: Any) -> None:
+        self.inc(float(state))
 
 
 class Gauge:
@@ -108,8 +108,8 @@ class Gauge:
     def state(self) -> Any:
         return self.value
 
-    def restore(self, state: Any) -> None:
-        self.value = float(state)
+    def merge(self, state: Any) -> None:
+        self.set(state)
 
 
 class Histogram:
@@ -156,11 +156,12 @@ class Histogram:
             "count": self.count,
         }
 
-    def restore(self, state: Any) -> None:
-        self.buckets = tuple(float(b) for b in state["buckets"])
-        self.counts = [int(c) for c in state["counts"]]
-        self.sum = float(state["sum"])
-        self.count = int(state["count"])
+    def merge(self, state: Any) -> None:
+        if tuple(float(b) for b in state["buckets"]) != self.buckets:
+            raise ValueError("cannot merge histograms with different buckets")
+        self.counts = [a + int(b) for a, b in zip(self.counts, state["counts"])]
+        self.sum += float(state["sum"])
+        self.count += int(state["count"])
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
@@ -262,23 +263,35 @@ class MetricsRegistry:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> MetricsRegistry:
+        registry = cls()
+        registry.merge(data)
+        return registry
+
+    def merge(self, data: dict[str, Any]) -> None:
+        """Fold another registry's :meth:`to_dict` snapshot into this one.
+
+        Counters and histograms add up; a gauge takes the snapshot's
+        value, since both hold a latest reading.  ``qbss-serve`` merges
+        each evaluation worker's per-batch snapshot this way, so its
+        ``/metrics`` reads as if the batch had run in the daemon.
+        """
         if not isinstance(data, dict) or data.get("kind") != "metrics_snapshot":
             raise ValueError("not a metrics snapshot document")
         if data.get("version") != METRICS_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported metrics version {data.get('version')!r}"
             )
-        registry = cls()
         for item in data.get("series", []):
-            metric_cls = _KINDS[item["kind"]]
-            series = registry._get(
-                metric_cls,
+            kind, state = item["kind"], item["state"]
+            extra = {"buckets": state["buckets"]} if kind == "histogram" else {}
+            series = self._get(
+                _KINDS[kind],
                 item["name"],
                 data.get("help", {}).get(item["name"], ""),
                 dict(item.get("labels", {})),
+                **extra,
             )
-            series.restore(item["state"])
-        return registry
+            series.merge(state)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

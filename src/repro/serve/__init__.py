@@ -3,10 +3,10 @@
 Every other entry point in this repository is a batch CLI: it pays
 cold-start (interpreter, imports, pool spin-up, cache open, clairvoyant
 baseline) on every invocation.  ``repro.serve`` turns the stack into a
-daemon: a single warm :class:`~repro.engine.session.ExecutionSession`
-outlives thousands of requests, the content-addressed shard cache stays
-open, and job streams arrive over HTTP/JSON (or stdin JSONL) instead of
-trace files.
+daemon: warm evaluation workers, or one warm
+:class:`~repro.engine.session.ExecutionSession`, outlive thousands of
+requests, the content-addressed shard cache stays open, and job streams
+arrive over HTTP/JSON (or stdin JSONL) instead of trace files.
 
 The pieces (``docs/serving.md`` has the full protocol):
 
@@ -18,8 +18,10 @@ The pieces (``docs/serving.md`` has the full protocol):
 * :mod:`repro.serve.journal` — the fsync'd write-ahead admission
   journal (:class:`AdmissionJournal`): submissions are durable before
   they are acknowledged, and incomplete entries replay on restart;
+* :mod:`repro.serve.workers` — the batch body and the evaluation
+  workers ``QbssServer.start`` forks to run ``jobs`` batches at once;
 * :mod:`repro.serve.server` — :class:`QbssServer`: admission, the
-  scheduler thread driving the warm session, the HTTP endpoints
+  scheduler threads, the HTTP endpoints
   (``/v1/jobs``, ``/healthz``, ``/metrics``), crash recovery
   (:meth:`QbssServer.recover`), graceful drain;
 * :mod:`repro.serve.client` — the typed :class:`Client` /

@@ -5,10 +5,11 @@ Two modes:
 * **daemon** (default): bind the HTTP surface (``--bind``, or the
   ``QBSS_SERVE_BIND`` environment variable), serve until SIGTERM/SIGINT,
   then drain gracefully — stop admitting, finish every in-flight shard,
-  flush waiting responses, close the warm session — and exit 0.
+  flush waiting responses, shut the evaluation workers down, close the
+  warm session — and exit 0.
 * **one-shot** (``--stdin``): read one JSONL job stream from stdin,
   write the JSONL response stream to stdout, exit.  Same validation,
-  same warm-session evaluation, same envelopes; the pipe is the
+  same evaluation, in-process, same envelopes; the pipe is the
   backpressure.
 """
 
@@ -27,6 +28,7 @@ from ..cli import (
     _check_evaluation_args,
     _retry_policy,
 )
+from ..engine.backends.base import parse_backend_spec
 from ..engine.backends.worker import parse_bind, write_port_file
 from ..engine.runner import resolve_jobs
 from ..traces.replay import load_evaluation
@@ -44,9 +46,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "Long-lived QBSS scheduling service: accepts streams of job "
             "requests over HTTP/JSON (or stdin JSONL), validates them "
             "into trace records, shards them into time windows, and "
-            "evaluates competitive ratios on a single persistent warm "
-            "execution session.  Endpoints: POST /v1/jobs, GET /healthz, "
-            "GET /metrics (Prometheus)."
+            "evaluates competitive ratios, --jobs submissions at once on "
+            "warm forked worker processes.  Endpoints: POST /v1/jobs, "
+            "GET /healthz, GET /metrics (Prometheus)."
         ),
     )
     parser.add_argument(
@@ -136,9 +138,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs",
-        default="1",
+        default=None,
         metavar="N",
-        help="worker processes for shard evaluation; 0/'auto' = per CPU (default 1)",
+        help=(
+            "submissions evaluated at once, each on its own forked worker "
+            "process; 1 evaluates in-process; 0/'auto' = per CPU (default "
+            "auto; under --backend remote: it sizes the session, default 1)"
+        ),
     )
     parser.add_argument(
         "--cache-dir",
@@ -183,7 +189,16 @@ def _config_from_args(
         host, port = parse_bind(args.bind)
     except ValueError as exc:
         parser.error(str(exc))
-    jobs: int | str = args.jobs
+    # Serve keeps its own --jobs under a remote backend: only the spec
+    # is validated here.
+    backend, _remote_jobs = _backend_arg(parser, args, 1)
+    jobs: int | str | None = args.jobs
+    if jobs is None:
+        # A worker per CPU on the local pool.  Under remote: --jobs sizes
+        # the session instead, and at 1 its shards in flight are not
+        # capped at 2 x jobs, so the whole fleet stays fed.
+        local = backend is None or parse_backend_spec(backend)[0] == "pool"
+        jobs = "auto" if local else 1
     try:
         resolve_jobs(jobs)
     except ValueError as exc:
@@ -206,9 +221,6 @@ def _config_from_args(
     if args.request_timeout <= 0:
         parser.error("--request-timeout must be > 0")
     retry = _retry_policy(parser, args)
-    # Serve keeps its own --jobs under a remote backend: only the spec
-    # is validated here.
-    backend, _remote_jobs = _backend_arg(parser, args, 1)
     return ServeConfig(
         host=host,
         port=port,
@@ -267,7 +279,8 @@ def _run_daemon(
     try:
         # Readiness means ready: the shard-evaluation path is imported
         # before the port file announces the daemon, not inside its
-        # first request.
+        # first request, and before start() forks the workers that
+        # inherit it.
         load_evaluation(server.config.algorithms)
         server.start()
         bound = f"{server.config.host}:{server.port}"
@@ -276,7 +289,7 @@ def _run_daemon(
         print(
             f"qbss-serve {PACKAGE_VERSION} listening on http://{bound} "
             f"(queue limit {server.queue.max_jobs} jobs, "
-            f"pool {server.session.pool_jobs})",
+            f"pool {server.pool_jobs})",
             file=sys.stderr,
             flush=True,
         )

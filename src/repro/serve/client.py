@@ -120,8 +120,9 @@ def _job_to_dict(job: object) -> dict:
 class Client:
     """A thin, typed HTTP client for one ``qbss-serve`` daemon.
 
-    One connection per call (the daemon is thread-per-request anyway),
-    so a single ``Client`` may be shared across threads.
+    One connection per call, so a single ``Client`` may be shared across
+    threads.  The daemon serves each connection on its own thread and
+    keeps it alive between requests, but a ``Client`` does not reuse it.
     """
 
     def __init__(

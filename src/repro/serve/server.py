@@ -2,16 +2,18 @@
 
 One :class:`QbssServer` owns
 
-* a single warm :class:`~repro.engine.session.ExecutionSession` — the
-  pool configuration, the open content-addressed shard cache and the
-  metrics registry live for the daemon's whole lifetime;
+* a single warm :class:`~repro.engine.session.ExecutionSession` and
+  the metrics registry, which live for the daemon's whole lifetime, and
+  the evaluation workers :meth:`QbssServer.start` forks;
 * the bounded :class:`~repro.serve.queue.AdmissionQueue` and per-client
   :class:`~repro.serve.rate.RateLimiter` deciding, synchronously and
   cheaply, whether a submission is admitted;
-* one scheduler thread that pops admitted batches and evaluates each
-  through :func:`~repro.traces.replay.replay_jobs` on the warm session —
-  sessions are not thread-safe, so all evaluation serializes here by
-  design;
+* the scheduler threads that pop admitted batches and evaluate each
+  through :func:`~repro.serve.workers.evaluate_batch`.  With ``jobs > 1``
+  on the local pool there is one thread per forked
+  :class:`~repro.serve.workers.EvaluationWorker`, so ``jobs`` batches
+  evaluate at once; otherwise one thread evaluates on the warm session
+  (sessions are not thread-safe);
 * a :class:`ThreadingHTTPServer` exposing ``POST /v1/jobs``,
   ``GET /healthz`` and ``GET /metrics``.
 
@@ -24,10 +26,10 @@ to a cold ``qbss-replay`` of the same records.
 
 Graceful drain (SIGTERM/SIGINT via the CLI): :meth:`QbssServer.
 begin_drain` stops admission (new submissions get structured
-``draining`` errors), :meth:`QbssServer.drain` lets the scheduler finish
-every already-admitted batch — so waiting clients get their responses
-flushed — then closes the session; :meth:`QbssServer.stop` tears the
-HTTP listener down last.
+``draining`` errors), :meth:`QbssServer.drain` lets the schedulers
+finish every already-admitted batch — so waiting clients get their
+responses flushed — and shut their workers down, then closes the
+session; :meth:`QbssServer.stop` tears the HTTP listener down last.
 
 Hard-crash durability (``--journal DIR``): every admission is appended
 to a fsync'd write-ahead :class:`~repro.serve.journal.AdmissionJournal`
@@ -42,24 +44,34 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from collections.abc import Sequence
 
 from .. import __version__ as PACKAGE_VERSION
+from ..engine.backends.base import parse_backend_spec
 from ..engine.faults import FaultPlan, RetryPolicy
+from ..engine.runner import resolve_jobs
 from ..engine.session import ExecutionSession
 from ..obs import lockwatch
 from ..obs.metrics import MetricsRegistry
 from ..obs.publish import WALL_BUCKETS
-from ..traces.replay import DEFAULT_ALGORITHMS, ReplayReport, replay_jobs
-from ..traces.synthesize import synthesize_jobs
+from ..traces.replay import DEFAULT_ALGORITHMS, ReplayReport
 from . import protocol
 from .journal import AdmissionJournal, RecoveryReport, shard_payload_digest
 from .protocol import JobRequest, ProtocolError, ServeError
 from .queue import AdmissionQueue, QueueClosedError, QueueFullError
 from .rate import RateLimiter
+from .workers import (
+    BatchOutcome,
+    EvaluationWorker,
+    WorkerLost,
+    evaluate_batch,
+    fork_workers,
+    worker_batch,
+)
 
 
 class LockedMetricsRegistry(MetricsRegistry):
@@ -70,8 +82,9 @@ class LockedMetricsRegistry(MetricsRegistry):
     minimum: ``lock`` is held around series *registration* and around
     full-text rendering, so a scrape can never iterate the series dict
     while a new series is being inserted.  Value updates on existing
-    series stay lock-free (single-writer discipline: the scheduler owns
-    the replay/cache series, admission updates happen under ``lock``).
+    series stay lock-free (single-writer discipline: the one in-process
+    scheduler owns the replay/cache series; admission updates and the
+    merges of worker snapshots happen under ``lock``).
     """
 
     def __init__(self) -> None:
@@ -114,6 +127,9 @@ class ServeConfig:
     rate: float | None = None
     burst: float | None = None
     request_timeout: float = 300.0
+    #: Batches evaluated at once on the local pool: ``> 1`` forks that
+    #: many evaluation workers in :meth:`QbssServer.start`; 1 evaluates
+    #: in-process.  Under a remote backend it sizes the session instead.
     jobs: int | str = 1
     cache: bool = True
     cache_dir: str | Path | None = None
@@ -128,7 +144,8 @@ class ServeConfig:
     #: ``None`` disables durability; see ``docs/serving.md``.
     journal_dir: str | Path | None = None
     #: Optional :class:`repro.obs.Tracer` receiving journal events and
-    #: the per-batch replay spans of the warm session.
+    #: the per-batch replay spans of in-process evaluation (spans of a
+    #: forked worker's batches stay in that worker).
     tracer: object | None = None
 
 
@@ -159,8 +176,13 @@ class QbssServer:
     def __init__(self, config: ServeConfig, registry: LockedMetricsRegistry | None = None):
         self.config = config
         self.registry = registry if registry is not None else LockedMetricsRegistry()
+        kind = parse_backend_spec(config.backend)[0] if config.backend else "pool"
+        workers = resolve_jobs(config.jobs) if kind == "pool" else 1
+        #: Evaluation workers :meth:`start` forks (0: evaluate in-process).
+        self._fork_count = workers if workers > 1 else 0
         self.session = ExecutionSession(
-            jobs=config.jobs,
+            # Local evaluation is serial in every process.
+            jobs=config.jobs if kind == "remote" else 1,
             cache=config.cache,
             cache_dir=config.cache_dir,
             task_timeout=config.task_timeout,
@@ -173,13 +195,18 @@ class QbssServer:
         self.queue = AdmissionQueue(config.queue_limit)
         self.limiter = RateLimiter(config.rate, config.burst)
         self._draining = threading.Event()
-        self._scheduler: threading.Thread | None = None
+        self._schedulers: list[threading.Thread] = []
+        self._workers: list[EvaluationWorker] = []
+        #: Set once a worker is lost: from then on every batch is
+        #: evaluated in-process, one at a time under ``_local``.
+        self._lost = threading.Event()
+        self._local = lockwatch.new_lock("QbssServer._local")
         self._httpd: ThreadingHTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self.journal: AdmissionJournal | None = None
-        #: Batches rebuilt by :meth:`recover`, evaluated before any new
+        #: Batches rebuilt by :meth:`recover`, taken before any new
         #: admission once the scheduler (or stdin mode) starts.
-        self._recovered_batches: list[Batch] = []
+        self._recovered_batches: deque[Batch] = deque()
         if config.journal_dir is not None:
             self.journal = AdmissionJournal(
                 config.journal_dir,
@@ -245,6 +272,12 @@ class QbssServer:
     def draining(self) -> bool:
         return self._draining.is_set()
 
+    @property
+    def pool_jobs(self) -> int:
+        """Batches evaluated at once: the forked workers, else the session's
+        pool (meaningful after :meth:`start`)."""
+        return len(self._workers) or self.session.pool_jobs
+
     def recover(self) -> RecoveryReport | None:
         """Replay the journal's incomplete admissions; call before :meth:`start`.
 
@@ -260,7 +293,7 @@ class QbssServer:
         """
         if self.journal is None:
             return None
-        if self._scheduler is not None:
+        if self._schedulers:
             raise RuntimeError("recover() must run before start()")
         scan = self.journal.scan()
         incomplete = scan.incomplete()
@@ -305,13 +338,27 @@ class QbssServer:
         return report
 
     def start(self, *, http: bool = True) -> None:
-        """Start the scheduler thread and (optionally) the HTTP listener."""
-        if self._scheduler is not None:
+        """Fork the evaluation workers, then start the scheduler threads
+        and (optionally) the HTTP listener.
+
+        The workers are forked first, while the daemon has no thread of
+        its own, and before the listening socket exists.
+        """
+        if self._schedulers:
             raise RuntimeError("server already started")
-        self._scheduler = threading.Thread(
-            target=self._scheduler_loop, name="qbss-serve-scheduler"
+        self._workers = fork_workers(
+            self._fork_count, self.config, self.session.active_fault_plan
         )
-        self._scheduler.start()
+        self._schedulers = [
+            threading.Thread(
+                target=self._scheduler_loop,
+                args=(worker,),
+                name=f"qbss-serve-scheduler-{i}",
+            )
+            for i, worker in enumerate(self._workers or [None])
+        ]
+        for thread in self._schedulers:
+            thread.start()
         if http:
             self._httpd = _make_httpd(self)
             self._http_thread = threading.Thread(
@@ -327,13 +374,15 @@ class QbssServer:
         self.queue.close()
 
     def drain(self, timeout: float | None = None) -> bool:
-        """Wait for the scheduler to finish every admitted batch, then
-        close the session.  Returns ``False`` on timeout."""
+        """Wait for the schedulers to finish every admitted batch and shut
+        their workers down, then close the session.  Returns ``False`` on
+        timeout."""
         if not self._draining.is_set():
             self.begin_drain()
-        if self._scheduler is not None:
-            self._scheduler.join(timeout)
-            if self._scheduler.is_alive():
+        deadline = None if timeout is None else time.monotonic() + timeout
+        for thread in self._schedulers:
+            thread.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+            if thread.is_alive():
                 return False
         self.session.close()
         if self.journal is not None:
@@ -481,25 +530,32 @@ class QbssServer:
 
     # -- evaluation ------------------------------------------------------------------
 
-    def _scheduler_loop(self) -> None:
-        # Recovered batches first: they were admitted (and journaled)
-        # before anything the queue can currently hold.
-        for batch in self._drain_recovered():
-            self._evaluate(batch)
-        while True:
-            batch = self.queue.pop()
-            with self.registry.lock:
-                self._depth_gauge.set(self.queue.depth)
-            if batch is None:
-                return
-            self._evaluate(batch)
+    def _scheduler_loop(self, worker: EvaluationWorker | None) -> None:
+        try:
+            while (batch := self._next_batch()) is not None:
+                if worker is not None and self._lost.is_set():
+                    worker.close()
+                    worker = None
+                self._evaluate(batch, worker)
+        finally:
+            if worker is not None:
+                worker.close()
 
-    def _drain_recovered(self) -> list[Batch]:
-        batches, self._recovered_batches = self._recovered_batches, []
-        return batches
+    def _next_batch(self) -> Batch | None:
+        """Recovered batches first: they were admitted (and journaled)
+        before anything the queue can currently hold.  ``None`` once the
+        queue is closed and empty."""
+        try:
+            return self._recovered_batches.popleft()
+        except IndexError:
+            pass
+        batch = self.queue.pop()
+        with self.registry.lock:
+            self._depth_gauge.set(self.queue.depth)
+        return batch
 
-    def _evaluate(self, batch: Batch) -> None:
-        """Evaluate one batch on the warm session; never raises.
+    def _evaluate(self, batch: Batch, worker: EvaluationWorker | None) -> None:
+        """Evaluate one batch; never raises.
 
         Shard-level failures (faults, timeouts, degraded pools) are
         already structured *inside* the replay report; only a failure of
@@ -508,30 +564,13 @@ class QbssServer:
         """
         t0 = time.perf_counter()
         try:
-            records = [req.to_record(i) for i, req in enumerate(batch.requests)]
-            stream = synthesize_jobs(
-                iter(records),
-                model=self.config.noise_model,
-                seed=self.config.seed,
-                deadline_slack=self.config.deadline_slack,
-            )
-            report, _ = replay_jobs(
-                stream,
-                algorithms=self.config.algorithms,
-                alpha=self.config.alpha,
-                shard_window=self.config.shard_window,
-                session=self.session,
-                meta={
-                    "source": f"serve:{batch.client}",
-                    "trace_format": "serve",
-                    "noise_model": self.config.noise_model,
-                    "seed": self.config.seed,
-                    "deadline_slack": self.config.deadline_slack,
-                },
-            )
-            batch.report = report
+            report, failure = self._run(batch, worker)
         except Exception as exc:
-            batch.error = ServeError("internal", f"{type(exc).__name__}: {exc}")
+            report, failure = None, f"{type(exc).__name__}: {exc}"
+        if failure is None:
+            batch.report = report
+        else:
+            batch.error = ServeError("internal", failure)
         wall = time.perf_counter() - t0
         with self.registry.lock:
             if batch.error is None and batch.report is not None:
@@ -545,6 +584,46 @@ class QbssServer:
                 self._batches["error"].inc()
         self._journal_completion(batch)
         batch.done.set()
+
+    def _run(self, batch: Batch, worker: EvaluationWorker | None) -> BatchOutcome:
+        """The batch body, on ``worker`` or in-process.
+
+        A daemon that forked no workers runs the body on its warm session,
+        whose series land in the registry live.  A worker's snapshot is
+        merged instead; once a worker is lost, the daemon runs what a
+        worker would, one batch at a time.
+        """
+        if worker is not None:
+            try:
+                report, failure, snapshot = worker.evaluate(
+                    batch.requests, batch.client
+                )
+            except WorkerLost:
+                worker.close()
+                self._lost.set()
+            else:
+                self._merge(snapshot)
+                return report, failure
+        if not self._workers:
+            return evaluate_batch(
+                self.config, batch.requests, batch.client, self.session
+            )
+        with self._local:
+            report, failure, snapshot = worker_batch(
+                self.config,
+                self.session.active_fault_plan,
+                batch.requests,
+                batch.client,
+            )
+        self._merge(snapshot)
+        return report, failure
+
+    def _merge(self, snapshot: dict) -> None:
+        with self.registry.lock:
+            self.registry.merge(snapshot)
+            if self._lost.is_set():
+                # The snapshot reads 0: its own batch did not degrade.
+                self.registry.gauge("qbss_degraded").set(1.0)
 
     def _journal_completion(self, batch: Batch) -> None:
         """Mark a fully-evaluated batch complete, shard by shard.
@@ -618,8 +697,8 @@ class QbssServer:
         metrics and the response vocabulary are exactly the HTTP path's.
         Returns ``(exit_code, jsonl_text)``.
         """
-        for recovered in self._drain_recovered():
-            self._evaluate(recovered)
+        while self._recovered_batches:
+            self._evaluate(self._recovered_batches.popleft(), None)
         try:
             requests = protocol.parse_jobs_payload(body, source=f"client:{client}")
         except ProtocolError as exc:
@@ -633,7 +712,7 @@ class QbssServer:
             return 1, protocol.encode_jsonl([err.to_dict()])
         with self.registry.lock:
             self._admitted.inc(len(requests))
-        self._evaluate(batch)
+        self._evaluate(batch, None)
         code = 0 if batch.error is None else 1
         return code, protocol.encode_jsonl(self.response_envelopes(batch))
 
@@ -652,6 +731,19 @@ class _Handler(BaseHTTPRequestHandler):
     qbss: QbssServer  # bound by _make_httpd
     server_version = f"qbss-serve/{PACKAGE_VERSION}"
     protocol_version = "HTTP/1.1"
+    # One socket write per response: http.server flushes the buffered
+    # stream after each request.  Headers and body sent apart made a
+    # kept-alive client wait out a delayed ACK on every response.
+    wbufsize = 1 << 16
+    # A response larger than the buffer still goes out without delay.
+    disable_nagle_algorithm = True
+
+    def handle_expect_100(self) -> bool:
+        """Send ``100 Continue`` at once: the client holds the body back
+        until it arrives, and the buffer would keep it until the response."""
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     def log_message(self, format: str, *args: object) -> None:
         """Silence the stock per-request stderr access log; the daemon's

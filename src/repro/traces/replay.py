@@ -278,6 +278,8 @@ def _evaluate_shard_task(
 #: The modules :func:`_evaluate_shard` and :func:`paper_energy_bound`
 #: import where they run.
 _EVALUATION_MODULES = (
+    # numpy imports numpy.ma on the first np.unique call.
+    "numpy.ma",
     "repro.analysis.ratios",
     "repro.bounds.formulas",
     "repro.io",

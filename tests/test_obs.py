@@ -168,6 +168,21 @@ class TestMetrics:
         assert clone.to_prometheus() == reg.to_prometheus()
         assert clone.value("qbss_cache_lookups_total", result="hit") == 3.0
 
+    def test_merge_adds_counts_and_takes_gauges(self):
+        reg = self._populated()
+        reg.gauge("qbss_degraded").set(0.0)
+        reg.merge(self._populated().to_dict())
+        assert reg.value("qbss_cache_lookups_total", result="hit") == 6.0
+        assert reg.value("qbss_degraded") == 1.0
+        samples = parse_prometheus_text(reg.to_prometheus())
+        assert samples[("qbss_task_wall_seconds_bucket", (("le", "1"),))] == 4.0
+        assert samples[("qbss_task_wall_seconds_count", ())] == 6.0
+        assert samples[("qbss_task_wall_seconds_sum", ())] == pytest.approx(201.1)
+        other = MetricsRegistry()
+        other.histogram("qbss_task_wall_seconds", buckets=(0.5,)).observe(0.1)
+        with pytest.raises(ValueError, match="different buckets"):
+            reg.merge(other.to_dict())
+
     def test_prometheus_round_trip(self):
         samples = parse_prometheus_text(self._populated().to_prometheus())
         assert samples[("qbss_cache_lookups_total", (("result", "hit"),))] == 3.0

@@ -9,6 +9,7 @@ before tearing down — the same lifecycle the CLI drives on SIGTERM.
 import json
 import math
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -148,6 +149,10 @@ def job_lines(n, *, window=40.0, spacing=2.0):
             )
         )
     return "\n".join(lines) + "\n"
+
+
+def submission(body):
+    return [json.loads(line) for line in body.splitlines()]
 
 
 def small_config(tmp_path, **overrides):
@@ -891,6 +896,60 @@ class TestLiveDaemon:
             server.drain(timeout=60.0)
             server.stop()
 
+    def test_one_socket_write_per_kept_alive_response(self, live_server, monkeypatch):
+        """Headers and body leave in one write.  Sent apart, a client that
+        reuses its connection waits out a delayed ACK on every response."""
+        import http.client
+
+        port = live_server.port
+        writes = []
+
+        def counted(real):
+            def write(sock, data, *args):
+                if sock.getsockname()[1] == port:  # the daemon's side
+                    writes.append(len(data))
+                return real(sock, data, *args)
+
+            return write
+
+        monkeypatch.setattr(socket.socket, "send", counted(socket.socket.send))
+        monkeypatch.setattr(socket.socket, "sendall", counted(socket.socket.sendall))
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+        try:
+            for i in range(20):
+                if i % 2:
+                    conn.request("POST", "/v1/jobs", body=job_lines(3).encode())
+                else:
+                    conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert response.read()
+        finally:
+            conn.close()
+        assert len(writes) == 20, writes
+
+    def test_expect_100_continue_is_answered_before_the_body(self, live_server):
+        """A client that sends ``Expect: 100-continue`` holds its body back
+        until the interim response arrives.  The socket timeout turns a
+        ``100 Continue`` left in the daemon's write buffer into a failure."""
+        body = job_lines(3).encode()
+        head = (
+            "POST /v1/jobs HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n"
+            f"Expect: 100-continue\r\nContent-Length: {len(body)}\r\n\r\n"
+        )
+        with socket.create_connection(
+            ("127.0.0.1", live_server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(head.encode("ascii"))
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(body)
+            response = b""
+            while chunk := sock.recv(65536):  # until the server closes
+                response += chunk
+        head, _, text = response.partition(b"\r\n\r\n")
+        assert head.split(b" ")[1] == b"200"
+        assert list(parse_response_lines(text.decode("utf-8")))[-1]["n_jobs"] == 3
+
     def test_draining_daemon_rejects_with_503(self, live_server):
         live_server.begin_drain()
         client = Client("127.0.0.1", live_server.port)
@@ -905,6 +964,9 @@ class TestLiveDaemon:
 
 
 class TestReplayIdentity:
+    #: Evaluation workers the daemon forks (1: it evaluates in-process).
+    jobs = 1
+
     def test_warm_server_matches_cold_replay_byte_for_byte(self, tmp_path):
         """The 1k-job contract: a warm daemon answering the same workload
         as a cold ``qbss-replay`` produces byte-identical per-shard
@@ -921,9 +983,10 @@ class TestReplayIdentity:
         )
         cold = encode_jsonl(report.shards)
 
-        server = QbssServer(small_config(tmp_path, cache=False))
+        server = QbssServer(small_config(tmp_path, cache=False, jobs=self.jobs))
         server.start()
         try:
+            assert server.pool_jobs == self.jobs
             client = Client("127.0.0.1", server.port)
             jobs = [json.loads(line) for line in job_lines(n).splitlines()]
             first = client.submit(jobs)
@@ -938,19 +1001,286 @@ class TestReplayIdentity:
 
     def test_warm_cache_hits_stay_identical(self, tmp_path):
         """With the shard cache on, the second submission is served from
-        cache and still matches the first byte-for-byte."""
-        server = QbssServer(small_config(tmp_path))
-        first = server.serve_once(job_lines(40))[1]
-        second = server.serve_once(job_lines(40))[1]
-        server.drain()
+        cache and its whole response stream, summary included, matches the
+        first byte-for-byte."""
+        server = QbssServer(small_config(tmp_path, jobs=self.jobs))
+        server.start()
+        try:
+            client = Client("127.0.0.1", server.port)
+            first = client._request("POST", "/v1/jobs", job_lines(40))
+            second = client._request("POST", "/v1/jobs", job_lines(40))
+            samples = client.metrics()
+        finally:
+            server.begin_drain()
+            server.drain(timeout=60.0)
+            server.stop()
+        assert first[0] == 200
         assert first == second
-        samples = parse_prometheus_text(server.metrics_text())
+        assert list(parse_response_lines(first[1]))[-1]["kind"] == "summary"
         hits = sum(
             v
             for (name, labels), v in samples.items()
             if name == "qbss_cache_lookups_total" and ("result", "hit") in labels
         )
         assert hits > 0
+
+
+class TestReplayIdentityOnWorkers(TestReplayIdentity):
+    """The same contract on two forked evaluation workers."""
+
+    jobs = 2
+
+
+# -- forked evaluation workers ------------------------------------------------------
+
+#: Series holding wall times, which no two runs share.
+WALL_SERIES = ("qbss_serve_shard_latency_seconds", "qbss_replay_wall_seconds")
+
+#: Runs ``qbss-serve`` in this interpreter and watches its forks: prints, when
+#: it exits, the live thread count of the daemon and the count of objects it
+#: had frozen at each fork, and its frozen count then.  Each child appends
+#: its pid to the file ``argv[1]``.
+FORK_WATCH = """
+import gc, json, os, sys, threading
+
+from repro.serve.cli import main
+
+forks, frozen = [], []
+
+
+def before():
+    forks.append(threading.active_count())
+    frozen.append(gc.get_freeze_count())
+
+
+def record_pid():
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+
+
+os.register_at_fork(before=before, after_in_child=record_pid)
+code = main(sys.argv[2:])
+print(json.dumps({"forks": forks, "frozen": frozen, "frozen_at_exit": gc.get_freeze_count()}))
+sys.exit(code)
+"""
+
+
+def in_process_shards(tmp_path, body):
+    """The shard payloads a ``jobs=1`` daemon answers ``body`` with."""
+    server = QbssServer(small_config(tmp_path, cache=False))
+    code, text = server.serve_once(body)
+    server.drain()
+    assert code == 0
+    return [e["shard"] for e in parse_response_lines(text) if e["kind"] == "shard_result"]
+
+
+class WatchedDaemon:
+    """A ``qbss-serve --no-cache`` subprocess under :data:`FORK_WATCH`,
+    configured like :func:`small_config`."""
+
+    def __init__(self, tmp_path, *args, plan=None):
+        from repro.engine.faults import FAULT_PLAN_ENV
+
+        self.pid_log = tmp_path / "worker-pids"
+        self.watch: dict = {}
+        port_file = tmp_path / "serve.port"
+        env = dict(os.environ, PYTHONPATH=str(SRC_UNDER_TEST))
+        env.pop(FAULT_PLAN_ENV, None)
+        if plan is not None:
+            env[FAULT_PLAN_ENV] = plan.to_json()
+        self.proc = subprocess.Popen(
+            [
+                sys.executable, "-c", FORK_WATCH, str(self.pid_log),
+                "--bind", "127.0.0.1:0", "--port-file", str(port_file),
+                "--shard-window", "250", "--seed", "3", "--no-cache", *args,
+            ],
+            env=env,
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        deadline = time.monotonic() + 60.0
+        while not port_file.exists():
+            assert self.proc.poll() is None, self.proc.communicate()[1]
+            assert time.monotonic() < deadline, "no port file after 60 s"
+            time.sleep(0.05)
+        host, port = port_file.read_text().strip().rsplit(":", 1)
+        self.client = Client(host, int(port))
+
+    def worker_pids(self):
+        return [int(line) for line in self.pid_log.read_text().split()]
+
+    def wait_in_flight(self, n_jobs):
+        """Until ``n_jobs`` jobs are admitted and popped, and none done."""
+        deadline = time.monotonic() + 30.0
+        while True:
+            samples = self.client.metrics()
+            if (
+                samples[("qbss_serve_jobs_admitted_total", ())] == n_jobs
+                and samples[("qbss_serve_queue_depth", ())] == 0.0
+            ):
+                assert samples[("qbss_serve_jobs_completed_total", ())] == 0.0
+                return
+            assert time.monotonic() < deadline, samples
+            time.sleep(0.02)
+
+    def stop(self):
+        """SIGTERM; returns (exit code, live thread count at each fork, stderr).
+
+        The rest of what :data:`FORK_WATCH` printed is left in ``watch``.
+        """
+        self.proc.send_signal(signal.SIGTERM)
+        out, err = self.proc.communicate(timeout=60.0)
+        self.watch = json.loads(out.splitlines()[-1]) if out.strip() else {}
+        return self.proc.returncode, self.watch.get("forks"), err
+
+    def kill(self):
+        if self.proc.poll() is None:
+            self.proc.kill()
+            self.proc.communicate()
+
+
+def submit_all(client, bodies):
+    """Submit every body at once, one thread each; the results in order."""
+    results = [None] * len(bodies)
+
+    def submit(i):
+        results[i] = client.submit(submission(bodies[i]))
+
+    threads = [threading.Thread(target=submit, args=(i,)) for i in range(len(bodies))]
+    for thread in threads:
+        thread.start()
+    return threads, results
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+class TestForkedWorkers:
+    @pytest.mark.parametrize(
+        "jobs, backend, forks",
+        [
+            (1, None, 0),
+            (2, None, 2),
+            (2, "pool", 2),
+            (2, "serial", 0),
+            (2, "remote:127.0.0.1:9", 0),
+        ],
+    )
+    def test_only_the_local_pool_forks(self, tmp_path, monkeypatch, jobs, backend, forks):
+        """``jobs > 1`` forks workers on the local pool only; every local
+        session is serial, and a remote one keeps ``jobs``."""
+        asked = []
+        monkeypatch.setattr(
+            "repro.serve.server.fork_workers",
+            lambda n, config, plan: asked.append(n) or [],
+        )
+        server = QbssServer(small_config(tmp_path, jobs=jobs, backend=backend))
+        server.start(http=False)
+        assert server.drain(timeout=30.0)
+        assert asked == [forks]
+        assert server.session.pool_jobs == (jobs if backend and "remote" in backend else 1)
+
+    def test_metrics_equal_the_in_process_daemons(self, tmp_path):
+        """After the same submissions a ``jobs=2`` daemon's ``/metrics``
+        equal a ``jobs=1`` daemon's: each worker's cache and replay series
+        are merged into the daemon's registry.  Wall times are exempt."""
+        bodies = [job_lines(12), job_lines(30, spacing=20.0), job_lines(12)]
+        scrapes = {}
+        for jobs in (1, 2):
+            server = QbssServer(small_config(tmp_path / f"jobs{jobs}", jobs=jobs))
+            server.start()
+            try:
+                client = Client("127.0.0.1", server.port)
+                for body in bodies:
+                    assert client.submit(submission(body)).ok
+                scrapes[jobs] = {
+                    key: value
+                    for key, value in client.metrics().items()
+                    if not key[0].startswith(WALL_SERIES)
+                }
+            finally:
+                server.begin_drain()
+                server.drain(timeout=60.0)
+                server.stop()
+        assert scrapes[2] == scrapes[1]
+        hits = ("qbss_cache_lookups_total", (("result", "hit"),))
+        assert scrapes[2][hits] > 0
+        assert scrapes[2][("qbss_replay_shards_total", (("status", "ok"),))] > 0
+
+    def test_sigterm_flushes_two_batches_in_flight(self, tmp_path):
+        """Drain waits for both workers' batches, answers them, shuts the
+        workers down and exits 0."""
+        # Shard 0 of every batch holds its worker for a second.
+        plan = FaultPlan((FaultSpec(task="shard:0", kind="hang", attempt=0, seconds=1.0),))
+        daemon = WatchedDaemon(tmp_path, "--jobs", "2", plan=plan)
+        try:
+            bodies = [job_lines(10), job_lines(11)]
+            threads, results = submit_all(daemon.client, bodies)
+            daemon.wait_in_flight(21)
+            code, forks, err = daemon.stop()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            daemon.kill()
+        assert code == 0, err
+        assert "drained cleanly" in err
+        for body, result in zip(bodies, results):
+            assert result is not None and result.ok
+            assert result.shards == in_process_shards(tmp_path / "ref", body)
+        assert forks == [1, 1]
+        assert_reaped(daemon.worker_pids())
+
+    def test_workers_fork_before_the_daemon_has_a_thread(self, tmp_path):
+        daemon = WatchedDaemon(tmp_path, "--jobs", "2")
+        try:
+            assert daemon.client.submit(submission(job_lines(5))).ok
+            code, forks, err = daemon.stop()
+        finally:
+            daemon.kill()
+        assert code == 0, err
+        assert "pool 2)" in err
+        assert forks == [1, 1]
+        # Each worker inherits a frozen heap; the daemon's is unfrozen again.
+        assert all(count > 0 for count in daemon.watch["frozen"])
+        assert daemon.watch["frozen_at_exit"] == 0
+        assert len(daemon.worker_pids()) == 2
+        assert_reaped(daemon.worker_pids())
+
+    def test_a_killed_worker_leaves_no_client_hanging(self, tmp_path):
+        """SIGKILL a worker mid-batch: its batch is answered in-process,
+        so are all later ones (``qbss_degraded`` 1), and the daemon, which
+        has threads by then, never forks again."""
+        # Shard 2 holds each three-shard batch for three seconds: the
+        # kill lands while both workers are busy.
+        plan = FaultPlan((FaultSpec(task="shard:2", kind="hang", attempt=0, seconds=3.0),))
+        daemon = WatchedDaemon(tmp_path, "--jobs", "2", plan=plan)
+        try:
+            bodies = [job_lines(12, spacing=50.0), job_lines(13, spacing=50.0)]
+            threads, results = submit_all(daemon.client, bodies)
+            daemon.wait_in_flight(25)
+            os.kill(daemon.worker_pids()[0], signal.SIGKILL)
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive(), "a client is still waiting"
+            later = job_lines(4)
+            after = daemon.client.submit(submission(later))
+            samples = daemon.client.metrics()
+            code, forks, err = daemon.stop()
+        finally:
+            daemon.kill()
+        assert code == 0, err
+        for body, result in [*zip(bodies, results), (later, after)]:
+            assert result is not None and result.ok
+            assert result.shards == in_process_shards(tmp_path / "ref", body)
+        assert samples[("qbss_degraded", ())] == 1.0
+        assert samples[("qbss_serve_jobs_completed_total", ())] == 29.0
+        assert forks == [1, 1]
+        assert_reaped(daemon.worker_pids())
 
 
 # -- stdin one-shot mode ------------------------------------------------------------
@@ -1062,6 +1392,25 @@ class TestServeCli:
         with pytest.raises(SystemExit) as excinfo:
             _config_from_args(parser, parser.parse_args(argv))
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, jobs",
+        [
+            ([], "auto"),
+            (["--backend", "pool"], "auto"),
+            (["--backend", "serial"], 1),
+            (["--backend", "remote:127.0.0.1:9"], 1),
+            (["--backend", "remote:127.0.0.1:9", "--jobs", "4"], "4"),
+            (["--jobs", "1"], "1"),
+        ],
+    )
+    def test_default_jobs_fork_only_on_the_local_pool(self, argv, jobs):
+        """No ``--jobs`` means a worker per CPU on the local pool; a remote
+        session keeps its old default size of 1."""
+        from repro.serve.cli import _config_from_args, build_serve_parser
+
+        parser = build_serve_parser()
+        assert _config_from_args(parser, parser.parse_args(argv)).jobs == jobs
 
     def test_startup_failure_exits_instead_of_hanging(self, tmp_path):
         """Start-up that fails once the scheduler thread runs (a port file
